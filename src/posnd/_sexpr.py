@@ -6,11 +6,20 @@ subclass that serializes back with quotes).  Comments run from ``;`` to end of
 line.  Parse errors carry 1-based line/column information; ``parse_all`` can
 also record the source location of every parsed list for later error
 reporting.
+
+The reader makes one pass: a single compiled regular expression splits the
+text into parentheses, strings, symbols and comments, and the lists are built
+on an explicit stack, so nesting depth is not bounded by the recursion
+limit.  Character offsets, and the lines and columns computed from them, are
+only looked at where they are reported: list starts when ``locations`` is
+asked for, and errors.  Only ``\\n`` starts a line, except a newline escaped
+by a backslash inside a string, which counts as two columns of the current
+line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 
 class ParseError(Exception):
@@ -27,77 +36,23 @@ class QStr(str):
     """A string that round-trips as a double-quoted literal."""
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
-    quoted: bool = False
+# One token per match; ``\s`` matches exactly the characters for which
+# ``str.isspace`` holds.
+_TOKEN_RE = re.compile(
+    r"""[()]"""  # a parenthesis
+    r'''|"[^"\\]*(?:\\.[^"\\]*)*"'''  # a string
+    r"""|[^\s();"]+"""  # a symbol
+    r"""|;[^\n]*"""  # a comment
+    r'''|"''',  # a quote that never closes: the string runs to the end
+    re.DOTALL,
+)
+_STRING_PREFIX_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*', re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}
 
 
-_DELIMS = {"(", ")", ";", '"'}
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            out: list[str] = []
-            while True:
-                if i >= n:
-                    raise ParseError("unterminated string", start_line, start_col)
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise ParseError("unterminated escape", line, col)
-                    esc = text[i + 1]
-                    out.append({"n": "\n", "t": "\t"}.get(esc, esc))
-                    i += 2
-                    col += 2
-                elif c == "\n":
-                    out.append(c)
-                    i += 1
-                    line += 1
-                    col = 1
-                else:
-                    out.append(c)
-                    i += 1
-                    col += 1
-            tokens.append(_Token("".join(out), start_line, start_col, quoted=True))
-        elif ch in "()":
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and not text[i].isspace() and text[i] not in _DELIMS:
-                i += 1
-                col += 1
-            tokens.append(_Token(text[start:i], line, start_col))
-    return tokens
+def _unescape(body: str) -> str:
+    return _ESCAPE_RE.sub(lambda e: _ESCAPES.get(e.group(1), e.group(1)), body)
 
 
 def parse_all(
@@ -108,40 +63,116 @@ def parse_all(
     When ``locations`` is given, the (line, column) of every parsed list is
     recorded under ``id(list)``.
     """
-    tokens = _tokenize(text)
     forms: list[object] = []
-    pos = 0
-
-    def parse_one_at(idx: int) -> tuple[object, int]:
-        if idx >= len(tokens):
-            last = tokens[-1] if tokens else _Token("", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.column)
-        tok = tokens[idx]
-        if not tok.quoted and tok.text == "(":
-            items: list[object] = []
+    items = forms
+    stack: list[list[object]] = []  # enclosing lists of ``items``
+    opened: list[list[object]] = []
+    for tok in _TOKEN_RE.findall(text):
+        c = tok[0]
+        if c == "(":
+            new: list[object] = []
+            items.append(new)
+            stack.append(items)
             if locations is not None:
-                locations[id(items)] = (tok.line, tok.column)
-            idx += 1
-            while True:
-                if idx >= len(tokens):
-                    raise ParseError("unclosed '('", tok.line, tok.column)
-                nxt = tokens[idx]
-                if not nxt.quoted and nxt.text == ")":
-                    return items, idx + 1
-                item, idx = parse_one_at(idx)
-                items.append(item)
-        if not tok.quoted and tok.text == ")":
-            raise ParseError("unbalanced ')'", tok.line, tok.column)
-        if tok.quoted:
-            return QStr(tok.text), idx + 1
-        if tok.text.isdigit():
-            return int(tok.text), idx + 1
-        return tok.text, idx + 1
-
-    while pos < len(tokens):
-        form, pos = parse_one_at(pos)
-        forms.append(form)
+                opened.append(new)
+            items = new
+        elif c == ")":
+            if not stack:
+                raise _located_error(text)
+            items = stack.pop()
+        elif c == '"':
+            if len(tok) == 1:
+                raise _located_error(text)
+            body = tok[1:-1]
+            items.append(QStr(_unescape(body) if "\\" in body else body))
+        elif c != ";":
+            items.append(int(tok) if tok.isdigit() else tok)
+    if stack:
+        raise _located_error(text)
+    if opened:
+        for lst, loc in _list_locations(text, opened):
+            locations[id(lst)] = loc
     return forms
+
+
+def _note_escaped_newlines(body: str, start: int, escaped: list[int]) -> None:
+    """Record the offsets of backslash-escaped newlines in a string body
+    that begins at offset ``start``."""
+    if "\\\n" in body:
+        for e in _ESCAPE_RE.finditer(body):
+            if e.group(1) == "\n":
+                escaped.append(start + e.start(1))
+
+
+def _line_cols(text: str, offsets: list[int], escaped: list[int]):
+    """Yield the (line, column) of each of the increasing ``offsets``."""
+    if escaped:
+        chars = list(text)
+        for off in escaped:
+            chars[off] = " "
+        text = "".join(chars)
+    line, line_start, prev = 1, 0, 0
+    for off in offsets:
+        newlines = text.count("\n", prev, off)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", prev, off) + 1
+        prev = off
+        yield line, off - line_start + 1
+
+
+def _list_locations(text: str, lists: list[list[object]]):
+    """Pair each list, given in the order of their opening parentheses, with
+    its (line, column)."""
+    escaped: list[int] = []
+    offsets: list[int] = []
+    for m in _TOKEN_RE.finditer(text):
+        tok = m.group()
+        if tok == "(":
+            offsets.append(m.start())
+        elif tok[0] == '"':
+            _note_escaped_newlines(tok[1:-1], m.start() + 1, escaped)
+    return zip(lists, _line_cols(text, offsets, escaped))
+
+
+def _error(text: str, message: str, offset: int, escaped: list[int]) -> ParseError:
+    line, column = next(_line_cols(text, [offset], escaped))
+    return ParseError(message, line, column)
+
+
+def _located_error(text: str) -> ParseError:
+    """The error a malformed ``text`` is reported with.  An unterminated
+    string runs to the end of the text and is reported wherever it starts;
+    otherwise the first unbalanced ')' is, then the innermost unclosed '('."""
+    escaped: list[int] = []
+    starts: list[int] = []
+    unbalanced = None
+    for m in _TOKEN_RE.finditer(text):
+        tok = m.group()
+        if tok == "(":
+            starts.append(m.start())
+        elif tok == ")":
+            if starts:
+                starts.pop()
+            elif unbalanced is None:
+                unbalanced = m.start()
+        elif tok == '"':
+            return _unclosed_string(text, m.start(), escaped)
+        elif tok[0] == '"':
+            _note_escaped_newlines(tok[1:-1], m.start() + 1, escaped)
+    if unbalanced is not None:
+        return _error(text, "unbalanced ')'", unbalanced, escaped)
+    return _error(text, "unclosed '('", starts[-1], escaped)
+
+
+def _unclosed_string(text: str, quote: int, escaped: list[int]) -> ParseError:
+    """The error for a string opened at ``quote`` that runs to the end of the
+    text: a lone backslash at the very end is an unterminated escape."""
+    end = _STRING_PREFIX_RE.match(text, quote).end()
+    _note_escaped_newlines(text[quote + 1 : end], quote + 1, escaped)
+    if end < len(text):
+        return _error(text, "unterminated escape", end, escaped)
+    return _error(text, "unterminated string", quote, escaped)
 
 
 def parse_one(text: str) -> object:
@@ -160,8 +191,10 @@ def _quote(s: str) -> str:
 
 def dump(value: object) -> str:
     """Render a nested list/str/int value as a canonical s-expression."""
+    if type(value) is str:
+        return value
     if isinstance(value, list):
-        return "(" + " ".join(dump(v) for v in value) + ")"
+        return "(" + " ".join(map(dump, value)) + ")"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):

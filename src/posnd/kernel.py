@@ -6,7 +6,7 @@ sets, a recorded step suffix, a witness token, ...).  Conclusions are computed
 bottom-up on a best-effort basis, so ill-shaped trees are representable; the
 checker reports every violation instead of refusing to build the tree.
 
-The checker validates, in one recursive pass:
+The checker validates, in one post-order pass over the tree:
 
 * rule shapes (premise formulas and positions fit the rule),
 * per-system constraints on the recorded step suffix of ``box-e``/``dia-i``,
@@ -17,13 +17,22 @@ The checker validates, in one recursive pass:
 * assumption bookkeeping: open assumptions form a multiset, a label in
   scope always carries one content, and discharge removes every open leaf
   bound by the discharging rule.
+
+The pass walks the tree on an explicit stack, so a derivation's depth is not
+bounded by the interpreter's recursion limit.  Each node's open assumptions
+are a map from label to a multiset of contents.  A discharge pops just the
+labels it binds; the premises' maps are merged into the largest one, and
+only the labels of the smaller maps are tested for a second content, since
+no other label can gain one.  Witness freshness is a prefix test over the
+open positions left after the discharge.  The cost is linear in the number
+of nodes plus the smaller-into-larger merging (an open assumption moves
+O(log n) times), plus one scan of the open positions per ``box-i``/``dia-e``.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 from . import _sexpr
@@ -41,11 +50,12 @@ from .syntax import (
     PFormula,
     Position,
     RESERVED_TOKEN_PREFIX,
+    _formula_from_sexpr,
+    _formula_to_sexpr,
+    _position_from_sexpr,
     concat,
-    init_set,
     neg,
     parse_formula,
-    parse_position,
     prefix_replace,
     print_formula,
     print_position,
@@ -80,6 +90,10 @@ ELIM_RULES = frozenset(
     {"and-e1", "and-e2", "or-e", "imp-e", "box-e", "dia-e"}
 )
 JOIN_RULES = frozenset({"or-e", "dia-e"})
+
+#: A name the s-expression reader reads back as one symbol (unless it is all
+#: digits, which reads as an integer).
+_SYMBOL_RE = re.compile(r'[^\s();"]+')
 
 
 @dataclass(frozen=True)
@@ -604,144 +618,174 @@ def check(
     multiset; ``ok`` holds exactly when there are no violations.
     """
     violations: list[Violation] = []
+    path: list[int] = []  # premise indices from the root to the current node
 
-    def bad(path: tuple[int, ...], rule: str, message: str) -> None:
-        violations.append(Violation(path, rule, message))
+    def bad(where, rule: str, message: str) -> None:
+        violations.append(Violation(tuple(where), rule, message))
 
-    def conflicts(c: Counter) -> frozenset[str]:
-        by_label: dict[str, set] = {}
-        for (lab, content), cnt in c.items():
-            if cnt > 0:
-                by_label.setdefault(lab, set()).add(content)
-        return frozenset(l for l, cs in by_label.items() if len(cs) > 1)
-
-    def visit(n: Derivation, path: tuple[int, ...]) -> Counter:
-        prem_opens = [visit(p, path + (i,)) for i, p in enumerate(n.premises)]
+    # Post-order walk on an explicit stack.  A frame holds a node and the
+    # open assumptions of its finished premises, one ``label -> {content:
+    # count}`` map each; the next premise to visit is the one at the index
+    # equal to the number of maps collected so far.
+    stack: list[tuple[Derivation, list[dict]]] = [(d, [])]
+    while True:
+        n, prem_opens = stack[-1]
+        k = len(prem_opens)
+        if k < len(n.premises):
+            path.append(k)
+            stack.append((n.premises[k], []))
+            continue
+        stack.pop()
+        rule = n.rule
 
         # Premise slots that must conclude a p-formula.
-        e_slots: set[int] = set()
-        if n.rule in ("box-e", "dia-i") and len(n.premises) == 2:
-            e_slots.add(1)
+        e_slot = 1 if rule in ("box-e", "dia-i") and len(n.premises) == 2 else None
         for i, p in enumerate(n.premises):
-            if i in e_slots:
+            if i == e_slot:
                 if p.rule != "ehyp":
                     bad(
                         path,
-                        n.rule,
+                        rule,
                         "the existence premise must be an existence assumption leaf",
                     )
             elif p.rule == "ehyp" or isinstance(p.conclusion, EFormula):
                 bad(
                     path,
-                    n.rule,
+                    rule,
                     "an existence assumption may stand only as the existence "
                     "premise of box-e or dia-i",
                 )
 
         shape_ok = _check_shape(n, path, system, bad)
-        if n.rule in ("box-e", "dia-i"):
+        if rule in ("box-e", "dia-i"):
             _check_beta(n, path, system, t_strict_empty_beta, bad)
             _check_e_discipline(n, path, system, bad)
-        if n.rule == "ehyp" and not system.partial:
-            bad(path, n.rule, "existence assumptions require a partial system")
+        if rule == "ehyp" and not system.partial:
+            bad(path, rule, "existence assumptions require a partial system")
         if n.e_discharges and not system.partial:
             bad(
                 path,
-                n.rule,
+                rule,
                 "existence discharge requires a partial system",
             )
-        if n.rule == "bot-c" and system.flavor != "classical":
+        if rule == "bot-c" and system.flavor != "classical":
             bad(
                 path,
-                n.rule,
+                rule,
                 "bot-c is available only in the classical flavor",
             )
 
-        # Discharge.
-        for scope_pos, (idx, labels, kind) in enumerate(_scope_list(n)):
-            expected = _expected_discharge(n, idx, kind, scope_pos, shape_ok)
+        # Discharge: pop the labels in scope.
+        for scope_pos, (idx, labels, kind) in enumerate(_scopes(n)):
             opens = prem_opens[idx]
-            removed: list[tuple[str, PFormula | EFormula, int]] = []
-            for (lab, content), cnt in list(opens.items()):
-                if lab in labels:
-                    removed.append((lab, content, cnt))
-                    del opens[(lab, content)]
-            if expected is not None:
-                for lab, content, _cnt in removed:
-                    want_kind = EFormula if kind == "e" else PFormula
+            for lab in labels:
+                contents = opens.pop(lab, None)
+                if contents is None:
+                    continue
+                expected = _expected_discharge(n, idx, kind, scope_pos, shape_ok)
+                if expected is None:
+                    continue
+                want_kind = EFormula if kind == "e" else PFormula
+                for content in contents:
                     if not isinstance(content, want_kind) or content != expected:
                         bad(
                             path,
-                            n.rule,
+                            rule,
                             f"discharged assumption {lab!r} has content "
                             f"{_content_str(content)} but the rule requires "
                             f"{_content_str(expected)}",
                         )
 
-        merged: Counter = Counter()
-        before_conflicts: set[str] = set()
-        for opens in prem_opens:
-            before_conflicts |= conflicts(opens)
-            merged += opens
-        if n.rule in ("hyp", "ehyp"):
-            merged[(n.label, n.conclusion)] += 1
-        new_conf = conflicts(merged) - before_conflicts
-        for lab in sorted(new_conf):
-            bad(
-                path,
-                n.rule,
-                f"label {lab!r} is open with two different assumed contents",
-            )
-
         # Freshness (needs sensible shapes and the post-discharge opens).
-        if shape_ok and n.rule == "box-i":
-            alpha = n.conclusion.position
-            proper = alpha + (n.token,)
-            positions = frozenset(
-                c.position for (_l, c), cnt in prem_opens[0].items() if cnt > 0
-            )
-            if proper in init_set(positions):
+        if shape_ok and rule == "box-i":
+            proper = n.conclusion.position + (n.token,)
+            if _opens_below(prem_opens[0], proper):
                 bad(
                     path,
-                    n.rule,
+                    rule,
                     f"witness position {print_position(proper)} must be fresh "
                     "for the remaining open assumptions",
                 )
-        if shape_ok and n.rule == "dia-e":
-            major = _pf(n.premises[0])
-            proper = major.position + (n.token,)
+        if shape_ok and rule == "dia-e":
+            proper = _pf(n.premises[0]).position + (n.token,)
             gamma = n.conclusion.position if isinstance(n.conclusion, PFormula) else ()
-            positions = frozenset(
-                c.position for (_l, c), cnt in prem_opens[1].items() if cnt > 0
-            ) | {gamma}
-            if proper in init_set(positions):
+            if gamma[: len(proper)] == proper or _opens_below(prem_opens[1], proper):
                 bad(
                     path,
-                    n.rule,
+                    rule,
                     f"witness position {print_position(proper)} must be fresh "
                     "for the conclusion and remaining open assumptions",
                 )
-        return merged
 
-    opens = visit(d, ())
+        if rule == "hyp" or rule == "ehyp":
+            prem_opens.append({n.label: {n.conclusion: 1}})
+        if len(prem_opens) == 1:
+            merged = prem_opens[0]
+        elif prem_opens:
+            merged = _merge_opens(prem_opens, path, rule, bad)
+        else:
+            merged = {}
+        if not stack:
+            break
+        path.pop()
+        stack[-1][1].append(merged)
+
     if isinstance(d.conclusion, EFormula):
         bad((), d.rule, "a derivation must conclude a p-formula")
-    assumptions = tuple(
-        sorted(
-            (
-                Assumption(lab, content)
-                for (lab, content), cnt in opens.items()
-                for _ in range(cnt)
-            ),
-            key=lambda a: (a.label or "", _content_str(a.content)),
-        )
+    keyed = sorted(
+        (
+            ((lab or "", _content_str(content)), Assumption(lab, content), cnt)
+            for lab, contents in merged.items()
+            for content, cnt in contents.items()
+        ),
+        key=lambda entry: entry[0],
     )
+    assumptions = tuple(a for _key, a, cnt in keyed for _ in range(cnt))
     ordered = tuple(sorted(violations, key=lambda v: (v.path, v.rule, v.message)))
     return CheckReport(not ordered, ordered, assumptions)
 
 
-def _scope_list(n: Derivation) -> list[tuple[int, frozenset[str], str]]:
-    return _scopes(n)
+def _opens_below(opens: dict, proper: Position) -> bool:
+    """Whether some open assumption sits at ``proper`` or below it."""
+    k = len(proper)
+    for contents in opens.values():
+        for content in contents:
+            if content.position[:k] == proper:
+                return True
+    return False
+
+
+def _merge_opens(maps: list[dict], path, rule: str, bad) -> dict:
+    """Merge the premises' open-assumption maps into the largest one.
+
+    A label open with two different contents in the merge is a violation,
+    unless some premise already had it so (that premise reported it).  Only
+    labels of the smaller maps can change, so only they are tested.
+    """
+    big = max(maps, key=len)
+    conflicted_before: dict[str, bool] = {}
+    for m in maps:
+        if m is big:
+            continue
+        for lab, contents in m.items():
+            into = big.get(lab)
+            # ``into`` is the largest premise's own entry on first sight.
+            conflicted_before[lab] = len(contents) > 1 or conflicted_before.get(
+                lab, into is not None and len(into) > 1
+            )
+            if into is None:
+                big[lab] = contents
+            else:
+                for content, cnt in contents.items():
+                    into[content] = into.get(content, 0) + cnt
+    for lab, before in conflicted_before.items():
+        if not before and len(big[lab]) > 1:
+            bad(
+                path,
+                rule,
+                f"label {lab!r} is open with two different assumed contents",
+            )
+    return big
 
 
 def _expected_discharge(
@@ -1420,8 +1464,7 @@ def _valid_label(s: object) -> bool:
     return (
         isinstance(s, str)
         and not isinstance(s, QStr)
-        and len(s) > 0
-        and not any(c.isspace() or c in "();\"" for c in s)
+        and _SYMBOL_RE.fullmatch(s) is not None
     )
 
 
@@ -1431,8 +1474,16 @@ def _loc(locs: dict, form: object, default=(1, 1)) -> tuple[int, int]:
 
 def parse_proof(text: str) -> tuple[Derivation, System]:
     """Parse a proof file: ``(proof :system S :flavor F <node>)``."""
-    locs: dict[int, tuple[int, int]] = {}
-    forms = _sexpr.parse_all(text, locs)
+    try:
+        return _proof_from_forms(_sexpr.parse_all(text), {})
+    except ParseError:
+        # The lists' locations are only needed to place an error: read the
+        # text again with them and fail the same way.
+        locs: dict[int, tuple[int, int]] = {}
+        return _proof_from_forms(_sexpr.parse_all(text, locs), locs)
+
+
+def _proof_from_forms(forms: list[object], locs) -> tuple[Derivation, System]:
     if len(forms) != 1:
         raise ParseError("expected exactly one proof form", 1, 1)
     form = forms[0]
@@ -1464,7 +1515,7 @@ def _parse_pos(form: object, locs, ctx: object) -> Position:
     line, col = _loc(locs, form if isinstance(form, list) else ctx)
     if not isinstance(form, list):
         raise ParseError("expected a position (tok ...)", line, col)
-    return parse_position(_sexpr.dump(form))
+    return _position_from_sexpr(form)
 
 
 def _parse_labels(form: object, locs, ctx: object) -> frozenset[str]:
@@ -1484,7 +1535,11 @@ def _parse_labels(form: object, locs, ctx: object) -> frozenset[str]:
 def _parse_formula_form(form: object, locs, ctx: object) -> Formula:
     line, col = _loc(locs, form if isinstance(form, list) else ctx)
     try:
-        return parse_formula(_sexpr.dump(form) if isinstance(form, list) else str(form))
+        if isinstance(form, QStr):
+            # A bare quoted atom is read as formula text: "(and p q)" is a
+            # conjunction, "a b" two expressions.
+            return parse_formula(form)
+        return _formula_from_sexpr(form)
     except ParseError as exc:
         raise ParseError(exc.message, line, col) from None
 
@@ -1561,7 +1616,7 @@ def _parse_node(form: object, locs) -> Derivation:
                 line,
                 col,
             )
-        return imp_i(labels, prem)
+        return imp_i(labels, prem, ante=bound[0])
     if head == "imp-e":
         need(2, "major, minor")
         return imp_e(_parse_node(args[0], locs), _parse_node(args[1], locs))
@@ -1671,7 +1726,23 @@ def _pos_form(p: Position) -> list:
 
 
 def _formula_form(f: Formula) -> object:
+    """``f`` as the s-expression value that ``print_formula(f)`` reads back
+    as.  An atom name that does not read back as itself (empty, all digits,
+    or with a space, parenthesis, quote or ``;``) takes the text round trip,
+    which raises where the printed formula does not parse."""
+    if _atoms_read_back(f):
+        return _formula_to_sexpr(f)
     return _sexpr.parse_one(print_formula(f))
+
+
+def _atoms_read_back(f: Formula) -> bool:
+    if isinstance(f, Atom):
+        return _SYMBOL_RE.fullmatch(f.name) is not None and not f.name.isdigit()
+    if isinstance(f, (And, Or, Imp)):
+        return _atoms_read_back(f.left) and _atoms_read_back(f.right)
+    if isinstance(f, (Box, Dia)):
+        return _atoms_read_back(f.body)
+    return True
 
 
 def _node_form(n: Derivation) -> list:

@@ -19,6 +19,7 @@ no refutation exists within the bounds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -211,19 +212,20 @@ def _check_logic(logic: str) -> None:
         raise ValueError(f"unknown logic {logic!r}; expected one of {LOGICS}")
 
 
-def _sorted_nodes(m: TreeModel) -> list[Node]:
-    return sorted(m.nodes, key=lambda n: (len(n), n))
+@functools.lru_cache(maxsize=256)
+def _shape(nodes: frozenset[Node]) -> tuple[tuple[Node, ...], frozenset[Node]]:
+    """A node set in (depth, node) order, and its leaves.
+
+    Cached per node set, as is ``_step_table``: the enumerators build one
+    model per valuation over the same few shapes.
+    """
+    ordered = tuple(sorted(nodes, key=lambda n: (len(n), n)))
+    parents = {n[:-1] for n in nodes if n}
+    return ordered, frozenset(n for n in nodes if n not in parents)
 
 
-def _children(m: TreeModel, world: Node) -> list[Node]:
-    depth = len(world) + 1
-    return sorted(
-        t for t in m.nodes if len(t) == depth and t[: len(world)] == world
-    )
-
-
-def _leaves(m: TreeModel) -> list[Node]:
-    return [n for n in _sorted_nodes(m) if not _children(m, n)]
+def _sorted_nodes(m: TreeModel) -> tuple[Node, ...]:
+    return _shape(m.nodes)[0]
 
 
 def _tail_leaf(m: TreeModel, world: Node) -> Node | None:
@@ -235,7 +237,7 @@ def _tail_leaf(m: TreeModel, world: Node) -> Node | None:
         if not probe or probe[-1] != 0:
             return None
         probe = probe[:-1]
-    return probe if not _children(m, probe) else None
+    return probe if probe in _shape(m.nodes)[1] else None
 
 
 def _in_structure(m: TreeModel, world: Node) -> bool:
@@ -244,7 +246,28 @@ def _in_structure(m: TreeModel, world: Node) -> bool:
     return m.serial_completion and _tail_leaf(m, world) is not None
 
 
-def _step_targets(m: TreeModel, kind: str, world: Node) -> list[Node]:
+@functools.lru_cache(maxsize=256)
+def _step_table(
+    nodes: frozenset[Node], serial: bool, kind: str
+) -> dict[Node, tuple[Node, ...]]:
+    """``_step_targets`` of every in-tree world of one structure."""
+    ordered, leaves = _shape(nodes)
+    leaves_in_order = [n for n in ordered if n in leaves]
+    table = {}
+    for world in ordered:
+        targets = [t for t in ordered if step_holds(kind, world, t)]
+        if serial:
+            for leaf in leaves_in_order:
+                if kind in ("succ", "succ-refl"):
+                    if world == leaf:
+                        targets.append(leaf + (0,))
+                elif leaf[: len(world)] == world:
+                    targets.append(leaf + (0,))
+        table[world] = tuple(targets)
+    return table
+
+
+def _step_targets(m: TreeModel, kind: str, world: Node) -> Sequence[Node]:
     """Worlds one ``kind``-step from ``world``, completion chains included.
 
     A completion chain has a uniform theory, so a single representative
@@ -255,15 +278,7 @@ def _step_targets(m: TreeModel, kind: str, world: Node) -> list[Node]:
         targets = [world] if kind in ("succ-refl", "refl-trans") else []
         targets.append(world + (0,))
         return targets
-    targets = [t for t in _sorted_nodes(m) if step_holds(kind, world, t)]
-    if m.serial_completion:
-        for leaf in _leaves(m):
-            if kind in ("succ", "succ-refl"):
-                if world == leaf:
-                    targets.append(leaf + (0,))
-            elif leaf[: len(world)] == world:
-                targets.append(leaf + (0,))
-    return targets
+    return _step_table(m.nodes, m.serial_completion, kind)[world]
 
 
 # ---------------------------------------------------------------------------
@@ -344,28 +359,48 @@ def holds(m: TreeModel, logic: str, world: Node, f: Formula) -> bool:
         if leaf is None or not m.serial_completion:
             raise ValueError(f"world {world!r} is not in the structure")
         return chain_truth(m.atoms_at(leaf), logic, f)
-    if isinstance(f, Atom):
+    steps = _step_table(m.nodes, m.serial_completion, _STEP_KIND[logic])
+    return _holds(m, logic, steps, world, f)
+
+
+def _holds(
+    m: TreeModel,
+    logic: str,
+    steps: Mapping[Node, Sequence[Node]],
+    world: Node,
+    f: Formula,
+) -> bool:
+    """``holds`` once the logic is known valid and ``steps`` is the step
+    table of ``m``; ``world`` is in the structure."""
+    if world not in steps:
+        return chain_truth(m.atoms_at(_tail_leaf(m, world)), logic, f)
+    kind = type(f)
+    if kind is Atom:
         return f.name in m.atoms_at(world)
-    if isinstance(f, Bottom):
+    if kind is Imp:
+        return (not _holds(m, logic, steps, world, f.left)) or _holds(
+            m, logic, steps, world, f.right
+        )
+    if kind is Box:
+        for t in steps[world]:
+            if not _holds(m, logic, steps, t, f.body):
+                return False
+        return True
+    if kind is Dia:
+        for t in steps[world]:
+            if _holds(m, logic, steps, t, f.body):
+                return True
         return False
-    if isinstance(f, And):
-        return holds(m, logic, world, f.left) and holds(m, logic, world, f.right)
-    if isinstance(f, Or):
-        return holds(m, logic, world, f.left) or holds(m, logic, world, f.right)
-    if isinstance(f, Imp):
-        return (not holds(m, logic, world, f.left)) or holds(
-            m, logic, world, f.right
+    if kind is And:
+        return _holds(m, logic, steps, world, f.left) and _holds(
+            m, logic, steps, world, f.right
         )
-    if isinstance(f, Box):
-        return all(
-            holds(m, logic, t, f.body)
-            for t in _step_targets(m, _STEP_KIND[logic], world)
+    if kind is Or:
+        return _holds(m, logic, steps, world, f.left) or _holds(
+            m, logic, steps, world, f.right
         )
-    if isinstance(f, Dia):
-        return any(
-            holds(m, logic, t, f.body)
-            for t in _step_targets(m, _STEP_KIND[logic], world)
-        )
+    if kind is Bottom:
+        return False
     raise TypeError(f"not a formula: {f!r}")
 
 

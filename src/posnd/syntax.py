@@ -10,6 +10,7 @@ may occur only as an assumption.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import _sexpr
@@ -186,9 +187,12 @@ def degree(f: Formula) -> int:
 def valid_user_token(tok: str) -> bool:
     """User-suppliable position token: nonempty, no whitespace or parentheses,
     no reserved ``_`` prefix, and not a keyword-looking symbol."""
-    if not tok or tok.startswith(RESERVED_TOKEN_PREFIX) or tok.startswith(":"):
+    if tok.startswith(RESERVED_TOKEN_PREFIX) or tok.startswith(":"):
         return False
-    return not any(c.isspace() or c in "();" for c in tok)
+    return _USER_TOKEN_RE.fullmatch(tok) is not None
+
+
+_USER_TOKEN_RE = re.compile(r"[^\s();]+")
 
 
 def _formula_from_sexpr(form: object) -> Formula:

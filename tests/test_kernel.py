@@ -1,6 +1,7 @@
 """Tests for derivation checking, transforms, builtins, and proof files."""
 
 import random
+import sys
 
 import pytest
 
@@ -257,6 +258,20 @@ def test_check_never_raises_on_garbage():
     report = K.check(bad, S4)
     assert not report.ok
     assert any("conjunction" in v.message for v in report.violations)
+
+
+def test_check_deep_chain_without_recursion_error():
+    # check walks the tree on an explicit stack; the file parser and the
+    # normalizer still recurse, so this chain is built with the constructors.
+    depth = 5000
+    assert depth > sys.getrecursionlimit()
+    d = K.hyp("u", P, ())
+    for i in range(depth):
+        lab = f"v{i}"
+        d = K.imp_e(K.imp_i(frozenset({lab}), K.hyp(lab, P, ())), d)
+    report = K.check(d, S4)
+    assert report.ok
+    assert report.open_assumptions == (K.Assumption("u", PFormula(P, ())),)
 
 
 # --- weakening -------------------------------------------------------------
