@@ -1,11 +1,11 @@
 """Minimal s-expression reader/writer shared by the file formats.
 
 Values map to Python as: lists -> Python lists, symbols/keywords -> ``str``,
-unsigned integers -> ``int``, double-quoted strings -> ``QStr`` (a ``str``
-subclass that serializes back with quotes).  Comments run from ``;`` to end of
-line.  Parse errors carry 1-based line/column information; ``parse_all`` can
-also record the source location of every parsed list for later error
-reporting.
+unsigned integers (ASCII digits only) -> ``int``, double-quoted strings ->
+``QStr`` (a ``str`` subclass that serializes back with quotes).  Comments run
+from ``;`` to end of line.  Parse errors carry 1-based line/column
+information; ``parse_all`` can also record the source location of every
+parsed list for later error reporting.
 
 The reader makes one pass: a single compiled regular expression splits the
 text into parentheses, strings, symbols and comments, and the lists are built
@@ -86,13 +86,21 @@ def parse_all(
             body = tok[1:-1]
             items.append(QStr(_unescape(body) if "\\" in body else body))
         elif c != ";":
-            items.append(int(tok) if tok.isdigit() else tok)
+            # ``_reads_as_int``, inlined: this runs once per symbol.
+            items.append(int(tok) if tok.isdigit() and tok.isascii() else tok)
     if stack:
         raise _located_error(text)
     if opened:
         for lst, loc in _list_locations(text, opened):
             locations[id(lst)] = loc
     return forms
+
+
+def _reads_as_int(symbol: str) -> bool:
+    """Whether the reader types ``symbol`` as an integer: ASCII digits only,
+    since ``str.isdigit`` also holds for digits ``int`` cannot read (``²``)
+    or reads as other ASCII digits (``٣``)."""
+    return symbol.isdigit() and symbol.isascii()
 
 
 def _note_escaped_newlines(body: str, start: int, escaped: list[int]) -> None:

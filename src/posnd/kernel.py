@@ -6,6 +6,16 @@ sets, a recorded step suffix, a witness token, ...).  Conclusions are computed
 bottom-up on a best-effort basis, so ill-shaped trees are representable; the
 checker reports every violation instead of refusing to build the tree.
 
+The structure of each rule is written once, in ``_RULE_TABLE``: its
+proof-file arguments in file order and the node field each one fills, its
+discharge scopes (premise slot and assumption kind), its intro/elim
+connective family and the minor slots of a case split.  The proof-file
+reader and writer, the scope walks (``_scopes``, ``relabel_binders``, ...),
+the public rule sets (``RULES``, ``INTRO_RULES``, ...) and the normalizer all
+read it; what a rule concludes and requires stays in ``_mk`` and the checker.
+The reader and the writer keep their own stacks, so a proof file's depth is
+not bounded by the recursion limit either.
+
 The checker validates, in one post-order pass over the tree:
 
 * rule shapes (premise formulas and positions fit the rule),
@@ -66,33 +76,130 @@ LOGICS = ("k", "d", "t", "k4", "d4", "s4")
 FLAVORS = ("classical", "intuitionistic")
 PARTIAL_LOGICS = frozenset({"k", "k4"})
 
-RULES = (
-    "hyp",
-    "ehyp",
-    "and-i",
-    "and-e1",
-    "and-e2",
-    "or-i1",
-    "or-i2",
-    "or-e",
-    "imp-i",
-    "imp-e",
-    "bot-c",
-    "bot-i",
-    "box-i",
-    "box-e",
-    "dia-i",
-    "dia-e",
-)
+# --- the rule table --------------------------------------------------------
 
-INTRO_RULES = frozenset({"and-i", "or-i1", "or-i2", "imp-i", "box-i", "dia-i"})
-ELIM_RULES = frozenset(
-    {"and-e1", "and-e2", "or-e", "imp-e", "box-e", "dia-e"}
-)
-JOIN_RULES = frozenset({"or-e", "dia-e"})
+
+@dataclass(frozen=True)
+class _Rule:
+    """The structure of one rule, as the proof-file reader and writer, the
+    discharge-scope walks and the normalizer's rule families read it.  What a
+    rule concludes and requires is in ``_mk`` and the checker."""
+
+    #: The proof-file arguments in order, each ``(kind, what it fills)``: a
+    #: ``premise`` its slot; a ``label`` or ``token`` the field of that name;
+    #: a ``labels`` list its scope; a ``formula`` or ``position`` the named
+    #: field (a formula then a position make a p-formula, a lone position in
+    #: ``content`` an existence formula).
+    args: tuple[tuple[str, object], ...]
+    #: How an error about the number of arguments names them.
+    arity: str
+    #: How many trailing arguments may be left out.
+    optional: int
+    #: The connective an introduction or elimination rule is about.
+    intro: str | None
+    elim: str | None
+    #: The minor premise slots of a case split.
+    minors: tuple[int, ...]
+    #: Discharge scopes in file order: (premise slot, ``p``/``e``, index of
+    #: its ``discharges`` entry); an ``e`` scope fills ``e_discharges``.
+    scopes: tuple[tuple[int, str, int | None], ...]
+    #: Argument indices of witness tokens.
+    tokens: tuple[int, ...]
+
+
+def _rule(
+    signature: str,
+    arity: str,
+    *,
+    intro: str | None = None,
+    elim: str | None = None,
+    minors: tuple[int, ...] = (),
+) -> _Rule:
+    """A table entry from a signature: file arguments ``kind[:field]``,
+    optional ones in brackets; a label list's field is its scope kind and
+    premise slot, as in ``labels:p1``."""
+    required, _, optional = signature.partition("[")
+    args: list[tuple[str, object]] = []
+    scopes: list[tuple[int, str, int | None]] = []
+    for word in (required + optional.rstrip("]")).split():
+        kind, _, fld = word.partition(":")
+        if kind == "premise":
+            args.append((kind, sum(k == "premise" for k, _f in args)))
+        elif kind == "labels":
+            j = sum(s[1] == "p" for s in scopes) if fld[0] == "p" else None
+            scopes.append((int(fld[1:]), fld[0], j))
+            args.append((kind, scopes[-1]))
+        else:
+            args.append((kind, fld or kind))
+    return _Rule(
+        args=tuple(args),
+        arity=arity,
+        optional=len(optional.split()),
+        intro=intro,
+        elim=elim,
+        minors=minors,
+        scopes=tuple(scopes),
+        tokens=tuple(i for i, (k, _f) in enumerate(args) if k == "token"),
+    )
+
+
+_RULE_TABLE: dict[str, _Rule] = {
+    "hyp": _rule(
+        "label formula:content position:content", "label, formula, position"
+    ),
+    "ehyp": _rule("label position:content", "label, position"),
+    "and-i": _rule("premise premise", "two premises", intro="and"),
+    "and-e1": _rule("premise", "one premise", elim="and"),
+    "and-e2": _rule("premise", "one premise", elim="and"),
+    "or-i1": _rule("formula:other premise", "other disjunct, premise", intro="or"),
+    "or-i2": _rule("formula:other premise", "other disjunct, premise", intro="or"),
+    "or-e": _rule(
+        "premise labels:p1 premise labels:p2 premise",
+        "major, labels, minor, labels, minor",
+        elim="or",
+        minors=(1, 2),
+    ),
+    # An omitted antecedent is read off the bound leaves.
+    "imp-i": _rule(
+        "labels:p0 premise [formula:ante position:ante]",
+        "labels and premise, optionally followed by an explicit antecedent "
+        "formula and position",
+        intro="imp",
+    ),
+    "imp-e": _rule("premise premise", "major, minor", elim="imp"),
+    "bot-c": _rule(
+        "labels:p0 premise formula:target position:target",
+        "labels, premise, formula, position",
+    ),
+    "bot-i": _rule(
+        "premise formula:target position:target", "premise, formula, position"
+    ),
+    "box-i": _rule("token labels:e0 premise", "token, e-labels, premise", intro="box"),
+    "box-e": _rule(
+        "premise position:beta [premise]",
+        "major and step suffix, optionally an existence premise",
+        elim="box",
+    ),
+    "dia-i": _rule(
+        "position:beta premise [premise]",
+        "step suffix and premise, optionally an existence premise",
+        intro="dia",
+    ),
+    "dia-e": _rule(
+        "premise token labels:p1 labels:e1 premise",
+        "major, token, labels, e-labels, minor",
+        elim="dia",
+        minors=(1,),
+    ),
+}
+
+RULES = tuple(_RULE_TABLE)
+INTRO_RULES = frozenset(r for r, s in _RULE_TABLE.items() if s.intro)
+ELIM_RULES = frozenset(r for r, s in _RULE_TABLE.items() if s.elim)
+JOIN_RULES = frozenset(r for r, s in _RULE_TABLE.items() if s.minors)
 
 #: A name the s-expression reader reads back as one symbol (unless it is all
-#: digits, which reads as an integer).
+#: ASCII digits, which reads as an integer).
 _SYMBOL_RE = re.compile(r'[^\s();"]+')
 
 
@@ -189,9 +296,12 @@ class Derivation:
     token: str | None = None
 
     def __iter__(self):
-        yield self
-        for p in self.premises:
-            yield from p
+        """Every node of the tree, in pre-order."""
+        stack = [self]
+        while stack:
+            n = stack.pop()
+            yield n
+            stack.extend(reversed(n.premises))
 
 
 def _pf(d: Derivation) -> PFormula:
@@ -418,18 +528,9 @@ def dia_e(
 def _scopes(d: Derivation) -> list[tuple[int, frozenset[str], str]]:
     """Discharge scopes of a node: (premise index, labels, kind)."""
     out: list[tuple[int, frozenset[str], str]] = []
-    if d.rule == "imp-i":
-        out.append((0, d.discharges[0], "p"))
-    elif d.rule == "or-e":
-        out.append((1, d.discharges[0], "p"))
-        out.append((2, d.discharges[1], "p"))
-    elif d.rule == "bot-c":
-        out.append((0, d.discharges[0], "p"))
-    elif d.rule == "dia-e":
-        out.append((1, d.discharges[0], "p"))
-        out.append((1, d.e_discharges, "e"))
-    elif d.rule == "box-i":
-        out.append((0, d.e_discharges, "e"))
+    spec = _RULE_TABLE.get(d.rule)
+    for slot, kind, j in spec.scopes if spec else ():
+        out.append((slot, d.discharges[j] if kind == "p" else d.e_discharges, kind))
     return out
 
 
@@ -556,10 +657,19 @@ def relabel_binders(d: Derivation, forbidden: frozenset[str]) -> Derivation:
                 return n
             return _mk("ehyp", (), label=new, content=n.content)
         renames: dict[tuple[int, str], dict[str, str]] = {}
+        discharges: list[frozenset[str]] = []
+        over: dict = {}
         for i, labels, k in _scopes(n):
             m = renames.setdefault((i, k), {})
             for lab in sorted(labels):
                 m[lab] = fresh()
+            renamed = frozenset(m[lab] for lab in labels)
+            if k == "p":
+                discharges.append(renamed)
+            else:
+                over["e_discharges"] = renamed
+        if discharges:
+            over["discharges"] = tuple(discharges)
         prems = []
         for i, p in enumerate(n.premises):
             pe = dict(penv)
@@ -571,29 +681,9 @@ def relabel_binders(d: Derivation, forbidden: frozenset[str]) -> Derivation:
             pe.update(renames.get((i, "p"), {}))
             ee.update(renames.get((i, "e"), {}))
             prems.append(go(p, pe, ee))
-        over: dict = {}
-        if n.discharges:
-            new_discharges = []
-            for scope_pos, old in enumerate(n.discharges):
-                slot = _discharge_slot(n.rule, scope_pos)
-                m = renames.get((slot, "p"), {})
-                new_discharges.append(frozenset(m[lab] for lab in old))
-            over["discharges"] = tuple(new_discharges)
-        if n.e_discharges:
-            slot = 0 if n.rule == "box-i" else 1
-            m = renames.get((slot, "e"), {})
-            over["e_discharges"] = frozenset(m[lab] for lab in n.e_discharges)
         return _rebuild(n, tuple(prems), **over)
 
     return go(d, {}, {})
-
-
-def _discharge_slot(rule: str, scope_pos: int) -> int:
-    if rule == "or-e":
-        return 1 + scope_pos
-    if rule == "dia-e":
-        return 1
-    return 0
 
 
 # --- checking --------------------------------------------------------------
@@ -1507,33 +1597,30 @@ def _proof_from_forms(forms: list[object], locs) -> tuple[Derivation, System]:
         raise ParseError(f"unknown flavor {flavor!r}", line, col)
     if len(rest) != 1:
         raise ParseError("proof form needs exactly one root node", line, col)
-    node = _parse_node(rest[0], locs)
+    node = _read_node(rest[0], locs)
     return node, System(str(logic), str(flavor))
 
 
 def _parse_pos(form: object, locs, ctx: object) -> Position:
-    line, col = _loc(locs, form if isinstance(form, list) else ctx)
     if not isinstance(form, list):
-        raise ParseError("expected a position (tok ...)", line, col)
+        raise ParseError("expected a position (tok ...)", *_loc(locs, ctx))
     return _position_from_sexpr(form)
 
 
 def _parse_labels(form: object, locs, ctx: object) -> frozenset[str]:
-    line, col = _loc(locs, form if isinstance(form, list) else ctx)
     if not isinstance(form, list):
-        raise ParseError("expected a label list (...)", line, col)
+        raise ParseError("expected a label list (...)", *_loc(locs, ctx))
     labels = []
     for item in form:
         if not _valid_label(item):
-            raise ParseError(f"invalid label {item!r}", line, col)
+            raise ParseError(f"invalid label {item!r}", *_loc(locs, form))
         labels.append(str(item))
     if len(set(labels)) != len(labels):
-        raise ParseError("duplicate label in label list", line, col)
+        raise ParseError("duplicate label in label list", *_loc(locs, form))
     return frozenset(labels)
 
 
 def _parse_formula_form(form: object, locs, ctx: object) -> Formula:
-    line, col = _loc(locs, form if isinstance(form, list) else ctx)
     try:
         if isinstance(form, QStr):
             # A bare quoted atom is read as formula text: "(and p q)" is a
@@ -1541,145 +1628,83 @@ def _parse_formula_form(form: object, locs, ctx: object) -> Formula:
             return parse_formula(form)
         return _formula_from_sexpr(form)
     except ParseError as exc:
-        raise ParseError(exc.message, line, col) from None
+        where = _loc(locs, form if isinstance(form, list) else ctx)
+        raise ParseError(exc.message, *where) from None
 
 
-def _parse_node(form: object, locs) -> Derivation:
-    line, col = _loc(locs, form)
+def _open_node(form: object, locs) -> tuple:
+    """A reader frame for the rule application ``form``: its rule, argument
+    count and witness tokens are validated here, before any argument."""
     if not (isinstance(form, list) and form and isinstance(form[0], str)):
-        raise ParseError("expected a rule application (rule ...)", line, col)
+        raise ParseError("expected a rule application (rule ...)", *_loc(locs, form))
     head = str(form[0])
+    spec = _RULE_TABLE.get(head)
+    if spec is None:
+        raise ParseError(f"unknown rule {head!r}", *_loc(locs, form))
     args = form[1:]
+    n = len(spec.args)
+    if len(args) != n and (not spec.optional or len(args) != n - spec.optional):
+        message = f"{head} expects {spec.arity}"
+        if not spec.optional:
+            message += f" ({n} argument{'s' if n != 1 else ''}, got {len(args)})"
+        raise ParseError(message, *_loc(locs, form))
+    for i in spec.tokens:
+        tok = args[i]
+        if not valid_user_token(str(tok) if not isinstance(tok, list) else ""):
+            raise ParseError(f"invalid token {tok!r}", *_loc(locs, form))
+    return form, head, spec, zip(spec.args, args), [], {}
 
-    def need(n: int, what: str) -> None:
-        if len(args) != n:
-            raise ParseError(
-                f"{head} expects {what} ({n} argument{'s' if n != 1 else ''}, "
-                f"got {len(args)})",
-                line,
-                col,
-            )
 
-    if head == "hyp":
-        need(3, "label, formula, position")
-        if not _valid_label(args[0]):
-            raise ParseError(f"invalid label {args[0]!r}", line, col)
-        f = _parse_formula_form(args[1], locs, form)
-        p = _parse_pos(args[2], locs, form)
-        return hyp(str(args[0]), f, p)
-    if head == "ehyp":
-        need(2, "label, position")
-        if not _valid_label(args[0]):
-            raise ParseError(f"invalid label {args[0]!r}", line, col)
-        p = _parse_pos(args[1], locs, form)
-        return ehyp(str(args[0]), p)
-    if head == "and-i":
-        need(2, "two premises")
-        return and_i(_parse_node(args[0], locs), _parse_node(args[1], locs))
-    if head in ("and-e1", "and-e2"):
-        need(1, "one premise")
-        ctor = and_e1 if head == "and-e1" else and_e2
-        return ctor(_parse_node(args[0], locs))
-    if head in ("or-i1", "or-i2"):
-        need(2, "other disjunct, premise")
-        other = _parse_formula_form(args[0], locs, form)
-        ctor = or_i1 if head == "or-i1" else or_i2
-        return ctor(other, _parse_node(args[1], locs))
-    if head == "or-e":
-        need(5, "major, labels, minor, labels, minor")
-        return or_e(
-            _parse_node(args[0], locs),
-            _parse_labels(args[1], locs, form),
-            _parse_node(args[2], locs),
-            _parse_labels(args[3], locs, form),
-            _parse_node(args[4], locs),
-        )
-    if head == "imp-i":
-        if len(args) not in (2, 4):
-            raise ParseError(
-                "imp-i expects labels and premise, optionally followed by an "
-                "explicit antecedent formula and position",
-                line,
-                col,
-            )
-        labels = _parse_labels(args[0], locs, form)
-        prem = _parse_node(args[1], locs)
-        if len(args) == 4:
-            f = _parse_formula_form(args[2], locs, form)
-            p = _parse_pos(args[3], locs, form)
-            return imp_i(labels, prem, ante=PFormula(f, p))
-        bound = bound_leaf_contents(prem, labels, "p")
-        if not bound:
-            raise ParseError(
-                "imp-i discharges no open assumption; give the antecedent "
-                "formula and position explicitly",
-                line,
-                col,
-            )
-        return imp_i(labels, prem, ante=bound[0])
-    if head == "imp-e":
-        need(2, "major, minor")
-        return imp_e(_parse_node(args[0], locs), _parse_node(args[1], locs))
-    if head == "bot-c":
-        need(4, "labels, premise, formula, position")
-        return bot_c(
-            _parse_labels(args[0], locs, form),
-            _parse_node(args[1], locs),
-            _parse_formula_form(args[2], locs, form),
-            _parse_pos(args[3], locs, form),
-        )
-    if head == "bot-i":
-        need(3, "premise, formula, position")
-        return bot_i(
-            _parse_node(args[0], locs),
-            _parse_formula_form(args[1], locs, form),
-            _parse_pos(args[2], locs, form),
-        )
-    if head == "box-i":
-        need(3, "token, e-labels, premise")
-        if not valid_user_token(str(args[0]) if not isinstance(args[0], list) else ""):
-            raise ParseError(f"invalid token {args[0]!r}", line, col)
-        return box_i(
-            str(args[0]),
-            _parse_labels(args[1], locs, form),
-            _parse_node(args[2], locs),
-        )
-    if head == "box-e":
-        if len(args) not in (2, 3):
-            raise ParseError(
-                "box-e expects major and step suffix, optionally an "
-                "existence premise",
-                line,
-                col,
-            )
-        major = _parse_node(args[0], locs)
-        beta = _parse_pos(args[1], locs, form)
-        eprem = _parse_node(args[2], locs) if len(args) == 3 else None
-        return box_e(major, beta, eprem)
-    if head == "dia-i":
-        if len(args) not in (2, 3):
-            raise ParseError(
-                "dia-i expects step suffix and premise, optionally an "
-                "existence premise",
-                line,
-                col,
-            )
-        beta = _parse_pos(args[0], locs, form)
-        prem = _parse_node(args[1], locs)
-        eprem = _parse_node(args[2], locs) if len(args) == 3 else None
-        return dia_i(beta, prem, eprem)
-    if head == "dia-e":
-        need(5, "major, token, labels, e-labels, minor")
-        if not valid_user_token(str(args[1]) if not isinstance(args[1], list) else ""):
-            raise ParseError(f"invalid token {args[1]!r}", line, col)
-        return dia_e(
-            _parse_node(args[0], locs),
-            str(args[1]),
-            _parse_labels(args[2], locs, form),
-            _parse_labels(args[3], locs, form),
-            _parse_node(args[4], locs),
-        )
-    raise ParseError(f"unknown rule {head!r}", line, col)
+def _read_node(root: object, locs) -> Derivation:
+    """The derivation written as ``root``, read on an explicit stack.
+
+    Arguments are read left to right, a premise where it stands, so the
+    first malformed argument in file order is the one reported.
+    """
+    stack: list[tuple] = []
+    frame = _open_node(root, locs)
+    while True:
+        form, head, spec, args, prems, fields = frame
+        for (kind, fld), x in args:
+            if kind == "premise":
+                stack.append(frame)
+                frame = _open_node(x, locs)
+                break
+            if kind == "formula":
+                fields[fld] = _parse_formula_form(x, locs, form)
+            elif kind == "position":
+                pos = _parse_pos(x, locs, form)
+                if fld in fields:  # after its formula
+                    fields[fld] = PFormula(fields[fld], pos)
+                else:
+                    fields[fld] = pos if fld == "beta" else EFormula(pos)
+            elif kind == "label":
+                if not _valid_label(x):
+                    raise ParseError(f"invalid label {x!r}", *_loc(locs, form))
+                fields["label"] = str(x)
+            elif kind == "labels":
+                labels = _parse_labels(x, locs, form)
+                if fld[1] == "p":
+                    fields["discharges"] = fields.get("discharges", ()) + (labels,)
+                else:
+                    fields["e_discharges"] = labels
+            else:
+                fields["token"] = str(x)
+        else:
+            if head == "imp-i" and "ante" not in fields:
+                bound = bound_leaf_contents(prems[0], fields["discharges"][0], "p")
+                if not bound:
+                    raise ParseError(
+                        "imp-i discharges no open assumption; give the antecedent "
+                        "formula and position explicitly",
+                        *_loc(locs, form),
+                    )
+                fields["ante"] = bound[0]
+            node = _mk(head, tuple(prems), **fields)
+            if not stack:
+                return node
+            frame = stack.pop()
+            frame[4].append(node)
 
 
 def sanitize_tokens(d: Derivation) -> Derivation:
@@ -1727,7 +1752,7 @@ def _pos_form(p: Position) -> list:
 
 def _formula_form(f: Formula) -> object:
     """``f`` as the s-expression value that ``print_formula(f)`` reads back
-    as.  An atom name that does not read back as itself (empty, all digits,
+    as.  An atom name that does not read back as itself (empty, ASCII digits,
     or with a space, parenthesis, quote or ``;``) takes the text round trip,
     which raises where the printed formula does not parse."""
     if _atoms_read_back(f):
@@ -1737,7 +1762,8 @@ def _formula_form(f: Formula) -> object:
 
 def _atoms_read_back(f: Formula) -> bool:
     if isinstance(f, Atom):
-        return _SYMBOL_RE.fullmatch(f.name) is not None and not f.name.isdigit()
+        name = f.name
+        return _SYMBOL_RE.fullmatch(name) is not None and not _sexpr._reads_as_int(name)
     if isinstance(f, (And, Or, Imp)):
         return _atoms_read_back(f.left) and _atoms_read_back(f.right)
     if isinstance(f, (Box, Dia)):
@@ -1745,123 +1771,59 @@ def _atoms_read_back(f: Formula) -> bool:
     return True
 
 
-def _node_form(n: Derivation) -> list:
-    r = n.rule
-    if r == "hyp":
-        return [
-            "hyp",
-            n.label,
-            _formula_form(n.content.formula),
-            _pos_form(n.content.position),
-        ]
-    if r == "ehyp":
-        return ["ehyp", n.label, _pos_form(n.content.position)]
-    if r == "and-i":
-        return ["and-i", _node_form(n.premises[0]), _node_form(n.premises[1])]
-    if r in ("and-e1", "and-e2"):
-        return [r, _node_form(n.premises[0])]
-    if r in ("or-i1", "or-i2"):
-        return [r, _formula_form(n.other), _node_form(n.premises[0])]
-    if r == "or-e":
-        return [
-            "or-e",
-            _node_form(n.premises[0]),
-            sorted(n.discharges[0]),
-            _node_form(n.premises[1]),
-            sorted(n.discharges[1]),
-            _node_form(n.premises[2]),
-        ]
-    if r == "imp-i":
-        base = ["imp-i", sorted(n.discharges[0]), _node_form(n.premises[0])]
-        bound = bound_leaf_contents(n.premises[0], n.discharges[0], "p")
-        if not bound:
-            base.append(_formula_form(n.ante.formula))
-            base.append(_pos_form(n.ante.position))
-        return base
-    if r == "imp-e":
-        return ["imp-e", _node_form(n.premises[0]), _node_form(n.premises[1])]
-    if r == "bot-c":
-        return [
-            "bot-c",
-            sorted(n.discharges[0]),
-            _node_form(n.premises[0]),
-            _formula_form(n.target.formula),
-            _pos_form(n.target.position),
-        ]
-    if r == "bot-i":
-        return [
-            "bot-i",
-            _node_form(n.premises[0]),
-            _formula_form(n.target.formula),
-            _pos_form(n.target.position),
-        ]
-    if r == "box-i":
-        return [
-            "box-i",
-            n.token,
-            sorted(n.e_discharges),
-            _node_form(n.premises[0]),
-        ]
-    if r == "box-e":
-        out = ["box-e", _node_form(n.premises[0]), _pos_form(n.beta or ())]
-        if len(n.premises) > 1:
-            out.append(_node_form(n.premises[1]))
-        return out
-    if r == "dia-i":
-        out = ["dia-i", _pos_form(n.beta or ()), _node_form(n.premises[0])]
-        if len(n.premises) > 1:
-            out.append(_node_form(n.premises[1]))
-        return out
-    if r == "dia-e":
-        return [
-            "dia-e",
-            _node_form(n.premises[0]),
-            n.token,
-            sorted(n.discharges[0]),
-            sorted(n.e_discharges),
-            _node_form(n.premises[1]),
-        ]
-    raise ValueError(f"unknown rule {r!r}")
+def _node_args(n: Derivation):
+    """The file arguments of ``n`` in order: premises as derivations, the
+    others as s-expression values."""
+    spec = _RULE_TABLE.get(n.rule)
+    if spec is None:
+        raise ValueError(f"unknown rule {n.rule!r}")
+    for i, (kind, fld) in enumerate(spec.args):
+        # An existence premise is written when present, an antecedent when
+        # no bound leaf gives it.
+        if i == len(spec.args) - spec.optional and (
+            fld >= len(n.premises)
+            if kind == "premise"
+            else bound_leaf_contents(n.premises[0], n.discharges[0], "p")
+        ):
+            return
+        if kind == "premise":
+            yield n.premises[fld]
+        elif kind == "labels":
+            _slot, scope, j = fld
+            yield sorted(n.discharges[j] if scope == "p" else n.e_discharges)
+        elif kind == "formula":
+            v = getattr(n, fld)
+            yield _formula_form(v.formula if isinstance(v, PFormula) else v)
+        elif kind == "position":
+            v = getattr(n, fld)
+            yield _pos_form(v.position if fld != "beta" else v or ())
+        else:
+            yield getattr(n, fld)
 
 
 def print_proof(d: Derivation, system: System) -> str:
     """Serialize a derivation; reserved tokens are renamed first so the
-    output always re-parses."""
+    output always re-parses.
+
+    Each premise starts a line of its own, indented one level deeper than
+    its conclusion; every other argument follows on the current line.
+    """
     clean = sanitize_tokens(d)
-    form = [
-        "proof",
-        ":system",
-        system.logic,
-        ":flavor",
-        system.flavor,
-        _node_form(clean),
-    ]
-    return _pretty(form) + "\n"
-
-
-_NODE_HEADS = set(RULES)
-
-
-def _pretty(form: object, indent: int = 0) -> str:
-    pad = "  " * indent
-    if not isinstance(form, list):
-        return pad + _sexpr.dump(form)
-
-    def is_node(x: object) -> bool:
-        return isinstance(x, list) and bool(x) and x[0] in _NODE_HEADS
-
-    if not any(is_node(x) for x in form[1:]):
-        return pad + _sexpr.dump(form)
-    lines: list[str] = []
-    current = pad + "(" + _sexpr.dump(form[0])
-    for item in form[1:]:
-        if is_node(item):
-            lines.append(current)
-            current = _pretty(item, indent + 1)
+    out = [f"(proof :system {system.logic} :flavor {system.flavor}\n  ({clean.rule}"]
+    stack = [(_node_args(clean), 1)]
+    while stack:
+        args, depth = stack[-1]
+        for a in args:
+            if isinstance(a, Derivation):
+                out.append("\n" + "  " * (depth + 1) + "(" + a.rule)
+                stack.append((_node_args(a), depth + 1))
+                break
+            out.append(" " + _sexpr.dump(a))
         else:
-            current += " " + _sexpr.dump(item)
-    lines.append(current + ")")
-    return "\n".join(lines)
+            out.append(")")
+            stack.pop()
+    out.append(")\n")
+    return "".join(out)
 
 
 def print_check_report(report: CheckReport) -> str:

@@ -33,6 +33,7 @@ from .kernel import (
     plug,
     all_labels,
     _rebuild,
+    _RULE_TABLE,
     INTRO_RULES,
     ELIM_RULES,
     JOIN_RULES,
@@ -119,24 +120,6 @@ class Cut:
     degree: int
 
 
-_INTRO_FAMILY = {
-    "and-i": "and",
-    "or-i1": "or",
-    "or-i2": "or",
-    "imp-i": "imp",
-    "box-i": "box",
-    "dia-i": "dia",
-}
-_ELIM_FAMILY = {
-    "and-e1": "and",
-    "and-e2": "and",
-    "or-e": "or",
-    "imp-e": "imp",
-    "box-e": "box",
-    "dia-e": "dia",
-}
-
-
 # --- tree addressing -------------------------------------------------------
 
 
@@ -183,13 +166,7 @@ def _postorder(d: Derivation) -> dict[Occurrence, int]:
 def _is_minor_root(path: Occurrence, idx: dict[Occurrence, Derivation]) -> bool:
     if not path:
         return False
-    parent = idx[path[:-1]]
-    i = path[-1]
-    if parent.rule == "or-e":
-        return i in (1, 2)
-    if parent.rule == "dia-e":
-        return i == 1
-    return False
+    return path[-1] in _RULE_TABLE[idx[path[:-1]].rule].minors
 
 
 # --- segments, cuts, rank --------------------------------------------------
@@ -225,14 +202,14 @@ def cuts(d: Derivation) -> tuple[Cut, ...]:
     res = []
     for seg in segments(d):
         start = idx[seg.start]
-        fam = _INTRO_FAMILY.get(start.rule)
+        fam = _RULE_TABLE[start.rule].intro
         if fam is None:
             continue
         end = seg.end
         if not end or end[-1] != 0:
             continue
         parent = idx[end[:-1]]
-        if _ELIM_FAMILY.get(parent.rule) != fam:
+        if _RULE_TABLE[parent.rule].elim != fam:
             continue
         res.append(Cut(seg, fam, degree(start.conclusion.formula)))
     return tuple(res)
@@ -382,9 +359,8 @@ def contract_proper(
     except IndexError:
         raise NotARedex("the cut occurrence is not a position in this derivation")
     I = R.premises[0]
-    if _ELIM_FAMILY.get(R.rule) is None or _INTRO_FAMILY.get(I.rule) is None:
-        raise NotARedex(f"{I.rule!r} under {R.rule!r} is not a contractible pair")
-    if _ELIM_FAMILY[R.rule] != _INTRO_FAMILY[I.rule]:
+    fam = _RULE_TABLE[I.rule].intro
+    if fam is None or _RULE_TABLE[R.rule].elim != fam:
         raise NotARedex(f"{I.rule!r} under {R.rule!r} is not a contractible pair")
     if not check(d, system, t_strict_empty_beta=t_strict_empty_beta).ok:
         raise ValueError("contract_proper requires a derivation that checks")
@@ -404,11 +380,10 @@ def contract_proper(
 def _commute_node(R: Derivation, forbidden: frozenset[str]) -> Derivation:
     """Push the elimination ``R`` into the minors of its case-split major."""
     J = relabel_binders(R.premises[0], forbidden | all_labels(R))
-    slots = (1, 2) if J.rule == "or-e" else (1,)
     sides = R.premises[1:]
     used = set(forbidden) | set(all_labels(R)) | set(all_labels(J))
     prems = list(J.premises)
-    for s in slots:
+    for s in _RULE_TABLE[J.rule].minors:
         copy = relabel_binders(_rebuild(R, (J.premises[s],) + sides), frozenset(used))
         used |= set(all_labels(copy))
         prems[s] = copy
@@ -471,7 +446,8 @@ def is_normal(d: Derivation) -> bool:
 
 def _cut_at(d: Derivation, o: Occurrence) -> Cut:
     start = subtree_at(d, o)
-    return Cut(Segment((o,)), _INTRO_FAMILY[start.rule], degree(start.conclusion.formula))
+    family = _RULE_TABLE[start.rule].intro
+    return Cut(Segment((o,)), family, degree(start.conclusion.formula))
 
 
 def _resolve_joins(
@@ -488,9 +464,8 @@ def _resolve_joins(
         while node.rule in ELIM_RULES and node.premises[0].rule in JOIN_RULES:
             node = _commute_node(node, frozenset())
             log.append(("commutative", path))
-            slots = (1, 2) if node.rule == "or-e" else (1,)
             prems = list(node.premises)
-            for s in slots:
+            for s in _RULE_TABLE[node.rule].minors:
                 prems[s] = resolve(prems[s], path + (s,))
             node = _rebuild(node, tuple(prems))
         return node

@@ -79,6 +79,13 @@ class TestCheck:
         assert code == 2
         assert err.startswith("parse error: line")
 
+    def test_non_ascii_digit_atom_gets_a_report(self):
+        text = "(proof :system s4 :flavor classical (hyp u ² ()))"
+        code, out, err = run(["check", "-"], stdin=text)
+        assert code == 0, err
+        assert out.startswith("(check-report :ok true")
+        assert ":formula ²" in out
+
     def test_missing_file_exits_2(self):
         code, _, err = run(["check", "/no/such/file.prf"])
         assert code == 2

@@ -25,6 +25,26 @@ from posnd.syntax import (
 P = Atom("p")
 Q = Atom("q")
 S4 = K.System("s4", "classical")
+SYSTEMS = [K.System(lg, fl) for lg in K.LOGICS for fl in K.FLAVORS]
+
+
+def detour_chain(depth):
+    """``depth`` nested ``imp-e``/``imp-i`` detours over an open leaf ``u``."""
+    d = K.hyp("u", P, ())
+    for i in range(depth):
+        lab = f"v{i}"
+        d = K.imp_e(K.imp_i(frozenset({lab}), K.hyp(lab, P, ())), d)
+    return d
+
+
+def test_rule_sets():
+    assert K.RULES == (
+        "hyp", "ehyp", "and-i", "and-e1", "and-e2", "or-i1", "or-i2", "or-e",
+        "imp-i", "imp-e", "bot-c", "bot-i", "box-i", "box-e", "dia-i", "dia-e",
+    )
+    assert K.INTRO_RULES == {"and-i", "or-i1", "or-i2", "imp-i", "box-i", "dia-i"}
+    assert K.ELIM_RULES == {"and-e1", "and-e2", "or-e", "imp-e", "box-e", "dia-e"}
+    assert K.JOIN_RULES == {"or-e", "dia-e"}
 
 
 # --- builtins --------------------------------------------------------------
@@ -261,8 +281,8 @@ def test_check_never_raises_on_garbage():
 
 
 def test_check_deep_chain_without_recursion_error():
-    # check walks the tree on an explicit stack; the file parser and the
-    # normalizer still recurse, so this chain is built with the constructors.
+    # check walks the tree on an explicit stack; the normalizer still
+    # recurses, so this chain is built with the constructors.
     depth = 5000
     assert depth > sys.getrecursionlimit()
     d = K.hyp("u", P, ())
@@ -272,6 +292,25 @@ def test_check_deep_chain_without_recursion_error():
     report = K.check(d, S4)
     assert report.ok
     assert report.open_assumptions == (K.Assumption("u", PFormula(P, ())),)
+
+
+def test_iteration_is_pre_order():
+    def preorder(n):
+        out = [n]
+        for p in n.premises:
+            out.extend(preorder(p))
+        return out
+
+    for system in SYSTEMS:
+        rng = random.Random(f"iter-{system.logic}-{system.flavor}")
+        for _ in range(10):
+            d = proofgen.random_derivation(rng, system, steps=14)
+            got, want = list(d), preorder(d)
+            assert len(got) == len(want)
+            assert all(a is b for a, b in zip(got, want))
+    depth = 5000
+    assert depth > sys.getrecursionlimit()
+    assert sum(1 for _ in detour_chain(depth)) == 3 * depth + 1
 
 
 # --- weakening -------------------------------------------------------------
@@ -641,6 +680,32 @@ def test_check_report_lists_opens():
     assert len(opens) == 2
     labels = [o[o.index(":label") + 1] for o in opens]
     assert labels == ["u", "v"]
+
+
+def test_print_proof_breaks_lines_only_before_premises():
+    # a label list and a position headed by a rule name stay inline
+    d = K.imp_i(frozenset({"hyp"}), K.hyp("hyp", P, ("hyp", "x")))
+    text = K.print_proof(d, S4)
+    assert text == (
+        "(proof :system s4 :flavor classical\n"
+        "  (imp-i (hyp)\n"
+        "    (hyp hyp p (hyp x))))\n"
+    )
+    assert K.parse_proof(text) == (d, S4)
+
+
+def test_deep_proofs_round_trip_through_files():
+    # Trees are compared by their text: dataclass equality on a derivation
+    # recurses once per level.
+    boxes = K.hyp("u", Box(P), ())
+    for _ in range(2000):
+        boxes = K.box_i("x", frozenset(), K.box_e(boxes, ("x",)))
+    for d in (detour_chain(5000), boxes):
+        text = K.print_proof(d, S4)
+        d2, system = K.parse_proof(text)
+        assert system == S4
+        assert K.check(d2, system).ok
+        assert K.print_proof(d2, system) == text
 
 
 def test_print_proof_deterministic():

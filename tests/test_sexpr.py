@@ -82,6 +82,18 @@ def test_atom_types():
     assert kinds == [int, int, str, str, str, QStr, QStr, str, str, QStr]
 
 
+def test_non_ascii_digits_are_symbols():
+    # ``str.isdigit`` holds for both, but only ASCII digits read as integers:
+    # int() rejects "²" and reads "٣" as 3.
+    assert parse_all("² ٣ 3") == ["²", "٣", 3]
+    s4 = K.System("s4", "classical")
+    d, _ = K.parse_proof("(proof :system s4 :flavor classical (hyp u ² ()))")
+    assert d == K.hyp("u", Atom("²"), ())
+    text = K.print_proof(K.hyp("u", Atom("٣"), ()), s4)
+    assert "(hyp u ٣ ())" in text
+    assert K.parse_proof(text)[0].content == PFormula(Atom("٣"), ())
+
+
 def test_string_escapes():
     (s,) = parse_all(r'"a\nb\tc\"d\\e\qf"')
     assert isinstance(s, QStr)
