@@ -37,11 +37,16 @@ no other label can gain one.  Witness freshness is a prefix test over the
 open positions left after the discharge.  The cost is linear in the number
 of nodes plus the smaller-into-larger merging (an open assumption moves
 O(log n) times), plus one scan of the open positions per ``box-i``/``dia-e``.
+
+``map_positions`` and ``freshen`` rebuild a tree in one pass on an explicit
+stack as well: ``freshen`` composes the renamings of nested witness scopes
+at each node instead of walking a scope again for every enclosing witness.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -1118,49 +1123,76 @@ def check_position_condition(d: Derivation) -> tuple[Violation, ...]:
     instance's scope subtree: the premise of its ``box-i``, or the second
     premise of its ``dia-e``.
     """
-    instances: list[tuple[tuple[int, ...], str, Position, tuple[int, ...]]] = []
-    positions: list[tuple[tuple[int, ...], Position]] = []
+    # Nodes in pre-order, so a subtree is the index range [i, end[i]).
+    nodes: list[Derivation] = []
+    parents: list[tuple[int, int]] = []
+    stack: list[tuple[Derivation, int, int]] = [(d, -1, 0)]
+    while stack:
+        n, parent, slot = stack.pop()
+        here = len(nodes)
+        nodes.append(n)
+        parents.append((parent, slot))
+        for i in range(len(n.premises) - 1, -1, -1):
+            stack.append((n.premises[i], here, i))
+    end = list(range(1, len(nodes) + 1))
+    for i in range(len(nodes) - 1, 0, -1):
+        parent = parents[i][0]
+        end[parent] = max(end[parent], end[i])
 
-    def walk(n: Derivation, path: tuple[int, ...]) -> None:
+    def path_of(i: int) -> tuple[int, ...]:
+        out = []
+        while i > 0:
+            i, slot = parents[i]
+            out.append(slot)
+        return tuple(reversed(out))
+
+    def child(i: int, slot: int) -> int:
+        j = i + 1
+        for _ in range(slot):
+            j = end[j]
+        return j
+
+    instances: list[tuple[int, str, Position, int]] = []
+    for i, n in enumerate(nodes):
         c = n.conclusion
-        positions.append((path, c.position))
         if n.rule == "box-i" and n.token is not None and isinstance(c, PFormula):
-            proper = c.position + (n.token,)
-            instances.append((path, "box-i", proper, path + (0,)))
+            instances.append((i, "box-i", c.position + (n.token,), child(i, 0)))
         if n.rule == "dia-e" and n.token is not None:
             major = _pf(n.premises[0])
-            proper = major.position + (n.token,)
-            instances.append((path, "dia-e", proper, path + (1,)))
-        for i, p in enumerate(n.premises):
-            walk(p, path + (i,))
-
-    walk(d, ())
+            instances.append((i, "dia-e", major.position + (n.token,), child(i, 1)))
+    # For each witness length, the nodes whose position has each prefix of
+    # that length, in pre-order.
+    holders: dict[Position, list[int]] = {}
+    for length in {len(proper) for _, _, proper, _ in instances}:
+        for i, n in enumerate(nodes):
+            pos = n.conclusion.position
+            if len(pos) >= length:
+                holders.setdefault(pos[:length], []).append(i)
     violations: list[Violation] = []
-    seen: dict[Position, tuple[int, ...]] = {}
-    for path, rule, proper, _scope in instances:
+    seen: set[Position] = set()
+    for i, rule, proper, _scope in instances:
         if proper in seen:
             violations.append(
                 Violation(
-                    path,
+                    path_of(i),
                     rule,
                     f"witness position {print_position(proper)} is introduced "
                     "by more than one rule instance",
                 )
             )
         else:
-            seen[proper] = path
-    for path, rule, proper, scope in instances:
-        for qpath, pos in positions:
-            if pos[: len(proper)] == proper and qpath[: len(scope)] != scope:
-                violations.append(
-                    Violation(
-                        path,
-                        rule,
-                        f"witness position {print_position(proper)} occurs "
-                        "outside the scope of its introducing rule",
-                    )
+            seen.add(proper)
+    for i, rule, proper, scope in instances:
+        at = holders.get(proper)
+        if at and (at[0] < scope or at[-1] >= end[scope]):
+            violations.append(
+                Violation(
+                    path_of(i),
+                    rule,
+                    f"witness position {print_position(proper)} occurs "
+                    "outside the scope of its introducing rule",
                 )
-                break
+            )
     return tuple(sorted(violations, key=lambda v: (v.path, v.rule, v.message)))
 
 
@@ -1172,96 +1204,221 @@ def map_positions(d: Derivation, fn) -> Derivation:
 
     Recorded step suffixes are recomputed from the mapped endpoint
     positions, and witness tokens from the mapped witness positions, so any
-    position-coherent ``fn`` yields a coherent tree.
+    position-coherent ``fn`` yields a coherent tree.  ``fn`` sees a node's
+    positions after those of its premises, premises left to right; a node
+    whose premises and positions all come back unchanged is reused.
     """
-    prems = tuple(map_positions(p, fn) for p in d.premises)
+    return _remap(d, fn)
+
+
+class _Renaming:
+    """The witness renamings in force at a node, innermost scope first.
+
+    Calling it passes a position through ``prefix_replace(p, old, new)`` of
+    this scope, then of each enclosing one.  A renaming keeps the length of
+    its prefix and changes only the prefix's last token, to a fresh one.  No
+    ``old`` prefix contains a fresh token (``stops``) unless a ``dia-e`` token
+    that occurs in no position happens to equal one; so once the token at
+    index ``i`` has been renamed, no prefix longer than ``i`` matches any
+    more, and the walk outward ends when no enclosing prefix is that short
+    (``reach`` is the shortest prefix length from here outward).
+    """
+
+    __slots__ = ("old", "new", "outer", "reach", "stops")
+
+    def __init__(self, old: Position, new: Position, outer, stops: bool) -> None:
+        self.old = old
+        self.new = new
+        self.outer = outer
+        self.stops = stops
+        self.reach = len(old) if outer is None else min(len(old), outer.reach)
+
+    def __call__(self, p: Position) -> Position:
+        bound = len(p)
+        r = self
+        while r is not None and r.reach <= bound:
+            old = r.old
+            n = len(old)
+            if n <= bound and p[:n] == old:
+                p = r.new + p[n:]
+                if r.stops:
+                    bound = n - 1
+            r = r.outer
+        return p
+
+
+def _remap(d: Derivation, fn, witnesses=None) -> Derivation:
+    """Rebuild ``d`` once, post-order on an explicit stack.
+
+    Every node's positions go through a map: ``fn`` at the root (``None``
+    for none), inherited by each premise.  With ``witnesses`` (from
+    :func:`_witness_census`), each ``box-i``/``dia-e`` witness also opens a
+    :class:`_Renaming` of its witness position to the next fresh token over
+    its scope premise, numbered in post-order.  A subtree with no map in
+    force and no witness is kept as it is.
+    """
+    counts, start, stops = witnesses or ({}, 0, True)
+    done: list[Derivation] = []
+    stack: list[tuple] = [(d, fn, None, False)]
+    finished = 0  # witnesses whose subtree is rebuilt, for post-order numbers
+    while stack:
+        n, f, scope, leaving = stack.pop()
+        if leaving:
+            k = len(n.premises)
+            prems = tuple(done[-k:]) if k else ()
+            if k:
+                del done[-k:]
+            done.append(_remapped(n, prems, f, scope))
+            if scope is not None:
+                finished += 1
+            continue
+        if f is None and not counts.get(id(n)):
+            done.append(n)
+            continue
+        if not n.premises:
+            done.append(_remapped(n, (), f, None))
+            continue
+        slot = None
+        if witnesses and n.token is not None:
+            if n.rule == "box-i":
+                old = n.premises[0].conclusion.position
+                slot = 0 if old else None
+            elif n.rule == "dia-e":
+                old = n.premises[0].conclusion.position + (n.token,)
+                slot = 1
+        if slot is not None:
+            name = f"{RESERVED_TOKEN_PREFIX}{start + finished + counts[id(n)] - 1}"
+            scope = _Renaming(old, old[:-1] + (name,), f, stops)
+        stack.append((n, f, scope, True))
+        for i in range(len(n.premises) - 1, -1, -1):
+            stack.append((n.premises[i], scope if i == slot else f, None, False))
+    return done[0]
+
+
+def _remapped(n: Derivation, prems: tuple[Derivation, ...], f, scope) -> Derivation:
+    """``n`` over its rebuilt premises, its positions through ``f``.
+
+    ``scope`` is the renaming a witness node opened over its scope premise.
+    Without a map in force only a witness changes: its token becomes the
+    fresh one.  Otherwise recorded steps and witness tokens are recomputed
+    from the mapped endpoints as :func:`map_positions` documents.
+    """
     over: dict = {}
-    if d.content is not None:
-        if isinstance(d.content, EFormula):
-            over["content"] = EFormula(fn(d.content.position))
-        else:
-            over["content"] = PFormula(d.content.formula, fn(d.content.position))
-    if d.ante is not None:
-        over["ante"] = PFormula(d.ante.formula, fn(d.ante.position))
-    if d.target is not None:
-        over["target"] = PFormula(d.target.formula, fn(d.target.position))
-    if d.rule == "box-e" and d.beta is not None:
-        base = _pf(prems[0]).position
-        tgt = fn(concat(_pf(d.premises[0]).position, d.beta))
-        over["beta"] = tgt[len(base) :] if tgt[: len(base)] == base else tgt
-    if d.rule == "dia-i" and d.beta is not None:
-        old_prem = _pf(d.premises[0]).position
-        old_base = old_prem[: len(old_prem) - len(d.beta)]
-        base = fn(old_base)
-        tgt = _pf(prems[0]).position
-        over["beta"] = tgt[len(base) :] if tgt[: len(base)] == base else tgt
-    if d.rule == "box-i" and d.token is not None:
-        prem_pos = _pf(prems[0]).position
-        if prem_pos:
-            over["token"] = prem_pos[-1]
-    if d.rule == "dia-e" and d.token is not None:
-        old_proper = _pf(d.premises[0]).position + (d.token,)
-        new_proper = fn(old_proper)
-        if new_proper:
-            over["token"] = new_proper[-1]
-    return _rebuild(d, prems, **over)
+    if f is None:
+        if scope is not None:
+            over["token"] = scope.new[-1]
+    else:
+        c = n.content
+        if c is not None:
+            q = f(c.position)
+            if q != c.position:
+                over["content"] = (
+                    EFormula(q) if isinstance(c, EFormula) else PFormula(c.formula, q)
+                )
+        c = n.ante
+        if c is not None:
+            q = f(c.position)
+            if q != c.position:
+                over["ante"] = PFormula(c.formula, q)
+        c = n.target
+        if c is not None:
+            q = f(c.position)
+            if q != c.position:
+                over["target"] = PFormula(c.formula, q)
+        rule = n.rule
+        if rule == "box-e" and n.beta is not None:
+            base = _pf(prems[0]).position
+            tgt = f(concat(_pf(n.premises[0]).position, n.beta))
+            beta = tgt[len(base) :] if tgt[: len(base)] == base else tgt
+            if beta != n.beta:
+                over["beta"] = beta
+        elif rule == "dia-i" and n.beta is not None:
+            old_prem = _pf(n.premises[0]).position
+            base = f(old_prem[: len(old_prem) - len(n.beta)])
+            tgt = _pf(prems[0]).position
+            beta = tgt[len(base) :] if tgt[: len(base)] == base else tgt
+            if beta != n.beta:
+                over["beta"] = beta
+        elif rule == "box-i" and n.token is not None:
+            prem_pos = _pf(prems[0]).position
+            if prem_pos and prem_pos[-1] != n.token:
+                over["token"] = prem_pos[-1]
+        elif rule == "dia-e" and n.token is not None:
+            proper = (scope or f)(_pf(n.premises[0]).position + (n.token,))
+            if proper and proper[-1] != n.token:
+                over["token"] = proper[-1]
+    if not over and all(map(operator.is_, prems, n.premises)):
+        return n
+    return _rebuild(n, prems, **over)
 
 
 _FRESH_RE = re.compile(re.escape(RESERVED_TOKEN_PREFIX) + r"([0-9]+)$")
 
 
-def _fresh_token_start(d: Derivation) -> int:
-    best = 0
-    for n in d:
-        poss = [n.conclusion.position]
-        if n.content is not None:
-            poss.append(n.content.position)
-        if n.ante is not None:
-            poss.append(n.ante.position)
-        if n.target is not None:
-            poss.append(n.target.position)
-        for pos in poss:
-            for tok in pos:
-                m = _FRESH_RE.fullmatch(tok)
-                if m:
-                    best = max(best, int(m.group(1)) + 1)
-    return best
+def _reserved_index(tok: str) -> int:
+    """1 + the index of a reserved token ``_N``, else 0."""
+    m = _FRESH_RE.fullmatch(tok)
+    return int(m.group(1)) + 1 if m else 0
+
+
+def _witness_census(d: Derivation) -> tuple[dict[int, int], int, bool]:
+    """What :func:`freshen` numbers its witnesses from, in one pass.
+
+    Returns the number of witness nodes in each subtree (keyed by ``id``),
+    the first free reserved index (1 + the highest ``_N`` in any position),
+    and whether every fresh token differs from every ``dia-e`` token (a
+    token that occurs in no position can be any ``_N``), which
+    :class:`_Renaming` needs to stop early.
+    """
+    counts: dict[int, int] = {}
+    start = 0
+    token_top = 0
+    for n in reversed(list(d)):  # premises before the nodes above them
+        for c in (n.conclusion, n.content, n.ante, n.target):
+            if c is not None:
+                for tok in c.position:
+                    if tok.startswith(RESERVED_TOKEN_PREFIX):
+                        start = max(start, _reserved_index(tok))
+        own = 0
+        if n.token is not None:
+            if n.rule == "dia-e":
+                own = 1
+                token_top = max(token_top, _reserved_index(n.token))
+            elif n.rule == "box-i" and n.premises[0].conclusion.position:
+                own = 1
+        for p in n.premises:
+            own += counts[id(p)]
+        counts[id(n)] = own
+    return counts, start, token_top <= start
 
 
 def freshen(d: Derivation) -> Derivation:
     """Rename every witness position to a globally fresh reserved token.
 
-    Children are processed first; each ``box-i``/``dia-e`` then renames its
-    own witness position throughout its scope subtree.  On a checking tree
-    this preserves the conclusion, the open assumptions, and checkability,
-    and (re)establishes the global witness-position discipline.
+    The witnesses are the ``box-i`` nodes with a token over a premise at a
+    non-empty position and the ``dia-e`` nodes with a token.  They are
+    numbered in post-order, starting at 1 + the highest ``_N`` index found in
+    any position of ``d`` (at 0 when there is none); the witness position of
+    each (``alpha.x`` of a ``box-i`` concluding at ``alpha``, ``alpha.x`` of a
+    ``dia-e`` whose major concludes at ``alpha``) is renamed to ``alpha._N``
+    throughout its scope premise, inner scopes before outer ones.  The result
+    contains the new tokens, so ``freshen`` is not idempotent: applied again,
+    it numbers from above them.  A tree without witnesses is returned as it
+    is.
+
+    The renamings of nested scopes are composed and applied in one pass over
+    the tree, whatever its depth.  That equals renaming one scope at a time
+    (each scope re-walked for every enclosing witness) on every tree whose
+    ``dia-i`` steps are suffixes of their premises' positions and whose
+    ``dia-e`` nodes do not conclude under their own witness positions, so on
+    every checking tree.  There it preserves the conclusion, the open
+    assumptions, and checkability, and (re)establishes the global
+    witness-position discipline.
     """
-    counter = itertools.count(_fresh_token_start(d))
-
-    def go(n: Derivation) -> Derivation:
-        prems = tuple(go(p) for p in n.premises)
-        node = _rebuild(n, prems)
-        if node.rule == "box-i" and node.token is not None:
-            prem_pos = _pf(node.premises[0]).position
-            if prem_pos:
-                alpha = prem_pos[:-1]
-                old = prem_pos
-                new = alpha + (f"{RESERVED_TOKEN_PREFIX}{next(counter)}",)
-                scoped = map_positions(
-                    node.premises[0], lambda p: prefix_replace(p, old, new)
-                )
-                node = _rebuild(node, (scoped,), token=new[-1])
-        elif node.rule == "dia-e" and node.token is not None:
-            major_pos = _pf(node.premises[0]).position
-            old = major_pos + (node.token,)
-            new = major_pos + (f"{RESERVED_TOKEN_PREFIX}{next(counter)}",)
-            scoped = map_positions(
-                node.premises[1], lambda p: prefix_replace(p, old, new)
-            )
-            node = _rebuild(node, (node.premises[0], scoped), token=new[-1])
-        return node
-
-    return go(d)
+    census = _witness_census(d)
+    if not census[0][id(d)]:
+        return d
+    return _remap(d, None, census)
 
 
 def _drop_trivial_reposition(d: Derivation) -> Derivation:
@@ -1604,7 +1761,10 @@ def _proof_from_forms(forms: list[object], locs) -> tuple[Derivation, System]:
 def _parse_pos(form: object, locs, ctx: object) -> Position:
     if not isinstance(form, list):
         raise ParseError("expected a position (tok ...)", *_loc(locs, ctx))
-    return _position_from_sexpr(form)
+    try:
+        return _position_from_sexpr(form)
+    except ParseError as exc:
+        raise ParseError(exc.message, *_loc(locs, form)) from None
 
 
 def _parse_labels(form: object, locs, ctx: object) -> frozenset[str]:

@@ -16,6 +16,14 @@ segment to length one with commutative contractions, and removes it with the
 matching proper contraction; each such round strictly decreases the rank.
 A final, rank-preserving phase pushes any remaining eliminations through
 case-split conclusions so that no contraction applies to the result.
+
+Every contraction checks its result, and a normalization checks its input
+once, before the first round.  The public ``contract_proper`` and
+``contract_commutative`` also check their input; inside ``normalize`` and
+``reduce_once`` they are skipped, because each contraction's input is the
+(freshened) tree that the initial check or the previous contraction's
+check has just accepted with the same system.  One cut scan per round gives
+both the rank recorded in the trace and the next round's selection.
 """
 
 from __future__ import annotations
@@ -132,35 +140,32 @@ def subtree_at(d: Derivation, path: Occurrence) -> Derivation:
 
 
 def _replace_at(d: Derivation, path: Occurrence, new: Derivation) -> Derivation:
-    if not path:
-        return new
-    i = path[0]
-    prems = list(d.premises)
-    prems[i] = _replace_at(prems[i], path[1:], new)
-    return _rebuild(d, tuple(prems))
+    above = [d]
+    for i in path[:-1]:
+        above.append(above[-1].premises[i])
+    for node, i in zip(reversed(above), reversed(path)):
+        prems = list(node.premises)
+        prems[i] = new
+        new = _rebuild(node, tuple(prems))
+    return new
 
 
-def _node_index(d: Derivation) -> dict[Occurrence, Derivation]:
-    out: dict[Occurrence, Derivation] = {}
-    stack: list[tuple[Occurrence, Derivation]] = [((), d)]
+def _index(d: Derivation) -> tuple[dict[Occurrence, Derivation], dict[Occurrence, int]]:
+    """Every node by path, in pre-order (the paths' sorted order), and each
+    path's number in post-order; one walk on an explicit stack."""
+    nodes: dict[Occurrence, Derivation] = {}
+    post: dict[Occurrence, int] = {}
+    stack: list[tuple[Occurrence, Derivation | None]] = [((), d)]
     while stack:
         path, node = stack.pop()
-        out[path] = node
-        for i, p in enumerate(node.premises):
-            stack.append((path + (i,), p))
-    return out
-
-
-def _postorder(d: Derivation) -> dict[Occurrence, int]:
-    order: dict[Occurrence, int] = {}
-
-    def go(n: Derivation, path: Occurrence) -> None:
-        for i, p in enumerate(n.premises):
-            go(p, path + (i,))
-        order[path] = len(order)
-
-    go(d, ())
-    return order
+        if node is None:
+            post[path] = len(post)
+            continue
+        nodes[path] = node
+        stack.append((path, None))
+        for i in range(len(node.premises) - 1, -1, -1):
+            stack.append((path + (i,), node.premises[i]))
+    return nodes, post
 
 
 def _is_minor_root(path: Occurrence, idx: dict[Occurrence, Derivation]) -> bool:
@@ -182,10 +187,13 @@ def segments(d: Derivation) -> tuple[Segment, ...]:
     the segments cover every occurrence but only partition them in trees
     without such splits.
     """
-    idx = _node_index(d)
+    return tuple(_segments(_index(d)[0]))
+
+
+def _segments(idx: dict[Occurrence, Derivation]) -> list[Segment]:
     out = []
-    for path in sorted(idx):
-        if idx[path].rule in JOIN_RULES:
+    for path, node in idx.items():
+        if node.rule in JOIN_RULES:
             continue
         occ = [path]
         cur = path
@@ -193,14 +201,17 @@ def segments(d: Derivation) -> tuple[Segment, ...]:
             cur = cur[:-1]
             occ.append(cur)
         out.append(Segment(tuple(occ)))
-    return tuple(out)
+    return out
 
 
 def cuts(d: Derivation) -> tuple[Cut, ...]:
     """The maximal segments that run from an introduction into an elimination."""
-    idx = _node_index(d)
+    return _cuts(_index(d)[0])
+
+
+def _cuts(idx: dict[Occurrence, Derivation]) -> tuple[Cut, ...]:
     res = []
-    for seg in segments(d):
+    for seg in _segments(idx):
         start = idx[seg.start]
         fam = _RULE_TABLE[start.rule].intro
         if fam is None:
@@ -217,7 +228,10 @@ def cuts(d: Derivation) -> tuple[Cut, ...]:
 
 def rank(d: Derivation) -> Rank:
     """``(0, 0)`` when cut-free, else (max cut degree, total length at that degree)."""
-    cs = cuts(d)
+    return _rank(cuts(d))
+
+
+def _rank(cs: tuple[Cut, ...]) -> Rank:
     if not cs:
         return (0, 0)
     top = max(c.degree for c in cs)
@@ -240,15 +254,16 @@ def _dup_zones(cut: Cut, idx: dict[Occurrence, Derivation]) -> list[Occurrence]:
     return zones
 
 
-def _select(d: Derivation, cs: tuple[Cut, ...]) -> Cut:
+def _select(d: Derivation, cs: tuple[Cut, ...], ix=None) -> Cut:
     """A highest-degree cut whose duplication zones hold no other highest cut.
 
     Such a cut always exists; contracting it strictly shrinks the rank
     because only cut-free material is ever duplicated.  Ties break toward
     the segment end that comes first in postorder, then the earliest start
-    (two cuts can share their end at a case-split conclusion).
+    (two cuts can share their end at a case-split conclusion).  ``ix`` is
+    ``d``'s :func:`_index` when the caller has it.
     """
-    idx = _node_index(d)
+    idx, po = ix or _index(d)
     top = max(c.degree for c in cs)
     cands = [c for c in cs if c.degree == top]
 
@@ -263,7 +278,6 @@ def _select(d: Derivation, cs: tuple[Cut, ...]) -> Cut:
         return False
 
     pool = [c for c in cands if not blocked(c)] or cands
-    po = _postorder(d)
     return min(pool, key=lambda c: (po[c.segment.end], po[c.segment.start]))
 
 
@@ -346,6 +360,15 @@ def contract_proper(
     assumptions may gain duplicates where subderivations are copied).
     """
     occ = cut.segment.occurrences
+    _redex_at(d, occ)
+    if not check(d, system, t_strict_empty_beta=t_strict_empty_beta).ok:
+        raise ValueError("contract_proper requires a derivation that checks")
+    return _contract_proper(d, occ, system, t_strict_empty_beta)
+
+
+def _redex_at(d: Derivation, occ: tuple[Occurrence, ...]) -> Occurrence:
+    """The elimination path of a contractible length-one cut segment ``occ``,
+    else :class:`NotARedex`."""
     if len(occ) != 1:
         raise NotARedex(
             f"cut segment has length {len(occ)}; shrink it to 1 with "
@@ -362,10 +385,17 @@ def contract_proper(
     fam = _RULE_TABLE[I.rule].intro
     if fam is None or _RULE_TABLE[R.rule].elim != fam:
         raise NotARedex(f"{I.rule!r} under {R.rule!r} is not a contractible pair")
-    if not check(d, system, t_strict_empty_beta=t_strict_empty_beta).ok:
-        raise ValueError("contract_proper requires a derivation that checks")
-    out = freshen(_contract_proper_core(freshen(d), o[:-1], system, t_strict_empty_beta))
-    rep = check(out, system, t_strict_empty_beta=t_strict_empty_beta)
+    return o[:-1]
+
+
+def _contract_proper(
+    d: Derivation, occ: tuple[Occurrence, ...], system: System, t_strict: bool
+) -> Derivation:
+    """:func:`contract_proper` of the cut segment ``occ`` of a ``d`` that
+    checks in ``system``: the result is checked, the input is not."""
+    at = _redex_at(d, occ)
+    out = freshen(_contract_proper_core(freshen(d), at, system, t_strict))
+    rep = check(out, system, t_strict_empty_beta=t_strict)
     if not rep.ok:
         raise NormalizerError(
             "proper contraction broke the derivation: "
@@ -405,6 +435,13 @@ def contract_commutative(
     one, and side premises of the elimination are duplicated per minor (their
     discharge labels are renamed fresh to stay unique).
     """
+    _require_commutable(d, at)
+    if not check(d, system, t_strict_empty_beta=t_strict_empty_beta).ok:
+        raise ValueError("contract_commutative requires a derivation that checks")
+    return _contract_commutative(d, at, system, t_strict_empty_beta)
+
+
+def _require_commutable(d: Derivation, at: Occurrence) -> None:
     try:
         R = subtree_at(d, at)
     except IndexError:
@@ -416,13 +453,19 @@ def contract_commutative(
         raise NotApplicable(
             f"the major premise is {R.premises[0].rule}, not a case-split conclusion"
         )
-    if not check(d, system, t_strict_empty_beta=t_strict_empty_beta).ok:
-        raise ValueError("contract_commutative requires a derivation that checks")
+
+
+def _contract_commutative(
+    d: Derivation, at: Occurrence, system: System, t_strict: bool
+) -> Derivation:
+    """:func:`contract_commutative` on a ``d`` that checks in ``system``: the
+    result is checked, the input is not."""
+    _require_commutable(d, at)
     base = freshen(d)
     out = freshen(
         _replace_at(base, at, _commute_node(subtree_at(base, at), all_labels(base)))
     )
-    rep = check(out, system, t_strict_empty_beta=t_strict_empty_beta)
+    rep = check(out, system, t_strict_empty_beta=t_strict)
     if not rep.ok:
         raise NormalizerError(
             "commutative contraction broke the derivation: "
@@ -442,12 +485,6 @@ def is_normal(d: Derivation) -> bool:
         and (n.premises[0].rule in INTRO_RULES or n.premises[0].rule in JOIN_RULES)
         for n in d
     )
-
-
-def _cut_at(d: Derivation, o: Occurrence) -> Cut:
-    start = subtree_at(d, o)
-    family = _RULE_TABLE[start.rule].intro
-    return Cut(Segment((o,)), family, degree(start.conclusion.formula))
 
 
 def _resolve_joins(
@@ -489,35 +526,33 @@ def normalize_steps(
         raise FlavorUnsupported(
             "normalization is defined for the intuitionistic flavor only"
         )
-    if not check(d, system, t_strict_empty_beta=t_strict_empty_beta).ok:
+    t = t_strict_empty_beta
+    if not check(d, system, t_strict_empty_beta=t).ok:
         raise ValueError("normalize requires a derivation that checks")
     cur = freshen(d)
-    trace: list[Rank] = [rank(cur)]
+    ix = _index(cur)
+    cs = _cuts(ix[0])
+    trace: list[Rank] = [_rank(cs)]
     steps: list[tuple[int, str, Occurrence, Rank]] = []
     rounds = 0
-    while True:
-        cs = cuts(cur)
-        if not cs:
-            break
+    while cs:
         rounds += 1
         prev = trace[-1]
-        sel = _select(cur, cs)
+        sel = _select(cur, cs, ix)
         seg = list(sel.segment.occurrences)
         while len(seg) > 1:
             end = seg[-1]
             e = end[:-1]
             mslot = seg[-2][len(e) + 1]
-            cur = contract_commutative(
-                cur, e, system, t_strict_empty_beta=t_strict_empty_beta
-            )
+            cur = _contract_commutative(cur, e, system, t)
             steps.append((rounds, "commutative", e, rank(cur)))
             old_prefix = e + (0, mslot)
             new_prefix = e + (mslot, 0)
             seg = [new_prefix + o[len(old_prefix):] for o in seg[:-1]]
-        cur = contract_proper(
-            cur, _cut_at(cur, seg[0]), system, t_strict_empty_beta=t_strict_empty_beta
-        )
-        rk = rank(cur)
+        cur = _contract_proper(cur, (seg[0],), system, t)
+        ix = _index(cur)
+        cs = _cuts(ix[0])
+        rk = _rank(cs)
         steps.append((rounds, "proper", seg[0][:-1], rk))
         trace.append(rk)
         if not rk < prev:
@@ -531,7 +566,7 @@ def normalize_steps(
         for kind, path in cleanup:
             rounds += 1
             steps.append((rounds, kind, path, (0, 0)))
-    rep = check(cur, system, t_strict_empty_beta=t_strict_empty_beta)
+    rep = check(cur, system, t_strict_empty_beta=t)
     if not rep.ok:
         raise NormalizerError(
             "normalization broke the derivation: "
@@ -576,31 +611,25 @@ def reduce_once(
         raise FlavorUnsupported(
             "normalization is defined for the intuitionistic flavor only"
         )
-    if not check(d, system, t_strict_empty_beta=t_strict_empty_beta).ok:
+    t = t_strict_empty_beta
+    if not check(d, system, t_strict_empty_beta=t).ok:
         raise ValueError("reduce_once requires a derivation that checks")
-    cs = cuts(d)
+    ix = _index(d)
+    cs = _cuts(ix[0])
     if cs:
-        sel = _select(d, cs)
+        sel = _select(d, cs, ix)
         if len(sel.segment) > 1:
-            return contract_commutative(
-                d, sel.segment.end[:-1], system,
-                t_strict_empty_beta=t_strict_empty_beta,
-            )
-        return contract_proper(
-            d, sel, system, t_strict_empty_beta=t_strict_empty_beta
-        )
-    idx = _node_index(d)
+            return _contract_commutative(d, sel.segment.end[:-1], system, t)
+        return _contract_proper(d, sel.segment.occurrences, system, t)
     cands = [
         p
-        for p, n in idx.items()
+        for p, n in ix[0].items()
         if n.rule in ELIM_RULES and n.premises[0].rule in JOIN_RULES
     ]
     if not cands:
         return None
     at = min(cands, key=lambda p: (-len(p), p))
-    return contract_commutative(
-        d, at, system, t_strict_empty_beta=t_strict_empty_beta
-    )
+    return _contract_commutative(d, at, system, t)
 
 
 # --- spines ----------------------------------------------------------------

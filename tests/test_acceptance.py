@@ -44,13 +44,17 @@ TOTAL_LOGICS = ("d", "t", "d4", "s4")
 PARTIAL = ("k", "k4")
 
 _REPORT_PATH = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
-_REPORT_PATH.write_text("")
+# The first verdict of a test run empties the report, so a run that only
+# collects this module or deselects its tests keeps the recorded one.
+_report_started = False
 
 
 def _emit(line: str) -> None:
+    global _report_started
     print(line)
-    with _REPORT_PATH.open("a") as fh:
+    with _REPORT_PATH.open("a" if _report_started else "w") as fh:
         fh.write(line + "\n")
+    _report_started = True
 
 
 @contextmanager

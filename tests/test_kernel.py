@@ -401,6 +401,31 @@ def test_freshen_preserves_report_on_random_trees():
         assert K.check_position_condition(f) == ()
 
 
+def test_position_transforms_take_any_depth():
+    # freshen, map_positions and check_position_condition walk on explicit
+    # stacks.  Trees are compared by their conclusions: dataclass equality
+    # on a derivation recurses once per level.
+    assert sys.getrecursionlimit() < 2000
+    boxes = K.hyp("u", Box(P), ())
+    for _ in range(2000):
+        boxes = K.box_i("x", frozenset(), K.box_e(boxes, ("x",)))
+    for d in (detour_chain(5000), boxes):
+        assert K.freshen(d).conclusion == d.conclusion
+        shifted = K.map_positions(d, lambda p: ("y",) + p)
+        assert shifted.conclusion == PFormula(d.conclusion.formula, ("y",))
+        renamed = K.map_positions(d, lambda p: prefix_replace(p, ("x",), ("z",)))
+        assert renamed.conclusion == d.conclusion
+    assert K.check_position_condition(boxes) != ()
+    f = K.freshen(boxes)
+    assert K.check_position_condition(f) == ()
+    assert K.check(f, S4).ok
+    assert f.conclusion == boxes.conclusion
+    # post-order: the innermost box-i is numbered first
+    assert [n.token for n in f if n.rule == "box-i"] == [
+        f"_{i}" for i in range(1999, -1, -1)
+    ]
+
+
 def test_freshen_keeps_builtin_conclusion():
     d, system = K.builtin("d", "d")
     f = K.freshen(d)

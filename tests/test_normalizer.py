@@ -470,6 +470,24 @@ class TestReduceOnce:
         with pytest.raises(N.FlavorUnsupported):
             N.reduce_once(d, system)
 
+    def test_input_guards(self):
+        # reduce_once checks its input once and then contracts without
+        # checking it again; each public contraction still checks its own.
+        bad_proper = K.box_e(K.box_i("x", frozenset(), K.hyp("u", p, ("x",))), ("y", "z"))
+        bad_commut = K.and_e1(K.dia_e(
+            K.hyp("m", Dia(p), ()), "x", frozenset({"a"}), frozenset(),
+            K.and_i(K.hyp("w1", q, ("x",)), K.hyp("w2", q, ("x",))),
+        ))
+        for bad in (bad_proper, bad_commut):
+            assert not K.check(bad, Ki).ok
+            with pytest.raises(ValueError, match="reduce_once requires"):
+                N.reduce_once(bad, Ki)
+        (cut,) = N.cuts(bad_proper)
+        with pytest.raises(ValueError, match="contract_proper requires"):
+            N.contract_proper(bad_proper, cut, Ki)
+        with pytest.raises(ValueError, match="contract_commutative requires"):
+            N.contract_commutative(bad_commut, (), Ki)
+
 
 class TestIsNormal:
     def test_plain_elimination_is_normal(self):

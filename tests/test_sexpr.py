@@ -211,7 +211,22 @@ def test_parse_proof_bad_position_token():
     assert (exc.value.message, exc.value.line, exc.value.column) == (
         "invalid position token 'b c'",
         1,
-        1,
+        46,
+    )
+
+
+@pytest.mark.parametrize(
+    "node,column",
+    [("(hyp u p (a _1))", 12), ("(box-e (hyp u (box p) ()) (a _1))", 29)],
+)
+def test_parse_proof_bad_position_token_is_placed_at_its_list(node, column):
+    text = f"(proof :system s4\n  :flavor classical\n  {node})"
+    with pytest.raises(ParseError) as exc:
+        K.parse_proof(text)
+    assert (exc.value.message, exc.value.line, exc.value.column) == (
+        "invalid position token '_1'",
+        3,
+        column,
     )
 
 
