@@ -13,8 +13,6 @@ connective family and the minor slots of a case split.  The proof-file
 reader and writer, the scope walks (``_scopes``, ``relabel_binders``, ...),
 the public rule sets (``RULES``, ``INTRO_RULES``, ...) and the normalizer all
 read it; what a rule concludes and requires stays in ``_mk`` and the checker.
-The reader and the writer keep their own stacks, so a proof file's depth is
-not bounded by the recursion limit either.
 
 The checker validates, in one post-order pass over the tree:
 
@@ -38,9 +36,14 @@ open positions left after the discharge.  The cost is linear in the number
 of nodes plus the smaller-into-larger merging (an open assumption moves
 O(log n) times), plus one scan of the open positions per ``box-i``/``dia-e``.
 
-``map_positions`` and ``freshen`` rebuild a tree in one pass on an explicit
-stack as well: ``freshen`` composes the renamings of nested witness scopes
-at each node instead of walking a scope again for every enclosing witness.
+The reader, the writer, ``map_positions`` and ``freshen`` keep tuned stacks
+of their own (``freshen`` composes the renamings of nested witness scopes at
+each node instead of walking a scope again for every enclosing witness), and
+scans that only visit nodes iterate a tree in pre-order.  Every other walk
+over a derivation, here and in the normalizer and the translations, folds it
+with ``_walk``: one explicit stack, a pre-order hook that gives each premise
+its environment and a post-order hook that builds the node's image.  No
+derivation walk is bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -277,14 +280,16 @@ class UnsupportedPair(KernelError):
     """Requested a built-in derivation outside its supported logics."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Derivation:
     """One rule application; premises are complete subderivations.
 
     ``conclusion`` is always the best-effort result computed from the rule,
     the premises, and the node data — never trusted input.  Fields beyond
     ``rule``/``premises``/``conclusion`` are used only by the rules that
-    need them and stay at their defaults elsewhere.
+    need them and stay at their defaults elsewhere.  Two derivations are
+    equal when their trees hold equal node data in the same shape; equality
+    and hashing take trees of any depth.
     """
 
     rule: str
@@ -307,6 +312,60 @@ class Derivation:
             n = stack.pop()
             yield n
             stack.extend(reversed(n.premises))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Derivation):
+            return NotImplemented
+        return all(
+            a is b
+            or (len(a.premises) == len(b.premises) and _node_data(a) == _node_data(b))
+            for a, b in zip(self, other)
+        )
+
+    def __hash__(self) -> int:
+        return _walk(self, _premises, lambda n, hs, _: hash((_node_data(n), *hs)))
+
+
+#: The node fields beyond ``rule``, ``premises`` and ``conclusion``.
+_FIELDS = (
+    "label", "content", "ante", "other", "target", "discharges", "e_discharges",
+    "beta", "token",
+)
+_node_data = operator.attrgetter("rule", "conclusion", *_FIELDS)
+
+
+def _walk(root, enter, leave, env=None):
+    """Fold the tree under ``root`` bottom-up on an explicit stack, any depth.
+
+    ``enter(node, env)`` returns ``(children, state)``: the ``(child, env)``
+    pairs to walk, in that order (none skips the subtree), and what ``leave``
+    needs.  ``leave(node, images, state)`` gets the children's images in the
+    same order and returns the node's.  A child is entered after the one
+    before it is left, so the hooks can keep scoped state.
+    """
+    images: list = []
+    stack: list = [(root, env)]  # pairs to enter, triples to leave
+    pop, push, done = stack.pop, stack.append, images.append
+    while stack:
+        frame = pop()
+        if len(frame) == 2:
+            children, state = enter(*frame)
+            if children:
+                push((frame[0], state, len(children)))
+                stack.extend(reversed(children))
+            else:
+                done(leave(frame[0], (), state))
+        else:
+            node, state, k = frame
+            got = images[-k:]
+            del images[-k:]
+            done(leave(node, got, state))
+    return images[0]
+
+
+def _premises(n, env):
+    """The ``enter`` of a walk over every premise that passes ``env`` on."""
+    return [(p, env) for p in n.premises], env
 
 
 def _pf(d: Derivation) -> PFormula:
@@ -539,13 +598,25 @@ def _scopes(d: Derivation) -> list[tuple[int, frozenset[str], str]]:
     return out
 
 
-def _shadowed(d: Derivation, idx: int, kind: str) -> frozenset[str]:
-    """Labels rebound over premise ``idx`` of ``d`` for the given kind."""
-    acc: set[str] = set()
-    for i, labels, k in _scopes(d):
-        if i == idx and k == kind:
-            acc |= labels
-    return frozenset(acc)
+def _free_labels(kind: str):
+    """The ``enter`` of a walk that carries the labels of ``kind`` still free
+    from the root: each premise gets them less those its node rebinds over
+    it, and a subtree where none is left is skipped."""
+
+    def enter(n: Derivation, free: frozenset[str]):
+        if not free or not n.premises:
+            return (), free
+        prems = [(p, free) for p in n.premises]
+        for slot, k, j in _RULE_TABLE[n.rule].scopes:
+            if k == kind:
+                labels = n.discharges[j] if k == "p" else n.e_discharges
+                prems[slot] = (n.premises[slot], prems[slot][1] - labels)
+        return prems, free
+
+    return enter
+
+
+_FREE_LABELS = {kind: _free_labels(kind) for kind in ("p", "e")}
 
 
 def bound_leaf_contents(
@@ -553,22 +624,13 @@ def bound_leaf_contents(
 ) -> list[PFormula | EFormula]:
     """Contents of the open leaves a discharge over ``d`` would bind."""
     out: list[PFormula | EFormula] = []
+    leaf = "hyp" if kind == "p" else "ehyp"
 
-    def walk(n: Derivation, active: frozenset[str]) -> None:
-        if not active:
-            return
-        if n.rule == "hyp":
-            if kind == "p" and n.label in active:
-                out.append(n.conclusion)
-            return
-        if n.rule == "ehyp":
-            if kind == "e" and n.label in active:
-                out.append(n.conclusion)
-            return
-        for i, p in enumerate(n.premises):
-            walk(p, active - _shadowed(n, i, kind))
+    def leave(n: Derivation, _prems, free: frozenset[str]) -> None:
+        if n.rule == leaf and n.label in free:
+            out.append(n.conclusion)
 
-    walk(d, frozenset(labels))
+    _walk(d, _FREE_LABELS[kind], leave, frozenset(labels))
     return out
 
 
@@ -595,43 +657,36 @@ def plug(
     Only leaves bound at the top (not re-bound deeper) are replaced.  The
     caller is responsible for label hygiene of ``replacement``.
     """
+    leaf = "hyp" if kind == "p" else "ehyp"
 
-    def walk(n: Derivation, active: frozenset[str]) -> Derivation:
-        if not active:
-            return n
-        if n.rule == "hyp":
-            if kind == "p" and n.label in active:
-                return replacement
-            return n
-        if n.rule == "ehyp":
-            if kind == "e" and n.label in active:
-                return replacement
-            return n
-        prems = tuple(
-            walk(p, active - _shadowed(n, i, kind))
-            for i, p in enumerate(n.premises)
-        )
-        if prems == n.premises:
-            return n
-        return _rebuild(n, prems)
+    def leave(n: Derivation, prems, free: frozenset[str]) -> Derivation:
+        if n.rule == leaf and n.label in free:
+            return replacement
+        return _rebuilt(n, prems)
 
-    return walk(d, frozenset(labels))
+    return _walk(d, _FREE_LABELS[kind], leave, frozenset(labels))
 
 
 def _rebuild(n: Derivation, premises: tuple[Derivation, ...], **over) -> Derivation:
-    data = dict(
-        label=n.label,
-        content=n.content,
-        ante=n.ante,
-        other=n.other,
-        target=n.target,
-        discharges=n.discharges,
-        e_discharges=n.e_discharges,
-        beta=n.beta,
-        token=n.token,
-    )
+    data = {f: getattr(n, f) for f in _FIELDS}
     data.update(over)
     return _mk(n.rule, premises, **data)
+
+
+def _rebuilt(n: Derivation, prems, **over) -> Derivation:
+    """``n`` over ``prems`` with the fields in ``over`` replaced; ``n``
+    itself when no field is replaced and every premise came back as is."""
+    if not over and all(map(operator.is_, prems, n.premises)):
+        return n
+    return _rebuild(n, tuple(prems), **over)
+
+
+def _fresh_names(prefix: str, used):
+    """``prefix1``, ``prefix2``, ... skipping the names in ``used``."""
+    for i in itertools.count(1):
+        name = f"{prefix}{i}"
+        if name not in used:
+            yield name
 
 
 def relabel_binders(d: Derivation, forbidden: frozenset[str]) -> Derivation:
@@ -640,55 +695,38 @@ def relabel_binders(d: Derivation, forbidden: frozenset[str]) -> Derivation:
     Free leaves keep their labels; bound leaves track their binder.  The
     result is check-equivalent to ``d``.
     """
-    used = set(forbidden) | set(all_labels(d))
-    counter = itertools.count(1)
+    fresh = _fresh_names("l", all_labels(d).union(forbidden))
+    # (kind, label) -> the new names its binders above the current node
+    # give it, innermost last: a node pushes the names its parent binds over
+    # it on the way down and pops them on the way up.
+    bound: dict[tuple[str, str], list[str]] = {}
 
-    def fresh() -> str:
-        while True:
-            cand = f"l{next(counter)}"
-            if cand not in used:
-                used.add(cand)
-                return cand
+    def enter(n: Derivation, binds):
+        for key, new in binds:
+            bound.setdefault(key, []).append(new)
+        names: list = [[] for _ in n.premises]
+        for slot, labels, k in _scopes(n):
+            names[slot] += [((k, lab), next(fresh)) for lab in sorted(labels)]
+        return list(zip(n.premises, names)), (binds, names)
 
-    def go(n: Derivation, penv: dict, eenv: dict) -> Derivation:
-        if n.rule == "hyp":
-            new = penv.get(n.label, n.label)
-            if new == n.label:
-                return n
-            return _mk("hyp", (), label=new, content=n.content)
-        if n.rule == "ehyp":
-            new = eenv.get(n.label, n.label)
-            if new == n.label:
-                return n
-            return _mk("ehyp", (), label=new, content=n.content)
-        renames: dict[tuple[int, str], dict[str, str]] = {}
-        discharges: list[frozenset[str]] = []
+    def leave(n: Derivation, prems, state) -> Derivation:
+        binds, names = state
         over: dict = {}
-        for i, labels, k in _scopes(n):
-            m = renames.setdefault((i, k), {})
-            for lab in sorted(labels):
-                m[lab] = fresh()
-            renamed = frozenset(m[lab] for lab in labels)
+        if n.rule in ("hyp", "ehyp"):
+            new = bound.get(("p" if n.rule == "hyp" else "e", n.label))
+            if new:
+                over["label"] = new[-1]
+        for slot, _labels, k in _scopes(n):
+            renamed = frozenset(new for (kk, _lab), new in names[slot] if kk == k)
             if k == "p":
-                discharges.append(renamed)
+                over["discharges"] = over.get("discharges", ()) + (renamed,)
             else:
                 over["e_discharges"] = renamed
-        if discharges:
-            over["discharges"] = tuple(discharges)
-        prems = []
-        for i, p in enumerate(n.premises):
-            pe = dict(penv)
-            ee = dict(eenv)
-            for lab in _shadowed(n, i, "p"):
-                pe.pop(lab, None)
-            for lab in _shadowed(n, i, "e"):
-                ee.pop(lab, None)
-            pe.update(renames.get((i, "p"), {}))
-            ee.update(renames.get((i, "e"), {}))
-            prems.append(go(p, pe, ee))
-        return _rebuild(n, tuple(prems), **over)
+        for key, _new in binds:
+            bound[key].pop()
+        return _rebuilt(n, prems, **over)
 
-    return go(d, {}, {})
+    return _walk(d, enter, leave, ())
 
 
 # --- checking --------------------------------------------------------------
@@ -1347,9 +1385,7 @@ def _remapped(n: Derivation, prems: tuple[Derivation, ...], f, scope) -> Derivat
             proper = (scope or f)(_pf(n.premises[0]).position + (n.token,))
             if proper and proper[-1] != n.token:
                 over["token"] = proper[-1]
-    if not over and all(map(operator.is_, prems, n.premises)):
-        return n
-    return _rebuild(n, prems, **over)
+    return _rebuilt(n, prems, **over)
 
 
 _FRESH_RE = re.compile(re.escape(RESERVED_TOKEN_PREFIX) + r"([0-9]+)$")
@@ -1423,16 +1459,19 @@ def freshen(d: Derivation) -> Derivation:
 
 def _drop_trivial_reposition(d: Derivation) -> Derivation:
     """Remove absurdity repositionings whose endpoints collapsed."""
-    prems = tuple(_drop_trivial_reposition(p) for p in d.premises)
-    node = _rebuild(d, prems)
-    if (
-        node.rule == "bot-i"
-        and node.target is not None
-        and isinstance(node.target.formula, Bottom)
-        and node.premises[0].conclusion == node.conclusion
-    ):
-        return node.premises[0]
-    return node
+
+    def leave(n: Derivation, prems, _state) -> Derivation:
+        node = _rebuilt(n, prems)
+        if (
+            node.rule == "bot-i"
+            and node.target is not None
+            and isinstance(node.target.formula, Bottom)
+            and node.premises[0].conclusion == node.conclusion
+        ):
+            return node.premises[0]
+        return node
+
+    return _walk(d, _premises, leave)
 
 
 def substitute(
@@ -1458,8 +1497,7 @@ def substitute(
     beta = tuple(beta)
     gamma = tuple(gamma)
     mapped = map_positions(fresh, lambda p: prefix_replace(p, beta, gamma))
-
-    def verify(orig: Derivation, new: Derivation) -> None:
+    for orig, new in zip(fresh, mapped):
         oc, nc = orig.conclusion, new.conclusion
         want = prefix_replace(oc.position, beta, gamma)
         same_formula = (
@@ -1473,10 +1511,6 @@ def substitute(
                 f"position {print_position(oc.position)}",
                 (),
             )
-        for op, np_ in zip(orig.premises, new.premises):
-            verify(op, np_)
-
-    verify(fresh, mapped)
     cleaned = _drop_trivial_reposition(mapped)
     post = check(cleaned, system, t_strict_empty_beta=t_strict_empty_beta)
     if not post.ok:
@@ -1519,13 +1553,18 @@ def lift(
 # --- absurdity expansion ---------------------------------------------------
 
 
-def _used_tokens(d: Derivation) -> set[str]:
+def _tokens(d: Derivation) -> set[str]:
+    """Every token of a position in ``d``: of its conclusions, assumed
+    contents, antecedents and targets, and of its ``dia-e`` witness
+    positions (a witness that no assumption uses occurs nowhere else)."""
     toks: set[str] = set()
     for n in d:
-        for t in n.conclusion.position:
-            toks.add(t)
-        if n.content is not None:
-            toks.update(n.content.position)
+        toks.update(n.conclusion.position)
+        for c in (n.content, n.ante, n.target):
+            if c is not None:
+                toks.update(c.position)
+        if n.rule == "dia-e" and n.token is not None:
+            toks.add(n.token)
     return toks
 
 
@@ -1547,15 +1586,7 @@ def expand_efq(
         raise ValueError(
             "expand_efq target must differ from the premise conclusion"
         )
-    used = _used_tokens(premise) | set(target.position)
-    counter = itertools.count(1)
-
-    def fresh_token() -> str:
-        while True:
-            cand = f"z{next(counter)}"
-            if cand not in used:
-                used.add(cand)
-                return cand
+    fresh = _fresh_names("z", _tokens(premise).union(target.position))
 
     def build(goal: PFormula) -> Derivation:
         f, alpha = goal.formula, goal.position
@@ -1574,7 +1605,7 @@ def expand_efq(
         if isinstance(f, Or):
             return or_i1(f.right, build(PFormula(f.left, alpha)))
         if isinstance(f, Box):
-            x = fresh_token()
+            x = next(fresh)
             return box_i(x, frozenset(), build(PFormula(f.body, alpha + (x,))))
         if isinstance(f, Dia):
             if system.partial:
@@ -1583,7 +1614,7 @@ def expand_efq(
                     + print_formula(f),
                     f,
                 )
-            x = fresh_token()
+            x = next(fresh)
             return dia_i((x,), build(PFormula(f.body, alpha + (x,))))
         raise TypeError(f"unknown formula {f!r}")
 
@@ -1874,33 +1905,11 @@ def sanitize_tokens(d: Derivation) -> Derivation:
     bijection onto unused ordinary tokens, so a printed proof always
     re-parses to a check-equivalent tree.
     """
-    reserved: set[str] = set()
-    ordinary: set[str] = set()
-    for n in d:
-        poss = [n.conclusion.position]
-        if n.content is not None:
-            poss.append(n.content.position)
-        if n.ante is not None:
-            poss.append(n.ante.position)
-        if n.target is not None:
-            poss.append(n.target.position)
-        for pos in poss:
-            for tok in pos:
-                if tok.startswith(RESERVED_TOKEN_PREFIX):
-                    reserved.add(tok)
-                else:
-                    ordinary.add(tok)
+    toks = _tokens(d)
+    reserved = sorted(t for t in toks if t.startswith(RESERVED_TOKEN_PREFIX))
     if not reserved:
         return d
-    mapping: dict[str, str] = {}
-    counter = itertools.count(1)
-    for tok in sorted(reserved):
-        while True:
-            cand = f"z{next(counter)}"
-            if cand not in ordinary:
-                ordinary.add(cand)
-                mapping[tok] = cand
-                break
+    mapping = dict(zip(reserved, _fresh_names("z", toks)))
     return map_positions(
         d, lambda p: tuple(mapping.get(t, t) for t in p)
     )

@@ -23,7 +23,8 @@ once, before the first round.  The public ``contract_proper`` and
 ``reduce_once`` they are skipped, because each contraction's input is the
 (freshened) tree that the initial check or the previous contraction's
 check has just accepted with the same system.  One cut scan per round gives
-both the rank recorded in the trace and the next round's selection.
+both the rank recorded in the trace and the next round's selection; it
+climbs segments only from introductions.  Every walk here is iterative.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from .kernel import (
     plug,
     all_labels,
     _rebuild,
+    _rebuilt,
+    _walk,
     _RULE_TABLE,
     INTRO_RULES,
     ELIM_RULES,
@@ -187,21 +190,18 @@ def segments(d: Derivation) -> tuple[Segment, ...]:
     the segments cover every occurrence but only partition them in trees
     without such splits.
     """
-    return tuple(_segments(_index(d)[0]))
+    idx = _index(d)[0]
+    return tuple(
+        _segment(path, idx) for path, node in idx.items() if node.rule not in JOIN_RULES
+    )
 
 
-def _segments(idx: dict[Occurrence, Derivation]) -> list[Segment]:
-    out = []
-    for path, node in idx.items():
-        if node.rule in JOIN_RULES:
-            continue
-        occ = [path]
-        cur = path
-        while _is_minor_root(cur, idx):
-            cur = cur[:-1]
-            occ.append(cur)
-        out.append(Segment(tuple(occ)))
-    return out
+def _segment(path: Occurrence, idx: dict[Occurrence, Derivation]) -> Segment:
+    """The segment that starts at ``path``."""
+    occ = [path]
+    while _is_minor_root(occ[-1], idx):
+        occ.append(occ[-1][:-1])
+    return Segment(tuple(occ))
 
 
 def cuts(d: Derivation) -> tuple[Cut, ...]:
@@ -210,12 +210,13 @@ def cuts(d: Derivation) -> tuple[Cut, ...]:
 
 
 def _cuts(idx: dict[Occurrence, Derivation]) -> tuple[Cut, ...]:
+    """The cuts, climbing a segment only from each introduction."""
     res = []
-    for seg in _segments(idx):
-        start = idx[seg.start]
+    for path, start in idx.items():
         fam = _RULE_TABLE[start.rule].intro
         if fam is None:
             continue
+        seg = _segment(path, idx)
         end = seg.end
         if not end or end[-1] != 0:
             continue
@@ -487,31 +488,50 @@ def is_normal(d: Derivation) -> bool:
     )
 
 
+def _splits(n: Derivation) -> bool:
+    """Whether ``n`` is an elimination whose major is a case-split conclusion."""
+    return n.rule in ELIM_RULES and n.premises[0].rule in JOIN_RULES
+
+
+def _path(at) -> Occurrence:
+    """The path of a walk's ``(parent's, premise index)`` link."""
+    out = []
+    while at is not None:
+        at, i = at
+        out.append(i)
+    return tuple(reversed(out))
+
+
 def _resolve_joins(
     d: Derivation, log: list[tuple[str, Occurrence]]
 ) -> Derivation:
     """Commute every elimination off a case-split conclusion, cut-free phase.
 
-    Recurses on strictly shrinking major premises, so it terminates; in a
-    cut-free derivation no commutation can create a cut, so the rank stays
-    ``(0, 0)``.
+    Post-order, so a node's premises are resolved when it is reached; a
+    commutation then leaves a resolved split on top, and only the copies of
+    the elimination over its minors, with strictly smaller majors, can need
+    commuting again: they are walked on, logged in pre-order.  In a cut-free
+    derivation no commutation can create a cut, so the rank stays ``(0, 0)``.
     """
 
-    def resolve(node: Derivation, path: Occurrence) -> Derivation:
-        while node.rule in ELIM_RULES and node.premises[0].rule in JOIN_RULES:
-            node = _commute_node(node, frozenset())
-            log.append(("commutative", path))
-            prems = list(node.premises)
-            for s in _RULE_TABLE[node.rule].minors:
-                prems[s] = resolve(prems[s], path + (s,))
-            node = _rebuild(node, tuple(prems))
-        return node
+    def push(n: Derivation, at):
+        if not _splits(n):
+            return (), None
+        log.append(("commutative", _path(at)))
+        c = _commute_node(n, frozenset())
+        return [(p, (at, i)) for i, p in enumerate(c.premises)], c
 
-    def walk(node: Derivation, path: Occurrence) -> Derivation:
-        prems = tuple(walk(p, path + (i,)) for i, p in enumerate(node.premises))
-        return resolve(_rebuild(node, prems), path)
+    def pushed(n: Derivation, prems, c) -> Derivation:
+        return n if c is None else _rebuilt(c, prems)
 
-    return walk(d, ())
+    def enter(n: Derivation, at):
+        return [(p, (at, i)) for i, p in enumerate(n.premises)], at
+
+    def leave(n: Derivation, prems, at) -> Derivation:
+        node = _rebuilt(n, prems)
+        return _walk(node, push, pushed, at) if _splits(node) else node
+
+    return _walk(d, enter, leave)
 
 
 def normalize_steps(
@@ -621,11 +641,7 @@ def reduce_once(
         if len(sel.segment) > 1:
             return _contract_commutative(d, sel.segment.end[:-1], system, t)
         return _contract_proper(d, sel.segment.occurrences, system, t)
-    cands = [
-        p
-        for p, n in ix[0].items()
-        if n.rule in ELIM_RULES and n.premises[0].rule in JOIN_RULES
-    ]
+    cands = [p for p, n in ix[0].items() if _splits(n)]
     if not cands:
         return None
     at = min(cands, key=lambda p: (-len(p), p))
@@ -677,17 +693,16 @@ def all_spines(d: Derivation) -> tuple[tuple[Occurrence, ...], ...]:
     """Every maximal leaf-to-root path (branching at multi-premise
     introductions); each path is ordered leaf first."""
 
-    def walk(node: Derivation, path: Occurrence) -> list[list[Occurrence]]:
-        opts = _spine_options(node)
-        if not opts:
-            return [[path]]
-        out = []
-        for i in opts:
-            for tail in walk(node.premises[i], path + (i,)):
-                out.append(tail + [path])
-        return out
+    def enter(node: Derivation, path: Occurrence):
+        return [(node.premises[i], path + (i,)) for i in _spine_options(node)], path
 
-    return tuple(tuple(p) for p in walk(d, ()))
+    def leave(_node: Derivation, below, path: Occurrence) -> list[list[Occurrence]]:
+        spines = [s for child in below for s in child] or [[]]
+        for s in spines:
+            s.append(path)
+        return spines
+
+    return tuple(tuple(p) for p in _walk(d, enter, leave, ()))
 
 
 def spine_decompose(

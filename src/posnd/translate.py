@@ -13,12 +13,12 @@ Two independent bridges out of the classical systems:
 The double-negation side leans on two helpers that are useful on their
 own: ``build_dne`` derives the double-negation elimination implication
 for formulas in the negative fragment, and ``contrapose`` swaps an open
-assumption with the conclusion, negating both.
+assumption with the conclusion, negating both.  Both bridges walk a
+derivation on the kernel's explicit-stack walker, so they take any depth.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import kernel as K
@@ -136,35 +136,14 @@ class _Alloc:
     """Fresh labels and witness tokens avoiding everything already in use."""
 
     def __init__(self, labels=(), tokens=()):
-        self._labels = set(labels)
-        self._tokens = set(tokens)
-        self._ln = itertools.count(1)
-        self._tn = itertools.count(1)
+        self._labels = K._fresh_names("h", frozenset(labels))
+        self._tokens = K._fresh_names("z", frozenset(tokens))
 
     def label(self) -> str:
-        while True:
-            cand = f"h{next(self._ln)}"
-            if cand not in self._labels:
-                self._labels.add(cand)
-                return cand
+        return next(self._labels)
 
     def token(self) -> str:
-        while True:
-            cand = f"z{next(self._tn)}"
-            if cand not in self._tokens:
-                self._tokens.add(cand)
-                return cand
-
-
-def _all_tokens(d: Derivation) -> frozenset[str]:
-    acc: set[str] = set()
-
-    def visit(p: Position) -> Position:
-        acc.update(p)
-        return p
-
-    K.map_positions(d, visit)
-    return frozenset(acc)
+        return next(self._tokens)
 
 
 # --- double-negation elimination for the negative fragment ------------------
@@ -316,7 +295,7 @@ def classical_to_intuitionistic(d: Derivation, system: System) -> Derivation:
     if not report.ok:
         raise ValueError("derivation does not check in the given system")
     target = System(system.logic, "intuitionistic")
-    alloc = _Alloc(labels=K.all_labels(d), tokens=_all_tokens(d))
+    alloc = _Alloc(labels=K.all_labels(d), tokens=K._tokens(d))
     out = _ci(d, target, alloc)
     again = K.check(out, target)
     if not again.ok:  # pragma: no cover - internal coherence guard
@@ -333,112 +312,124 @@ def _reposition(bottom: Derivation, position: Position) -> Derivation:
     return K.bot_i(bottom, Bottom(), position)
 
 
+#: Rules that take a fresh label before their premises are translated.
+_LABEL_FIRST = frozenset({"or-i1", "or-i2", "or-e", "dia-i", "dia-e"})
+
+
 def _ci(d: Derivation, target: System, alloc: _Alloc) -> Derivation:
-    r = d.rule
+    """The translation of ``d``, built bottom-up.  Labels and tokens are
+    taken in the order of a recursive translation: a case split translates
+    its minors before its major, and some rules take a label (``u``) before
+    their premises, others (through ``_dne``) after them."""
 
-    def rec(i: int) -> Derivation:
-        return _ci(d.premises[i], target, alloc)
+    def enter(n: Derivation, _env):
+        prems = [(p, None) for p in n.premises]
+        if n.rule in K.JOIN_RULES:
+            prems = prems[1:] + prems[:1]
+        return prems, alloc.label() if n.rule in _LABEL_FIRST else None
 
-    if r == "hyp":
-        c = d.content
-        return K.hyp(d.label, g_translate(c.formula), c.position)
-    if r == "ehyp":
-        return d
-    if r == "and-i":
-        return K.and_i(rec(0), rec(1))
-    if r == "and-e1":
-        return K.and_e1(rec(0))
-    if r == "and-e2":
-        return K.and_e2(rec(0))
-    if r == "imp-i":
-        ante = PFormula(
-            g_translate(d.conclusion.formula.left), d.conclusion.position
-        )
-        return K.imp_i(d.discharges[0], rec(0), ante=ante)
-    if r == "imp-e":
-        return K.imp_e(rec(0), rec(1))
-    if r == "box-i":
-        return K.box_i(d.token, d.e_discharges, rec(0))
-    if r == "box-e":
-        e = rec(1) if len(d.premises) == 2 else None
-        return K.box_e(rec(0), d.beta, e)
-    if r == "bot-i":
-        t = d.target
-        body = rec(0)
-        if isinstance(t.formula, Bottom):
-            return K.bot_i(body, Bottom(), t.position)
-        # Atomic targets translate to double negations, which the
-        # absurdity rule cannot conclude directly: reposition, then
-        # introduce the (vacuous) outer negation over the once-negated
-        # atom.
-        body = _reposition(body, t.position)
-        ante = PFormula(neg(t.formula), t.position)
-        return K.imp_i(frozenset(), body, ante=ante)
-    if r == "bot-c":
-        t = d.target
-        goal = g_translate(t.formula)
-        body = _reposition(rec(0), t.position)
-        ante = PFormula(neg(goal), t.position)
-        doubled = K.imp_i(d.discharges[0], body, ante=ante)
-        return K.imp_e(_dne(goal, t.position, target, alloc), doubled)
-    if r in ("or-i1", "or-i2"):
-        both = d.conclusion.formula
-        pos = d.conclusion.position
-        g_left, g_right = g_translate(both.left), g_translate(both.right)
-        u = alloc.label()
-        pair = K.hyp(u, And(neg(g_left), neg(g_right)), pos)
-        project = K.and_e1 if r == "or-i1" else K.and_e2
-        return K.imp_i(frozenset({u}), K.imp_e(project(pair), rec(0)))
-    if r == "or-e":
-        both = d.premises[0].conclusion.formula
-        beta = d.premises[0].conclusion.position
-        goal = g_translate(d.conclusion.formula)
-        pos = d.conclusion.position
-        w = alloc.label()
-        left = _contrapose(
-            rec(1),
-            d.discharges[0],
-            PFormula(g_translate(both.left), beta),
-            w,
-        )
-        right = _contrapose(
-            rec(2),
-            d.discharges[1],
-            PFormula(g_translate(both.right), beta),
-            w,
-        )
-        bottom = _reposition(K.imp_e(rec(0), K.and_i(left, right)), pos)
-        doubled = K.imp_i(
-            frozenset({w}), bottom, ante=PFormula(neg(goal), pos)
-        )
-        return K.imp_e(_dne(goal, pos, target, alloc), doubled)
-    if r == "dia-i":
-        body_formula = g_translate(d.premises[0].conclusion.formula)
-        pos = d.conclusion.position
-        u = alloc.label()
-        e = rec(1) if len(d.premises) == 2 else None
-        opened = K.box_e(K.hyp(u, Box(neg(body_formula)), pos), d.beta, e)
-        bottom = _reposition(K.imp_e(opened, rec(0)), pos)
-        return K.imp_i(frozenset({u}), bottom)
-    if r == "dia-e":
-        witness = g_translate(d.premises[0].conclusion.formula.body)
-        beta = d.premises[0].conclusion.position
-        goal = g_translate(d.conclusion.formula)
-        pos = d.conclusion.position
-        w = alloc.label()
-        minor = _contrapose(
-            rec(1),
-            d.discharges[0],
-            PFormula(witness, beta + (d.token,)),
-            w,
-        )
-        boxed = K.box_i(d.token, d.e_discharges, minor)
-        bottom = _reposition(K.imp_e(rec(0), boxed), pos)
-        doubled = K.imp_i(
-            frozenset({w}), bottom, ante=PFormula(neg(goal), pos)
-        )
-        return K.imp_e(_dne(goal, pos, target, alloc), doubled)
-    raise ValueError(f"unknown rule: {r}")  # pragma: no cover
+    def leave(d: Derivation, prems: list, u: str | None) -> Derivation:
+        r = d.rule
+        if r in K.JOIN_RULES:
+            prems = prems[-1:] + prems[:-1]
+        if r == "hyp":
+            c = d.content
+            return K.hyp(d.label, g_translate(c.formula), c.position)
+        if r == "ehyp":
+            return d
+        if r == "and-i":
+            return K.and_i(prems[0], prems[1])
+        if r == "and-e1":
+            return K.and_e1(prems[0])
+        if r == "and-e2":
+            return K.and_e2(prems[0])
+        if r == "imp-i":
+            ante = PFormula(
+                g_translate(d.conclusion.formula.left), d.conclusion.position
+            )
+            return K.imp_i(d.discharges[0], prems[0], ante=ante)
+        if r == "imp-e":
+            return K.imp_e(prems[0], prems[1])
+        if r == "box-i":
+            return K.box_i(d.token, d.e_discharges, prems[0])
+        if r == "box-e":
+            e = prems[1] if len(d.premises) == 2 else None
+            return K.box_e(prems[0], d.beta, e)
+        if r == "bot-i":
+            t = d.target
+            body = prems[0]
+            if isinstance(t.formula, Bottom):
+                return K.bot_i(body, Bottom(), t.position)
+            # Atomic targets translate to double negations, which the
+            # absurdity rule cannot conclude directly: reposition, then
+            # introduce the (vacuous) outer negation over the once-negated
+            # atom.
+            body = _reposition(body, t.position)
+            ante = PFormula(neg(t.formula), t.position)
+            return K.imp_i(frozenset(), body, ante=ante)
+        if r == "bot-c":
+            t = d.target
+            goal = g_translate(t.formula)
+            body = _reposition(prems[0], t.position)
+            ante = PFormula(neg(goal), t.position)
+            doubled = K.imp_i(d.discharges[0], body, ante=ante)
+            return K.imp_e(_dne(goal, t.position, target, alloc), doubled)
+        if r in ("or-i1", "or-i2"):
+            both = d.conclusion.formula
+            pos = d.conclusion.position
+            g_left, g_right = g_translate(both.left), g_translate(both.right)
+            pair = K.hyp(u, And(neg(g_left), neg(g_right)), pos)
+            project = K.and_e1 if r == "or-i1" else K.and_e2
+            return K.imp_i(frozenset({u}), K.imp_e(project(pair), prems[0]))
+        if r == "or-e":
+            both = d.premises[0].conclusion.formula
+            beta = d.premises[0].conclusion.position
+            goal = g_translate(d.conclusion.formula)
+            pos = d.conclusion.position
+            left = _contrapose(
+                prems[1],
+                d.discharges[0],
+                PFormula(g_translate(both.left), beta),
+                u,
+            )
+            right = _contrapose(
+                prems[2],
+                d.discharges[1],
+                PFormula(g_translate(both.right), beta),
+                u,
+            )
+            bottom = _reposition(K.imp_e(prems[0], K.and_i(left, right)), pos)
+            doubled = K.imp_i(
+                frozenset({u}), bottom, ante=PFormula(neg(goal), pos)
+            )
+            return K.imp_e(_dne(goal, pos, target, alloc), doubled)
+        if r == "dia-i":
+            body_formula = g_translate(d.premises[0].conclusion.formula)
+            pos = d.conclusion.position
+            e = prems[1] if len(d.premises) == 2 else None
+            opened = K.box_e(K.hyp(u, Box(neg(body_formula)), pos), d.beta, e)
+            bottom = _reposition(K.imp_e(opened, prems[0]), pos)
+            return K.imp_i(frozenset({u}), bottom)
+        if r == "dia-e":
+            witness = g_translate(d.premises[0].conclusion.formula.body)
+            beta = d.premises[0].conclusion.position
+            goal = g_translate(d.conclusion.formula)
+            pos = d.conclusion.position
+            minor = _contrapose(
+                prems[1],
+                d.discharges[0],
+                PFormula(witness, beta + (d.token,)),
+                u,
+            )
+            boxed = K.box_i(d.token, d.e_discharges, minor)
+            bottom = _reposition(K.imp_e(prems[0], boxed), pos)
+            doubled = K.imp_i(
+                frozenset({u}), bottom, ante=PFormula(neg(goal), pos)
+            )
+            return K.imp_e(_dne(goal, pos, target, alloc), doubled)
+        raise ValueError(f"unknown rule: {r}")  # pragma: no cover
+
+    return K._walk(d, enter, leave)
 
 
 # --- labelled sequent-calculus sketches -------------------------------------
@@ -532,14 +523,6 @@ _LABELLED_RULE = {
 }
 
 
-def _node_sequent(d: Derivation, mode: str) -> LabelledSequent:
-    concl = d.conclusion
-    if not isinstance(concl, PFormula):
-        raise ValueError("existence conclusions have no labelled image")
-    gamma = [a.content for a in K.open_assumptions(d)]
-    return judgment_to_labelled(gamma, concl, mode)
-
-
 def _mediate(
     rule: str,
     children: tuple[LabelledStep, ...],
@@ -593,27 +576,48 @@ def _mediate(
     return cur
 
 
-def _to_labelled(d: Derivation, mode: str) -> LabelledStep:
-    jud = _node_sequent(d, mode)
-    r = d.rule
-    prems = d.premises
-    if mode == "partial" and r in ("box-e", "dia-i") and len(prems) == 2:
-        prems = prems[:1]  # existence premises feed the context, not the tree
-    children = tuple(_to_labelled(p, mode) for p in prems)
-    rule = _LABELLED_RULE.get(r, r)
-    if mode == "total" and r in ("box-e", "dia-i"):
-        if r == "box-e":
-            alpha = tuple(d.premises[0].conclusion.position)
-        else:
-            alpha = tuple(d.conclusion.position)
-        return _mediate(rule, children, jud, alpha, tuple(d.beta))
-    return LabelledStep(rule, children, jud)
+def _opens(d: Derivation, below: list) -> frozenset:
+    """The open ``(label, content)`` pairs of ``d`` from those of its
+    premises: a discharge removes its labels whatever their kind, as
+    :func:`posnd.kernel.check` does."""
+    if d.rule in ("hyp", "ehyp"):
+        return frozenset({(d.label, d.conclusion)})
+    for slot, labels, _kind in K._scopes(d):
+        below[slot] = frozenset(o for o in below[slot] if o[0] not in labels)
+    return below[0].union(*below[1:]) if len(below) > 1 else below[0]
 
 
 def derivation_to_labelled(d: Derivation, system: System) -> LabelledProofSketch:
-    """Render a derivation as a labelled sequent-calculus proof sketch."""
+    """Render a derivation as a labelled sequent-calculus proof sketch.
+
+    Each node's open assumptions are gathered bottom-up in the same walk.
+    """
     mode = "partial" if system.partial else "total"
-    return LabelledProofSketch(_to_labelled(d, mode), mode)
+
+    def enter(n: Derivation, shown: bool):
+        prems = [(p, shown) for p in n.premises]
+        if mode == "partial" and n.rule in ("box-e", "dia-i") and len(prems) == 2:
+            # existence premises feed the context, not the tree
+            prems[1] = (n.premises[1], False)
+        return prems, shown
+
+    def leave(n: Derivation, below: list, shown: bool):
+        opens = _opens(n, [o for _step, o in below])
+        if not shown:
+            return None, opens
+        concl = n.conclusion
+        if not isinstance(concl, PFormula):
+            raise ValueError("existence conclusions have no labelled image")
+        jud = judgment_to_labelled([c for _lab, c in opens], concl, mode)
+        children = tuple(step for step, _o in below if step is not None)
+        r = n.rule
+        rule = _LABELLED_RULE.get(r, r)
+        if mode == "total" and r in ("box-e", "dia-i"):
+            alpha = tuple((n.premises[0] if r == "box-e" else n).conclusion.position)
+            return _mediate(rule, children, jud, alpha, tuple(n.beta)), opens
+        return LabelledStep(rule, children, jud), opens
+
+    return LabelledProofSketch(K._walk(d, enter, leave, True)[0], mode)
 
 
 def print_labelled(sketch: LabelledProofSketch) -> str:
@@ -630,10 +634,9 @@ def print_labelled(sketch: LabelledProofSketch) -> str:
 
     lines = [f"labelled-sketch {sketch.mode}"]
 
-    def walk(step: LabelledStep, depth: int) -> None:
+    def enter(step: LabelledStep, depth: int):
         lines.append("  " * (depth + 1) + fmt(step.sequent) + f"  [{step.rule}]")
-        for p in step.premises:
-            walk(p, depth + 1)
+        return [(p, depth + 1) for p in step.premises], None
 
-    walk(sketch.root, 0)
+    K._walk(sketch.root, enter, lambda *_: None, 0)
     return "\n".join(lines) + "\n"

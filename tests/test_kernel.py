@@ -7,6 +7,8 @@ import pytest
 
 import proofgen
 from posnd import kernel as K
+from posnd import normalizer as N
+from posnd import translate as T
 from posnd._sexpr import ParseError, parse_one
 from posnd.syntax import (
     Atom,
@@ -35,6 +37,27 @@ def detour_chain(depth):
         lab = f"v{i}"
         d = K.imp_e(K.imp_i(frozenset({lab}), K.hyp(lab, P, ())), d)
     return d
+
+
+def box_chain(depth):
+    """``depth`` nested ``box-i``/``box-e`` pairs over an open leaf ``u``."""
+    d = K.hyp("u", Box(P), ())
+    for _ in range(depth):
+        d = K.box_i("x", frozenset(), K.box_e(d, ("x",)))
+    return d
+
+
+def or_chain(depth):
+    """``depth`` case splits on ``u: p or p``, each in the second case of the
+    next (every split rebinds ``a`` and ``b``), under an ``imp-i`` binding
+    ``u``."""
+    d = K.hyp("b", P, ())
+    for _ in range(depth):
+        d = K.or_e(
+            K.hyp("u", Or(P, P), ()), frozenset({"a"}), K.hyp("a", P, ()),
+            frozenset({"b"}), d,
+        )
+    return K.imp_i(frozenset({"u"}), d)
 
 
 def test_rule_sets():
@@ -281,8 +304,6 @@ def test_check_never_raises_on_garbage():
 
 
 def test_check_deep_chain_without_recursion_error():
-    # check walks the tree on an explicit stack; the normalizer still
-    # recurses, so this chain is built with the constructors.
     depth = 5000
     assert depth > sys.getrecursionlimit()
     d = K.hyp("u", P, ())
@@ -402,17 +423,13 @@ def test_freshen_preserves_report_on_random_trees():
 
 
 def test_position_transforms_take_any_depth():
-    # freshen, map_positions and check_position_condition walk on explicit
-    # stacks.  Trees are compared by their conclusions: dataclass equality
-    # on a derivation recurses once per level.
     assert sys.getrecursionlimit() < 2000
-    boxes = K.hyp("u", Box(P), ())
-    for _ in range(2000):
-        boxes = K.box_i("x", frozenset(), K.box_e(boxes, ("x",)))
+    boxes = box_chain(2000)
     for d in (detour_chain(5000), boxes):
         assert K.freshen(d).conclusion == d.conclusion
         shifted = K.map_positions(d, lambda p: ("y",) + p)
         assert shifted.conclusion == PFormula(d.conclusion.formula, ("y",))
+        assert K.map_positions(shifted, lambda p: p[1:]) == d
         renamed = K.map_positions(d, lambda p: prefix_replace(p, ("x",), ("z",)))
         assert renamed.conclusion == d.conclusion
     assert K.check_position_condition(boxes) != ()
@@ -424,6 +441,42 @@ def test_position_transforms_take_any_depth():
     assert [n.token for n in f if n.rule == "box-i"] == [
         f"_{i}" for i in range(1999, -1, -1)
     ]
+
+
+def test_walks_take_any_depth():
+    assert sys.getrecursionlimit() < 2000
+    s4i = K.System("s4", "intuitionistic")
+    for make in (
+        lambda: detour_chain(5000), lambda: box_chain(2000), lambda: or_chain(2000)
+    ):
+        d, twin = make(), make()
+        assert d == twin and hash(d) == hash(twin)
+        assert d != K.map_positions(d, lambda p: ("y",) + p)
+        body = d.premises[0] if d.rule == "imp-i" else d
+        u = [n.content for n in body if n.rule == "hyp" and n.label == "u"]
+        assert K.bound_leaf_contents(body, frozenset({"u"}), "p") == u
+        w = K.plug(body, frozenset({"u"}), K.hyp("w", u[0].formula, ()))
+        assert K.plug(w, frozenset({"w"}), K.hyp("u", u[0].formula, ())) == body
+        r = K.relabel_binders(d, frozenset())
+        binders = [lab for n in r for _i, labels, _k in K._scopes(n) for lab in labels]
+        assert len(set(binders)) == len(binders)
+        assert K.check(r, S4).open_assumptions == K.check(d, S4).open_assumptions
+        lifted = K.map_positions(K.freshen(d), lambda p: ("y",) + p)
+        assert K.substitute(d, (), ("y",), S4) == lifted
+        c = T.classical_to_intuitionistic(d, S4).conclusion
+        assert c == PFormula(T.g_translate(d.conclusion.formula), ())
+    ors = or_chain(2000)
+    assert K.bound_leaf_contents(ors.premises[0], frozenset({"b"}), "p") == []
+    assert N.normalize(ors, s4i) == (ors, [(0, 0)])
+    assert N.reduce_once(ors, s4i) is None
+    assert K.parse_proof(K.print_proof(ors, S4)) == (ors, S4)
+    (spine,) = N.all_spines(box_chain(2000))
+    assert len(spine) == 4001 and spine[0] == (0,) * 4000 and spine[-1] == ()
+    for d in (ors, box_chain(2000)):
+        text = T.print_labelled(T.derivation_to_labelled(d, S4))
+        lines = text.splitlines()
+        assert lines[0] == "labelled-sketch total"
+        assert len(lines) >= 1 + sum(1 for _ in d)
 
 
 def test_freshen_keeps_builtin_conclusion():
@@ -625,6 +678,19 @@ def test_proof_print_sanitizes_reserved_tokens():
     assert d2.conclusion == d.conclusion
 
 
+def test_proof_print_renames_a_reserved_witness_no_assumption_uses():
+    # the freshened witness token occurs in no position
+    d = K.dia_e(
+        K.hyp("u", Dia(P), ()), "x", frozenset({"w"}), frozenset(), K.hyp("v", Q, ())
+    )
+    f = K.freshen(d)
+    assert f.token == "_0"
+    text = K.print_proof(f, S4)
+    assert "(hyp u (dia p) ()) z1 (w) ()" in text
+    d2, _system = K.parse_proof(text)
+    assert d2.token == "z1" and K.check(d2, S4).ok
+
+
 def test_proof_parse_error_reports_location():
     with pytest.raises(ParseError) as exc:
         K.parse_proof("(proof :system s4 :flavor classical\n  (hyp u (and p) ())")
@@ -720,15 +786,11 @@ def test_print_proof_breaks_lines_only_before_premises():
 
 
 def test_deep_proofs_round_trip_through_files():
-    # Trees are compared by their text: dataclass equality on a derivation
-    # recurses once per level.
-    boxes = K.hyp("u", Box(P), ())
-    for _ in range(2000):
-        boxes = K.box_i("x", frozenset(), K.box_e(boxes, ("x",)))
-    for d in (detour_chain(5000), boxes):
+    for d in (detour_chain(5000), box_chain(2000)):
         text = K.print_proof(d, S4)
         d2, system = K.parse_proof(text)
         assert system == S4
+        assert d2 == d
         assert K.check(d2, system).ok
         assert K.print_proof(d2, system) == text
 
