@@ -1,30 +1,25 @@
 """Finite tree models and bounded consequence probes.
 
-Worlds form a finite tree of natural-number sequences ordered by the
-one-step child relation; each logic reads its accessibility off that
-order (children, reflexive closure, transitive closure, or both).  The
-serial logics ``d``/``d4`` demand leafless structures, realized finitely
-by *serial completion*: every leaf conceptually grows an infinite chain
-of single successors whose valuation stays constant, so truth along the
-chain is uniform and computable by structural recursion
-(:func:`chain_truth`).
-
-Decorated formulas are judged through an evaluation sending positions to
-worlds, total for ``d``/``t``/``d4``/``s4`` and possibly partial for
-``k``/``k4``.  Bounded, deterministic enumerators over models and
-evaluations feed a refutation-sound consequence probe: a ``False``
-answer comes with a concrete countermodel, a ``True`` answer only says
-no refutation exists within the bounds.
+Worlds form a finite tree of natural-number sequences; each logic reads its
+accessibility off the child order (children, reflexive closure, transitive
+closure, or both).  The serial logics ``d``/``d4`` complete every leaf by an
+infinite chain of single successors with the leaf's valuation, along which
+truth is uniform (:func:`chain_truth`).  An evaluation sends positions to
+worlds, totally for ``d``/``t``/``d4``/``s4``, possibly partially for
+``k``/``k4``.  The enumerators list models and evaluations in a fixed order.
+The probe engine, :func:`find_countermodel`, finds the first refutation in
+that order one tree shape at a time: it enumerates evaluations once per
+shape and computes truth as bitsets over blocks of valuations.  A refuted
+probe comes with that countermodel; an unrefuted one only says that no
+refutation exists within the bounds.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ._sexpr import ParseError, parse_all
 from .kernel import LOGICS, PARTIAL_LOGICS, Derivation, System, check
@@ -212,20 +207,17 @@ def _check_logic(logic: str) -> None:
         raise ValueError(f"unknown logic {logic!r}; expected one of {LOGICS}")
 
 
+def _depth_order(n: Node) -> tuple[int, Node]:
+    return (len(n), n)
+
+
 @functools.lru_cache(maxsize=256)
-def _shape(nodes: frozenset[Node]) -> tuple[tuple[Node, ...], frozenset[Node]]:
-    """A node set in (depth, node) order, and its leaves.
-
-    Cached per node set, as is ``_step_table``: the enumerators build one
-    model per valuation over the same few shapes.
-    """
-    ordered = tuple(sorted(nodes, key=lambda n: (len(n), n)))
+def _shape(nodes: frozenset[Node]) -> tuple[tuple[Node, ...], tuple[Node, ...]]:
+    """A node set in (depth, node) order, and its leaves in that order;
+    cached, as is ``_step_table``, for ``holds`` and the enumerators."""
+    ordered = tuple(sorted(nodes, key=_depth_order))
     parents = {n[:-1] for n in nodes if n}
-    return ordered, frozenset(n for n in nodes if n not in parents)
-
-
-def _sorted_nodes(m: TreeModel) -> tuple[Node, ...]:
-    return _shape(m.nodes)[0]
+    return ordered, tuple(n for n in ordered if n not in parents)
 
 
 def _tail_leaf(m: TreeModel, world: Node) -> Node | None:
@@ -246,39 +238,27 @@ def _in_structure(m: TreeModel, world: Node) -> bool:
     return m.serial_completion and _tail_leaf(m, world) is not None
 
 
+def _step_targets(
+    tree: tuple[Node, ...], chains: tuple[Node, ...], kind: str, world: Node
+) -> tuple[Node, ...]:
+    """Worlds one ``kind``-step from ``world``, completion chains included.
+
+    ``tree`` is in (depth, node) order; ``chains`` holds the first world of
+    each completion chain, in leaf order.  A chain's theory is uniform, so
+    that world stands in for all the chain worlds a step could reach.
+    """
+    ahead = tree + chains if world in tree else (world, world + (0,))
+    return tuple(t for t in ahead if step_holds(kind, world, t))
+
+
 @functools.lru_cache(maxsize=256)
 def _step_table(
     nodes: frozenset[Node], serial: bool, kind: str
 ) -> dict[Node, tuple[Node, ...]]:
     """``_step_targets`` of every in-tree world of one structure."""
     ordered, leaves = _shape(nodes)
-    leaves_in_order = [n for n in ordered if n in leaves]
-    table = {}
-    for world in ordered:
-        targets = [t for t in ordered if step_holds(kind, world, t)]
-        if serial:
-            for leaf in leaves_in_order:
-                if kind in ("succ", "succ-refl"):
-                    if world == leaf:
-                        targets.append(leaf + (0,))
-                elif leaf[: len(world)] == world:
-                    targets.append(leaf + (0,))
-        table[world] = tuple(targets)
-    return table
-
-
-def _step_targets(m: TreeModel, kind: str, world: Node) -> Sequence[Node]:
-    """Worlds one ``kind``-step from ``world``, completion chains included.
-
-    A completion chain has a uniform theory, so a single representative
-    (the next chain world) stands in for the infinitely many chain
-    targets a transitive step could reach.
-    """
-    if world not in m.nodes:
-        targets = [world] if kind in ("succ-refl", "refl-trans") else []
-        targets.append(world + (0,))
-        return targets
-    return _step_table(m.nodes, m.serial_completion, kind)[world]
+    chains = tuple(leaf + (0,) for leaf in leaves if serial)
+    return {w: _step_targets(ordered, chains, kind, w) for w in ordered}
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +478,31 @@ def _shape_sets(max_depth: int, max_branching: int) -> list[frozenset[Node]]:
     return shapes
 
 
-def _canonical_shapes(b: Bounds) -> list[list[Node]]:
-    """Shapes as sorted node lists, in a deterministic global order."""
-    shapes = [
-        sorted(shape, key=lambda n: (len(n), n))
-        for shape in _shape_sets(b.max_depth, b.max_branching)
-    ]
-    shapes.sort(key=lambda ns: (len(ns), ns))
-    return shapes
+@functools.lru_cache(maxsize=8)
+def _canonical_shapes(max_depth: int, max_branching: int) -> tuple:
+    """Every shape within the bounds, ordered by size then node list, as its
+    worlds in (depth, node) order and the child indices of each world.
+
+    The probe engine keeps this, and only this, across calls; every logic
+    shares it.
+    """
+    shapes = []
+    for ns in sorted(
+        (sorted(s, key=_depth_order) for s in _shape_sets(max_depth, max_branching)),
+        key=lambda ns: (len(ns), ns),
+    ):
+        kids = [tuple(j for j, c in enumerate(ns) if c and c[:-1] == w) for w in ns]
+        shapes.append((tuple(ns), tuple(kids)))
+    return tuple(shapes)
+
+
+def _valuation(nodes: Sequence[Node], names: Sequence[str], mask: int) -> dict:
+    """Bit ``k * len(names) + i`` of ``mask`` puts ``names[i]`` at ``nodes[k]``."""
+    width = len(names)
+    return {
+        w: frozenset(a for i, a in enumerate(names) if mask >> (k * width + i) & 1)
+        for k, w in enumerate(nodes)
+    }
 
 
 def enumerate_models(b: Bounds, logic: str) -> Iterator[TreeModel]:
@@ -518,19 +515,9 @@ def enumerate_models(b: Bounds, logic: str) -> Iterator[TreeModel]:
     _check_logic(logic)
     names = atom_names(b.num_atoms)
     serial = logic in SERIAL_LOGICS
-    for nodes in _canonical_shapes(b):
-        width = len(nodes) * len(names)
-        for mask in range(1 << width):
-            valuation = {}
-            for k, world in enumerate(nodes):
-                present = frozenset(
-                    name
-                    for i, name in enumerate(names)
-                    if mask >> (k * len(names) + i) & 1
-                )
-                if present:
-                    valuation[world] = present
-            yield TreeModel(frozenset(nodes), valuation, serial)
+    for nodes, _ in _canonical_shapes(b.max_depth, b.max_branching):
+        for mask in range(1 << (len(nodes) * len(names))):
+            yield TreeModel(frozenset(nodes), _valuation(nodes, names, mask), serial)
 
 
 def _prefix_closed_subsets(
@@ -544,6 +531,20 @@ def _prefix_closed_subsets(
                 yield list(combo)
 
 
+def _assignments(domain: list[Position], targets: Callable) -> list[dict]:
+    """Maps of ``domain`` sending the root position to the root world and
+    each other position to a ``targets`` step from its parent's world, in
+    lexicographic order of the choices."""
+    maps: list[dict[Position, Node]] = [{}]
+    for pos in domain:
+        maps = [
+            {**acc, pos: world}
+            for acc in maps
+            for world in (targets(acc[pos[:-1]]) if pos else [()])
+        ]
+    return maps
+
+
 def enumerate_evaluations(
     m: TreeModel, positions: Iterable[Position], logic: str
 ) -> Iterator[Evaluation]:
@@ -555,38 +556,22 @@ def enumerate_evaluations(
     position.  Order is deterministic.
     """
     _check_logic(logic)
-    wanted = sorted({tuple(p) for p in positions}, key=lambda p: (len(p), p))
+    wanted = sorted({tuple(p) for p in positions}, key=_depth_order)
+    closed = set(wanted)
     for p in wanted:
-        if p and p[:-1] not in set(wanted):
+        if p and p[:-1] not in closed:
             raise ValueError(f"positions are not prefix-closed at {p!r}")
-    kind = _STEP_KIND[logic]
-    partial = logic in PARTIAL_LOGICS
+    kind, partial = _STEP_KIND[logic], logic in PARTIAL_LOGICS
+    table = _step_table(m.nodes, m.serial_completion, kind)
 
-    def assignments(domain: list[Position]) -> Iterator[dict[Position, Node]]:
-        def extend(i: int, acc: dict[Position, Node]) -> Iterator[dict]:
-            if i == len(domain):
-                yield dict(acc)
-                return
-            pos = domain[i]
-            if not pos:
-                acc[pos] = ()
-                yield from extend(i + 1, acc)
-                del acc[pos]
-                return
-            for world in _step_targets(m, kind, acc[pos[:-1]]):
-                acc[pos] = world
-                yield from extend(i + 1, acc)
-                del acc[pos]
+    def targets(world: Node) -> tuple[Node, ...]:
+        if world in table:
+            return table[world]
+        return _step_targets((), (), kind, world)  # a completion-chain world
 
-        yield from extend(0, {})
-
-    if partial:
-        for domain in _prefix_closed_subsets(wanted):
-            for entries in assignments(domain):
-                yield Evaluation(entries, partial_allowed=True)
-    else:
-        for entries in assignments(wanted):
-            yield Evaluation(entries, partial_allowed=False)
+    for domain in _prefix_closed_subsets(wanted) if partial else [wanted]:
+        for entries in _assignments(domain, targets):
+            yield Evaluation(entries, partial_allowed=partial)
 
 
 # ---------------------------------------------------------------------------
@@ -594,139 +579,150 @@ def enumerate_evaluations(
 # ---------------------------------------------------------------------------
 
 
-def _mentioned_positions(
-    gamma: Sequence[PFormula | EFormula], target: PFormula
-) -> frozenset[Position]:
-    return init_set(
-        [c.position for c in gamma] + [target.position]
-    )
+#: The probe engine sweeps ``2 ** _CHUNK_BITS`` valuations at a time, so a
+#: truth bitset never grows past that many bits.
+_CHUNK_BITS = 16
+
+
+def _subformulas(roots: Iterable[Formula]) -> list[Formula]:
+    """The subformula objects of ``roots``, each once and after its parts;
+    on an explicit stack and by identity, so any depth will do."""
+    order, seen, stack = [], set(), [(f, False) for f in roots]
+    while stack:
+        g, ready = stack.pop()
+        if ready:
+            order.append(g)
+        elif id(g) not in seen:
+            seen.add(id(g))
+            stack.append((g, True))
+            if isinstance(g, (And, Or, Imp)):
+                stack += ((g.left, False), (g.right, False))
+            elif isinstance(g, (Box, Dia)):
+                stack.append((g.body, False))
+            elif not isinstance(g, (Atom, Bottom)):
+                raise TypeError(f"not a formula: {g!r}")
+    return order
+
+
+def _truths(
+    order: list[Formula], atoms: dict[str, list[int]], full: int, kids: list, kind: str
+) -> dict[int, list[int]]:
+    """Truth of each formula of ``order`` (keyed by identity) at each slot,
+    as bitsets over a block of valuations (``full``: all true).
+
+    Slot ``k < len(kids)`` is a tree world with children ``kids[k]``; a
+    later slot is a completion chain, the child of its leaf, where box and
+    diamond reduce to the body.  A box takes the body at each child and,
+    if reflexive, at the world; if transitive, also the box at each child.
+    """
+    reflexive = kind in ("succ-refl", "refl-trans")
+    transitive = kind in ("trans", "refl-trans")
+    zero = [0] * len(next(iter(atoms.values())))
+    val: dict[int, list[int]] = {}
+    for g in order:
+        t = type(g)
+        if t is Atom or t is Bottom:
+            v = atoms.get(g.name, zero) if t is Atom else zero
+        elif t is Box or t is Dia:
+            body = val[id(g.body)]
+            if t is Dia:
+                body = [full ^ x for x in body]
+            v = body[:]
+            for k in range(len(kids) - 1, -1, -1):
+                x = body[k] if reflexive else full
+                for c in kids[k]:
+                    x &= body[c] & v[c] if transitive else body[c]
+                v[k] = x
+            if t is Dia:
+                v = [full ^ x for x in v]
+        else:
+            pairs = zip(val[id(g.left)], val[id(g.right)])
+            if t is And:
+                v = [x & y for x, y in pairs]
+            elif t is Or:
+                v = [x | y for x, y in pairs]
+            else:
+                v = [full ^ x | y for x, y in pairs]
+        val[id(g)] = v
+    return val
 
 
 def find_countermodel(
-    gamma: Sequence[PFormula | EFormula],
-    target: PFormula,
-    logic: str,
-    b: Bounds,
+    gamma: Sequence[PFormula | EFormula], target: PFormula, logic: str, b: Bounds
 ) -> tuple[TreeModel, Evaluation] | None:
     """The first bounded structure satisfying ``gamma`` but not ``target``.
 
     Assumptions are judged on the assumption side and the target on the
-    conclusion side (these differ only for the partial logics).  Returns
-    ``None`` when no refutation exists within the bounds.
-    """
-    _check_logic(logic)
-    positions = sorted(_mentioned_positions(gamma, target))
-    partial = logic in PARTIAL_LOGICS
-    for m in enumerate_models(b, logic):
-        for rho in enumerate_evaluations(m, positions, logic):
-            if partial:
-                left = all(sat_left(m, logic, rho, c) for c in gamma)
-                refuted = left and not sat_right(m, logic, rho, target)
-            else:
-                left = all(sat(m, logic, rho, c) for c in gamma)
-                refuted = left and not sat(m, logic, rho, target)
-            if refuted:
-                return m, rho
-    return None
-
-
-def _probe_closed_root(f: Formula, logic: str, b: Bounds) -> bool:
-    """Vectorized probe for a closed judgment at the root position.
-
-    With no assumptions and the root as the only mentioned position,
-    only the root-anchored evaluation can refute, so the probe reduces
-    to truth of ``f`` at every enumerated model's root.  Valuations are
-    swept as bitmask axes of boolean arrays, one batch per shape.
-    """
-    names = atom_names(b.num_atoms)
-    name_index = {name: i for i, name in enumerate(names)}
-    serial = logic in SERIAL_LOGICS
-    kind = _STEP_KIND[logic]
-    for nodes in _canonical_shapes(b):
-        width = len(nodes) * len(names)
-        masks = np.arange(1 << width, dtype=np.int64)
-        bare = TreeModel(frozenset(nodes), {}, serial)
-        index = {world: k for k, world in enumerate(nodes)}
-        leaf_of = {}
-
-        def locate(world: Node) -> tuple[str, int]:
-            if world in index:
-                return ("tree", index[world])
-            leaf = _tail_leaf(bare, world)
-            return ("chain", index[leaf])
-
-        targets = {
-            k: [locate(t) for t in _step_targets(bare, kind, world)]
-            for k, world in enumerate(nodes)
-        }
-        memo: dict[tuple[Formula, tuple[str, int]], np.ndarray] = {}
-
-        def truth(g: Formula, at: tuple[str, int]) -> np.ndarray:
-            key = (g, at)
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-            realm, k = at
-            if isinstance(g, Atom):
-                i = name_index.get(g.name)
-                if i is None:
-                    out = np.zeros(masks.shape, dtype=bool)
-                else:
-                    out = (masks >> (k * len(names) + i) & 1).astype(bool)
-            elif isinstance(g, Bottom):
-                out = np.zeros(masks.shape, dtype=bool)
-            elif isinstance(g, And):
-                out = truth(g.left, at) & truth(g.right, at)
-            elif isinstance(g, Or):
-                out = truth(g.left, at) | truth(g.right, at)
-            elif isinstance(g, Imp):
-                out = ~truth(g.left, at) | truth(g.right, at)
-            elif isinstance(g, (Box, Dia)):
-                if realm == "chain":
-                    out = truth(g.body, at)
-                elif isinstance(g, Box):
-                    out = np.ones(masks.shape, dtype=bool)
-                    for t in targets[k]:
-                        out &= truth(g.body, t)
-                else:
-                    out = np.zeros(masks.shape, dtype=bool)
-                    for t in targets[k]:
-                        out |= truth(g.body, t)
-            else:
-                raise TypeError(f"not a formula: {g!r}")
-            memo[key] = out
-            return out
-
-        if not truth(f, ("tree", 0)).all():
-            return False
-    return True
-
-
-#: Largest (worlds x atoms) bitmask width the vectorized sweep will take on.
-_FAST_WIDTH_LIMIT = 18
-
-
-def consequence_probe(
-    gamma: Sequence[PFormula | EFormula],
-    target: PFormula,
-    logic: str,
-    b: Bounds,
-) -> bool:
-    """Bounded semantic consequence check; refutation-sound only.
-
-    ``False`` means a structure within the bounds satisfies every
-    assumption yet refutes the target; ``True`` means none does.  The
-    common closed-at-root case runs on a vectorized sweep (while the
-    valuation bitmask stays small enough), the general case on the
-    plain enumerators.
+    conclusion side (these differ only for the partial logics).  The answer
+    is the first refuting pair in :func:`enumerate_models` and
+    :func:`enumerate_evaluations` order, ``None`` if there is none.  Only
+    evaluations defining every mentioned position can refute; they depend
+    only on the shape and come in the same order in every logic, so they
+    are enumerated once per shape.  Truth is computed for a block of
+    valuations at once, bit ``j`` of an ``int`` standing for the ``j``-th.
     """
     _check_logic(logic)
     if not isinstance(target, PFormula):
         raise TypeError("the target of a consequence probe is a decorated formula")
-    if not gamma and target.position == ():
-        widest = len(_canonical_shapes(b)[-1]) * b.num_atoms
-        if widest <= _FAST_WIDTH_LIMIT:
-            return _probe_closed_root(target.formula, logic, b)
+    partial, serial = logic in PARTIAL_LOGICS, logic in SERIAL_LOGICS
+    facts = [c for c in gamma if isinstance(c, PFormula)]
+    if not partial and len(facts) < len(gamma):
+        raise TypeError("existence assumptions belong to the partial reading")
+    wanted = sorted(init_set([c.position for c in gamma] + [target.position]),
+                    key=_depth_order)
+    order = _subformulas([c.formula for c in facts] + [target.formula])
+    names, kind = atom_names(b.num_atoms), _STEP_KIND[logic]
+    pattern: list[int] = []  # bit j of pattern[i] is bit i of j
+    for nodes, kids in _canonical_shapes(b.max_depth, b.max_branching):
+        n = len(nodes)
+        leaves = [k for k in range(n) if serial and not kids[k]]
+        chains = tuple(nodes[k] + (0,) for k in leaves)
+        slot = {w: k for k, w in enumerate(nodes + chains)}
+        kids = [ks or (n + leaves.index(k),) if serial else ks
+                for k, ks in enumerate(kids)]
+
+        def slot_of(world: Node) -> int:
+            while world not in slot:  # further along a completion chain
+                world = world[:-1]
+            return slot[world]
+
+        runs = [
+            (entries, [(id(c.formula), slot_of(entries[c.position])) for c in facts],
+             slot_of(entries[target.position]))
+            for entries in _assignments(
+                wanted, lambda w: _step_targets(nodes, chains, kind, w))
+        ]
+        width = n * len(names)
+        bits = min(width, _CHUNK_BITS)
+        while len(pattern) < bits:  # shapes come smallest first
+            half = 1 << len(pattern)
+            pattern = [p | p << half for p in pattern] + [((1 << half) - 1) << half]
+        full = (1 << (1 << bits)) - 1
+        for lo in range(0, 1 << width, 1 << bits):
+            bit = pattern + [full * (lo >> i & 1) for i in range(bits, width)]
+            atoms = {name: [bit[k * len(names) + i] for k in [*range(n), *leaves]]
+                     for i, name in enumerate(names)}
+            val = _truths(order, atoms, full, kids, kind)
+            best = None
+            for entries, facts_at, target_at in runs:
+                refuting = full ^ val[id(target.formula)][target_at]
+                for f, s in facts_at:
+                    refuting &= val[f][s]
+                low = (refuting & -refuting).bit_length() - 1
+                if refuting and (best is None or low < best[0]):
+                    best = (low, entries)
+            if best is not None:
+                valuation = _valuation(nodes, names, lo + best[0])
+                return (TreeModel(frozenset(nodes), valuation, serial),
+                        Evaluation(best[1], partial_allowed=partial))
+    return None
+
+
+def consequence_probe(
+    gamma: Sequence[PFormula | EFormula], target: PFormula, logic: str, b: Bounds
+) -> bool:
+    """Bounded semantic consequence check; refutation-sound only: ``False``
+    if and only if :func:`find_countermodel` finds a refutation."""
     return find_countermodel(gamma, target, logic, b) is None
 
 
@@ -818,7 +814,7 @@ def print_model(m: TreeModel, logic: str) -> str:
     """Render a model in the file format, byte-deterministically."""
     _check_logic(logic)
     lines = [f"(model :logic {logic}"]
-    for world in _sorted_nodes(m):
+    for world in _shape(m.nodes)[0]:
         spot = "(" + " ".join(str(i) for i in world) + ")"
         atoms = " ".join(sorted(m.atoms_at(world)))
         lines.append(f"  (node {spot} :atoms ({atoms}))")

@@ -1,0 +1,587 @@
+"""The probe engine against reference copies of its first version.
+
+The reference ``find_countermodel`` builds one model per valuation and
+enumerates every evaluation of it; the reference ``_probe_closed_root``
+sweeps the valuations of each shape as NumPy boolean arrays, for closed
+probes at the root.  Both are copied verbatim below, with the model
+enumerator, the evaluation enumerator and the truth functions they call.
+The engine must give the same verdict and the same first
+``(TreeModel, Evaluation)`` on every probe here, whatever the size of its
+valuation blocks.
+"""
+
+from __future__ import annotations
+
+import functools
+import random
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+
+import pytest
+
+from posnd import semantics as S
+from posnd.kernel import PARTIAL_LOGICS
+from posnd.semantics import (
+    _STEP_KIND,
+    SERIAL_LOGICS,
+    Bounds,
+    Evaluation,
+    Node,
+    TreeModel,
+    UndefinedPosition,
+    _check_logic,
+    _prefix_closed_subsets,
+    _shape_sets,
+    atom_names,
+    chain_truth,
+)
+from posnd.syntax import (
+    And,
+    Atom,
+    Bottom,
+    Box,
+    Dia,
+    EFormula,
+    Formula,
+    Imp,
+    Or,
+    PFormula,
+    Position,
+    init_set,
+    neg,
+    step_holds,
+)
+
+try:
+    import numpy as np
+except ImportError:  # only the closed-root reference needs it
+    np = None
+
+LOGICS = ("k", "d", "t", "k4", "d4", "s4")
+P, Q = Atom("p"), Atom("q")
+
+
+# --- reference: the first version, verbatim ---------------------------------
+
+
+@functools.lru_cache(maxsize=256)
+def _shape(nodes: frozenset[Node]) -> tuple[tuple[Node, ...], frozenset[Node]]:
+    """A node set in (depth, node) order, and its leaves.
+
+    Cached per node set, as is ``_step_table``: the enumerators build one
+    model per valuation over the same few shapes.
+    """
+    ordered = tuple(sorted(nodes, key=lambda n: (len(n), n)))
+    parents = {n[:-1] for n in nodes if n}
+    return ordered, frozenset(n for n in nodes if n not in parents)
+
+
+def _tail_leaf(m: TreeModel, world: Node) -> Node | None:
+    """The leaf whose completion chain contains ``world`` (None if no such)."""
+    if world in m.nodes:
+        return None
+    probe = world
+    while probe not in m.nodes:
+        if not probe or probe[-1] != 0:
+            return None
+        probe = probe[:-1]
+    return probe if probe in _shape(m.nodes)[1] else None
+
+
+@functools.lru_cache(maxsize=256)
+def _step_table(
+    nodes: frozenset[Node], serial: bool, kind: str
+) -> dict[Node, tuple[Node, ...]]:
+    """``_step_targets`` of every in-tree world of one structure."""
+    ordered, leaves = _shape(nodes)
+    leaves_in_order = [n for n in ordered if n in leaves]
+    table = {}
+    for world in ordered:
+        targets = [t for t in ordered if step_holds(kind, world, t)]
+        if serial:
+            for leaf in leaves_in_order:
+                if kind in ("succ", "succ-refl"):
+                    if world == leaf:
+                        targets.append(leaf + (0,))
+                elif leaf[: len(world)] == world:
+                    targets.append(leaf + (0,))
+        table[world] = tuple(targets)
+    return table
+
+
+def _step_targets(m: TreeModel, kind: str, world: Node) -> Sequence[Node]:
+    """Worlds one ``kind``-step from ``world``, completion chains included.
+
+    A completion chain has a uniform theory, so a single representative
+    (the next chain world) stands in for the infinitely many chain
+    targets a transitive step could reach.
+    """
+    if world not in m.nodes:
+        targets = [world] if kind in ("succ-refl", "refl-trans") else []
+        targets.append(world + (0,))
+        return targets
+    return _step_table(m.nodes, m.serial_completion, kind)[world]
+
+
+def holds(m: TreeModel, logic: str, world: Node, f: Formula) -> bool:
+    """Kripke truth of ``f`` at ``world`` in ``m`` under ``logic``."""
+    _check_logic(logic)
+    world = tuple(world)
+    if world not in m.nodes:
+        leaf = _tail_leaf(m, world)
+        if leaf is None or not m.serial_completion:
+            raise ValueError(f"world {world!r} is not in the structure")
+        return chain_truth(m.atoms_at(leaf), logic, f)
+    steps = _step_table(m.nodes, m.serial_completion, _STEP_KIND[logic])
+    return _holds(m, logic, steps, world, f)
+
+
+def _holds(
+    m: TreeModel,
+    logic: str,
+    steps: Mapping[Node, Sequence[Node]],
+    world: Node,
+    f: Formula,
+) -> bool:
+    """``holds`` once the logic is known valid and ``steps`` is the step
+    table of ``m``; ``world`` is in the structure."""
+    if world not in steps:
+        return chain_truth(m.atoms_at(_tail_leaf(m, world)), logic, f)
+    kind = type(f)
+    if kind is Atom:
+        return f.name in m.atoms_at(world)
+    if kind is Imp:
+        return (not _holds(m, logic, steps, world, f.left)) or _holds(
+            m, logic, steps, world, f.right
+        )
+    if kind is Box:
+        for t in steps[world]:
+            if not _holds(m, logic, steps, t, f.body):
+                return False
+        return True
+    if kind is Dia:
+        for t in steps[world]:
+            if _holds(m, logic, steps, t, f.body):
+                return True
+        return False
+    if kind is And:
+        return _holds(m, logic, steps, world, f.left) and _holds(
+            m, logic, steps, world, f.right
+        )
+    if kind is Or:
+        return _holds(m, logic, steps, world, f.left) or _holds(
+            m, logic, steps, world, f.right
+        )
+    if kind is Bottom:
+        return False
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def sat(m: TreeModel, logic: str, rho: Evaluation, pf: PFormula) -> bool:
+    """Total satisfaction: truth of the formula at the position's world."""
+    if not isinstance(pf, PFormula):
+        raise TypeError(
+            "total satisfaction judges decorated formulas; existence "
+            "assumptions belong to the partial reading"
+        )
+    world = rho.world(pf.position)
+    if world is None:
+        raise UndefinedPosition(pf.position)
+    return holds(m, logic, world, pf.formula)
+
+
+def sat_left(
+    m: TreeModel, logic: str, rho: Evaluation, content: PFormula | EFormula
+) -> bool:
+    """Assumption-side satisfaction under a possibly partial evaluation.
+
+    A decorated formula needs its position defined *and* true; an
+    existence assumption needs exactly definedness.
+    """
+    if isinstance(content, EFormula):
+        return rho.defined(content.position)
+    world = rho.world(content.position)
+    return world is not None and holds(m, logic, world, content.formula)
+
+
+def sat_right(m: TreeModel, logic: str, rho: Evaluation, pf: PFormula) -> bool:
+    """Conclusion-side satisfaction: truth wherever the position is defined."""
+    world = rho.world(pf.position)
+    return world is None or holds(m, logic, world, pf.formula)
+
+
+def _canonical_shapes(b: Bounds) -> list[list[Node]]:
+    """Shapes as sorted node lists, in a deterministic global order."""
+    shapes = [
+        sorted(shape, key=lambda n: (len(n), n))
+        for shape in _shape_sets(b.max_depth, b.max_branching)
+    ]
+    shapes.sort(key=lambda ns: (len(ns), ns))
+    return shapes
+
+
+def enumerate_models(b: Bounds, logic: str) -> Iterator[TreeModel]:
+    """All models within the bounds, in a fixed deterministic order.
+
+    Shapes are ordered by size then node list; valuations sweep a
+    bitmask over (world, atom) pairs.  The serial logics get the
+    completion flag set on every model.
+    """
+    _check_logic(logic)
+    names = atom_names(b.num_atoms)
+    serial = logic in SERIAL_LOGICS
+    for nodes in _canonical_shapes(b):
+        width = len(nodes) * len(names)
+        for mask in range(1 << width):
+            valuation = {}
+            for k, world in enumerate(nodes):
+                present = frozenset(
+                    name
+                    for i, name in enumerate(names)
+                    if mask >> (k * len(names) + i) & 1
+                )
+                if present:
+                    valuation[world] = present
+            yield TreeModel(frozenset(nodes), valuation, serial)
+
+
+def enumerate_evaluations(
+    m: TreeModel, positions: Iterable[Position], logic: str
+) -> Iterator[Evaluation]:
+    """All evaluations of ``positions`` into ``m`` valid for ``logic``.
+
+    The root position is anchored at the root world.  For the partial
+    logics every prefix-closed subdomain is enumerated as well, the
+    empty evaluation included; the total logics must cover every
+    position.  Order is deterministic.
+    """
+    _check_logic(logic)
+    wanted = sorted({tuple(p) for p in positions}, key=lambda p: (len(p), p))
+    for p in wanted:
+        if p and p[:-1] not in set(wanted):
+            raise ValueError(f"positions are not prefix-closed at {p!r}")
+    kind = _STEP_KIND[logic]
+    partial = logic in PARTIAL_LOGICS
+
+    def assignments(domain: list[Position]) -> Iterator[dict[Position, Node]]:
+        def extend(i: int, acc: dict[Position, Node]) -> Iterator[dict]:
+            if i == len(domain):
+                yield dict(acc)
+                return
+            pos = domain[i]
+            if not pos:
+                acc[pos] = ()
+                yield from extend(i + 1, acc)
+                del acc[pos]
+                return
+            for world in _step_targets(m, kind, acc[pos[:-1]]):
+                acc[pos] = world
+                yield from extend(i + 1, acc)
+                del acc[pos]
+
+        yield from extend(0, {})
+
+    if partial:
+        for domain in _prefix_closed_subsets(wanted):
+            for entries in assignments(domain):
+                yield Evaluation(entries, partial_allowed=True)
+    else:
+        for entries in assignments(wanted):
+            yield Evaluation(entries, partial_allowed=False)
+
+
+# ---------------------------------------------------------------------------
+# Probes
+# ---------------------------------------------------------------------------
+
+
+def _mentioned_positions(
+    gamma: Sequence[PFormula | EFormula], target: PFormula
+) -> frozenset[Position]:
+    return init_set(
+        [c.position for c in gamma] + [target.position]
+    )
+
+
+def find_countermodel(
+    gamma: Sequence[PFormula | EFormula],
+    target: PFormula,
+    logic: str,
+    b: Bounds,
+) -> tuple[TreeModel, Evaluation] | None:
+    """The first bounded structure satisfying ``gamma`` but not ``target``.
+
+    Assumptions are judged on the assumption side and the target on the
+    conclusion side (these differ only for the partial logics).  Returns
+    ``None`` when no refutation exists within the bounds.
+    """
+    _check_logic(logic)
+    positions = sorted(_mentioned_positions(gamma, target))
+    partial = logic in PARTIAL_LOGICS
+    for m in enumerate_models(b, logic):
+        for rho in enumerate_evaluations(m, positions, logic):
+            if partial:
+                left = all(sat_left(m, logic, rho, c) for c in gamma)
+                refuted = left and not sat_right(m, logic, rho, target)
+            else:
+                left = all(sat(m, logic, rho, c) for c in gamma)
+                refuted = left and not sat(m, logic, rho, target)
+            if refuted:
+                return m, rho
+    return None
+
+
+def _probe_closed_root(f: Formula, logic: str, b: Bounds) -> bool:
+    """Vectorized probe for a closed judgment at the root position.
+
+    With no assumptions and the root as the only mentioned position,
+    only the root-anchored evaluation can refute, so the probe reduces
+    to truth of ``f`` at every enumerated model's root.  Valuations are
+    swept as bitmask axes of boolean arrays, one batch per shape.
+    """
+    names = atom_names(b.num_atoms)
+    name_index = {name: i for i, name in enumerate(names)}
+    serial = logic in SERIAL_LOGICS
+    kind = _STEP_KIND[logic]
+    for nodes in _canonical_shapes(b):
+        width = len(nodes) * len(names)
+        masks = np.arange(1 << width, dtype=np.int64)
+        bare = TreeModel(frozenset(nodes), {}, serial)
+        index = {world: k for k, world in enumerate(nodes)}
+        leaf_of = {}
+
+        def locate(world: Node) -> tuple[str, int]:
+            if world in index:
+                return ("tree", index[world])
+            leaf = _tail_leaf(bare, world)
+            return ("chain", index[leaf])
+
+        targets = {
+            k: [locate(t) for t in _step_targets(bare, kind, world)]
+            for k, world in enumerate(nodes)
+        }
+        memo: dict[tuple[Formula, tuple[str, int]], np.ndarray] = {}
+
+        def truth(g: Formula, at: tuple[str, int]) -> np.ndarray:
+            key = (g, at)
+            cached = memo.get(key)
+            if cached is not None:
+                return cached
+            realm, k = at
+            if isinstance(g, Atom):
+                i = name_index.get(g.name)
+                if i is None:
+                    out = np.zeros(masks.shape, dtype=bool)
+                else:
+                    out = (masks >> (k * len(names) + i) & 1).astype(bool)
+            elif isinstance(g, Bottom):
+                out = np.zeros(masks.shape, dtype=bool)
+            elif isinstance(g, And):
+                out = truth(g.left, at) & truth(g.right, at)
+            elif isinstance(g, Or):
+                out = truth(g.left, at) | truth(g.right, at)
+            elif isinstance(g, Imp):
+                out = ~truth(g.left, at) | truth(g.right, at)
+            elif isinstance(g, (Box, Dia)):
+                if realm == "chain":
+                    out = truth(g.body, at)
+                elif isinstance(g, Box):
+                    out = np.ones(masks.shape, dtype=bool)
+                    for t in targets[k]:
+                        out &= truth(g.body, t)
+                else:
+                    out = np.zeros(masks.shape, dtype=bool)
+                    for t in targets[k]:
+                        out |= truth(g.body, t)
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+            memo[key] = out
+            return out
+
+        if not truth(f, ("tree", 0)).all():
+            return False
+    return True
+
+
+#: Largest (worlds x atoms) bitmask width the vectorized sweep will take on.
+_FAST_WIDTH_LIMIT = 18
+
+
+def consequence_probe(
+    gamma: Sequence[PFormula | EFormula],
+    target: PFormula,
+    logic: str,
+    b: Bounds,
+) -> bool:
+    """Bounded semantic consequence check; refutation-sound only.
+
+    ``False`` means a structure within the bounds satisfies every
+    assumption yet refutes the target; ``True`` means none does.  The
+    common closed-at-root case runs on a vectorized sweep (while the
+    valuation bitmask stays small enough), the general case on the
+    plain enumerators.
+    """
+    _check_logic(logic)
+    if not isinstance(target, PFormula):
+        raise TypeError("the target of a consequence probe is a decorated formula")
+    if not gamma and target.position == ():
+        widest = len(_canonical_shapes(b)[-1]) * b.num_atoms
+        if widest <= _FAST_WIDTH_LIMIT:
+            return _probe_closed_root(target.formula, logic, b)
+    return find_countermodel(gamma, target, logic, b) is None
+
+
+
+# --- cases -------------------------------------------------------------------
+
+
+def random_formula(rng: random.Random, depth: int) -> Formula:
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([P, Q, Bottom()])
+    kind = rng.choice([And, Or, Imp, Box, Dia, Box, Dia])
+    if kind in (Box, Dia):
+        return kind(random_formula(rng, depth - 1))
+    return kind(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
+
+
+#: Bounds within depth 2, branching 2 and two atoms whose reference search
+#: stays cheap; (2, 2, 1) and (1, 1, 2) are the widest.
+CASE_BOUNDS = [(0, 1, 2), (1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 1)]
+POSITIONS = [(), ("x",), ("y",), ("x", "y")]
+
+
+def random_cases(count: int, seed: int) -> list:
+    """Seeded ``(gamma, target, logic, bounds)`` over all six logics: open
+    and closed, targets on and off the root, existence assumptions for the
+    partial logics, and positions two steps deep, which reach the serial
+    completion chains of ``d``/``d4``."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        logic = LOGICS[i % len(LOGICS)]
+        gamma = []
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            if logic in PARTIAL_LOGICS and rng.random() < 0.3:
+                gamma.append(EFormula(rng.choice(POSITIONS)))
+            else:
+                gamma.append(PFormula(random_formula(rng, 3), rng.choice(POSITIONS)))
+        target = PFormula(random_formula(rng, 3), rng.choice(POSITIONS))
+        cases.append((gamma, target, logic, Bounds(*rng.choice(CASE_BOUNDS))))
+    return cases
+
+
+CASES = random_cases(240, seed=20261018)
+
+#: The formulas of the closed-root test of the first version.
+CLOSED_FORMULAS = [
+    P,
+    Bottom(),
+    Imp(Box(P), P),
+    Imp(Box(P), Box(Box(P))),
+    Box(Imp(P, P)),
+    Dia(P),
+    Imp(Box(P), Dia(P)),
+    Imp(Dia(Dia(P)), Dia(P)),
+    Imp(P, Box(Dia(P))),
+    Or(Dia(P), neg(Dia(P))),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def reference_answer(index: int):
+    gamma, target, logic, b = CASES[index]
+    return find_countermodel(gamma, target, logic, b)
+
+
+def assert_same_answer(gamma, target, logic, b, want) -> None:
+    got = S.find_countermodel(gamma, target, logic, b)
+    assert got == want, (gamma, target, logic, b)
+    assert S.consequence_probe(gamma, target, logic, b) is (want is None)
+
+
+# --- tests -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("chunk_bits", [16, 3, 1])
+def test_engine_matches_the_reference_search(monkeypatch, chunk_bits):
+    monkeypatch.setattr(S, "_CHUNK_BITS", chunk_bits)
+    refuted = 0
+    for index, (gamma, target, logic, b) in enumerate(CASES):
+        want = reference_answer(index)
+        assert_same_answer(gamma, target, logic, b, want)
+        refuted += want is not None
+    assert 0 < refuted < len(CASES)
+
+
+def test_cases_cover_the_probe_kinds():
+    logics = {logic for *_, logic, _ in CASES}
+    assert logics == set(LOGICS)
+    assert any(isinstance(c, EFormula) for gamma, *_ in CASES for c in gamma)
+    assert any(t.position != () for _, t, *_ in CASES)
+    assert any(not gamma and t.position == () for gamma, t, *_ in CASES)
+    deep_serial = [
+        i for i, (_, t, logic, b) in enumerate(CASES)
+        if logic in SERIAL_LOGICS and reference_answer(i) is not None
+        and any(len(w) > b.max_depth for w in reference_answer(i)[1].entries.values())
+    ]
+    assert deep_serial, "no countermodel evaluates into a completion chain"
+
+
+def test_closed_formulas_agree_with_both_references():
+    """The closed-root sweep and the model-by-model search of the first
+    version agree with each other and with the engine."""
+    if np is None:
+        pytest.skip("the closed-root reference needs numpy")
+    b = Bounds(2, 2, 1)
+    for logic in LOGICS:
+        for f in CLOSED_FORMULAS:
+            fast = _probe_closed_root(f, logic, b)
+            want = find_countermodel([], PFormula(f, ()), logic, b)
+            slow = want is None
+            assert fast == slow, (logic, f)
+            assert_same_answer([], PFormula(f, ()), logic, b, want)
+
+
+def test_closed_probes_at_depth_three_match_the_sweep():
+    if np is None:
+        pytest.skip("the closed-root reference needs numpy")
+    b = Bounds(3, 2, 1)
+    formulas = [
+        Imp(Box(Imp(P, Q)), Imp(Box(P), Box(Q))),
+        Imp(Box(P), Box(Box(P))),
+        Imp(Dia(P), Box(Dia(P))),
+        Imp(Box(P), Dia(P)),
+        Imp(Box(P), P),
+    ]
+    for logic in LOGICS:
+        for f in formulas:
+            verdict = S.consequence_probe([], PFormula(f, ()), logic, b)
+            assert verdict == _probe_closed_root(f, logic, b), (logic, f)
+
+
+def test_first_countermodel_past_the_first_valuation_block(monkeypatch):
+    """With blocks of four valuations, the only refutations of the
+    two-world shape sit in its last block (p and q at the child)."""
+    monkeypatch.setattr(S, "_CHUNK_BITS", 2)
+    b = Bounds(1, 1, 2)
+    target = PFormula(neg(Dia(And(P, Q))), ())
+    want = find_countermodel([], target, "k", b)
+    model, rho = want
+    assert model.valuation == {(0,): frozenset({"p", "q"})}
+    assert_same_answer([], target, "k", b, want)
+    gamma = [PFormula(Box(P), ())]
+    assert_same_answer(gamma, target, "k4", b, find_countermodel(gamma, target, "k4", b))
+
+
+def test_public_enumerators_and_truth_match_the_reference():
+    positions = [(), ("x",), ("x", "y")]
+    formulas = [P, Box(P), Dia(P), Box(Dia(P)), Dia(Box(Imp(P, Box(P))))]
+    for logic in LOGICS:
+        models = list(enumerate_models(Bounds(2, 2, 1), logic))
+        assert list(S.enumerate_models(Bounds(2, 2, 1), logic)) == models
+        for m in models[::7]:
+            want = list(enumerate_evaluations(m, positions, logic))
+            assert list(S.enumerate_evaluations(m, positions, logic)) == want
+            worlds = {w for rho in want for w in rho.entries.values()}
+            for w in sorted(worlds):
+                for f in formulas:
+                    assert S.holds(m, logic, w, f) == holds(m, logic, w, f)

@@ -32,7 +32,7 @@ from posnd.semantics import (
     validate_evaluation,
     validate_model,
 )
-from posnd.semantics import _canonical_shapes, _probe_closed_root
+from posnd.semantics import _canonical_shapes
 from posnd.syntax import (
     And,
     Atom,
@@ -297,9 +297,9 @@ class TestEnumerateModels:
         assert sum(1 for _ in enumerate_models(Bounds(2, 2, 1), "k")) == 722
 
     def test_large_bounds_count_by_shape_sum(self):
-        shapes = _canonical_shapes(Bounds(3, 2, 1))
+        shapes = _canonical_shapes(3, 2)
         assert len(shapes) == 676
-        assert sum(2 ** len(s) for s in shapes) == 1045458
+        assert sum(2 ** len(nodes) for nodes, _ in shapes) == 1045458
 
     def test_models_are_distinct_and_valid(self):
         seen = set()
@@ -428,25 +428,22 @@ class TestProbes:
         with pytest.raises(ValueError):
             soundness_probe(d, System("k", "classical"), Bounds(1, 1, 1))
 
-    def test_fast_and_general_paths_agree(self):
-        formulas = [
-            P,
-            Bottom(),
-            Imp(Box(P), P),
-            Imp(Box(P), Box(Box(P))),
-            Box(Imp(P, P)),
-            Dia(P),
-            Imp(Box(P), Dia(P)),
-            Imp(Dia(Dia(P)), Dia(P)),
-            Imp(P, Box(Dia(P))),
-            Or(Dia(P), neg(Dia(P))),
-        ]
-        b = Bounds(2, 2, 1)
+    def test_deep_formulas_probe_in_every_logic(self):
+        deep = P
+        for _ in range(3000):
+            deep = Box(deep)
+        valid, refutable = PFormula(Imp(deep, deep), ()), PFormula(neg(deep), ())
+        b = Bounds(1, 1, 1)
         for logic in ALL_LOGICS:
-            for f in formulas:
-                fast = _probe_closed_root(f, logic, b)
-                slow = find_countermodel([], PFormula(f, ()), logic, b) is None
-                assert fast == slow, (logic, f)
+            assert consequence_probe([], valid, logic, b) is True
+            refuted = find_countermodel([], refutable, logic, b)
+            assert refuted is not None and refuted[0].nodes == {()}
+
+    def test_existence_assumptions_only_in_partial_logics(self):
+        gamma = [EFormula(("x",))]
+        for logic in ("d", "t", "d4", "s4"):
+            with pytest.raises(TypeError):
+                consequence_probe(gamma, PFormula(P, ()), logic, Bounds(1, 1, 1))
 
     def test_non_root_target_uses_the_general_path(self):
         target = PFormula(P, ("x",))
