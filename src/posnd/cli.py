@@ -13,7 +13,9 @@ Subcommands::
 ``-`` stands for standard input wherever a file is expected.  All output
 is byte-deterministic given identical inputs and flags.  Exit codes:
 0 success, 1 failed check / refuted probe / unsupported request,
-2 parse or usage error, 3 internal invariant breach.
+2 parse or usage error, 3 internal error (a broken invariant, or any other
+failure such as a too deeply nested input or exhausted memory).  Every
+error is reported in one line on standard error, never as a traceback.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from . import semantics as S
 from . import translate as T
 from ._sexpr import ParseError
 from .kernel import SubstitutionUnsound, System, UnsupportedPair
-from .normalizer import FlavorUnsupported, RankIncreased
+from .normalizer import FlavorUnsupported, NormalizerError
 from .syntax import PFormula
 
 EXIT_OK = 0
@@ -262,8 +264,12 @@ def main(argv=None) -> int:
     except (UnsupportedPair, FlavorUnsupported, N.NotNormal) as exc:
         _complain(str(exc))
         return EXIT_FAIL
-    except (RankIncreased, SubstitutionUnsound, AssertionError) as exc:
+    except (NormalizerError, SubstitutionUnsound, AssertionError) as exc:
         _complain(f"internal invariant breach: {exc}")
+        return EXIT_INTERNAL
+    except Exception as exc:  # a crash is never reported as a failed check
+        name = type(exc).__name__
+        _complain(" ".join(f"internal error: {name}: {exc}".split()).rstrip(":"))
         return EXIT_INTERNAL
 
 

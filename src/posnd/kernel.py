@@ -36,14 +36,16 @@ open positions left after the discharge.  The cost is linear in the number
 of nodes plus the smaller-into-larger merging (an open assumption moves
 O(log n) times), plus one scan of the open positions per ``box-i``/``dia-e``.
 
-The reader, the writer, ``map_positions`` and ``freshen`` keep tuned stacks
-of their own (``freshen`` composes the renamings of nested witness scopes at
-each node instead of walking a scope again for every enclosing witness), and
-scans that only visit nodes iterate a tree in pre-order.  Every other walk
-over a derivation, here and in the normalizer and the translations, folds it
-with ``_walk``: one explicit stack, a pre-order hook that gives each premise
-its environment and a post-order hook that builds the node's image.  No
-derivation walk is bounded by the recursion limit.
+Walks that keep tuned stacks of their own: the checker, the reader, the
+writer, ``map_positions`` and ``freshen`` (whose ``_remap`` composes the
+renamings of nested witness scopes at each node), and ``_preorder``, the one
+pre-order index (each node's parent, premise slot, subtree end and post-order
+number), which ``check_position_condition`` and the normalizer's cut scan and
+selection read.  Scans that only visit nodes iterate a tree in pre-order.
+Every other walk over a derivation, here and in the normalizer and the
+translations, folds it with ``_walk``: one explicit stack, a pre-order hook
+that gives each premise its environment and a post-order hook that builds
+the node's image.  No derivation walk is bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -366,6 +368,40 @@ def _walk(root, enter, leave, env=None):
 def _premises(n, env):
     """The ``enter`` of a walk over every premise that passes ``env`` on."""
     return [(p, env) for p in n.premises], env
+
+
+def _preorder(d: Derivation):
+    """``(nodes, parent, slot, end, post)``: lists over the pre-order numbers
+    of the nodes of ``d`` giving each node, its parent's number (``-1`` at the
+    root), the premise slot it fills, the end of its subtree, which is
+    ``[i, end[i])`` (so the premises of ``i`` start at ``i + 1`` and each next
+    one at the end of the one before), and its post-order number."""
+    nodes, parent, slot, depth = [], [], [], []
+    stack = [(d, -1, 0)]
+    while stack:
+        n, up, k = stack.pop()
+        stack += [(p, len(nodes), j) for j, p in enumerate(n.premises)][::-1]
+        nodes.append(n)
+        parent.append(up)
+        slot.append(k)
+        depth.append(depth[up] + 1 if up >= 0 else 0)
+    end = list(range(1, len(nodes) + 1))
+    for i in range(len(nodes) - 1, 0, -1):
+        if end[i] > end[parent[i]]:
+            end[parent[i]] = end[i]
+    # Post-order puts a node after its subtree and after every earlier node
+    # that is not one of its ancestors.
+    post = [e - 1 - k for e, k in zip(end, depth)]
+    return nodes, parent, slot, end, post
+
+
+def _path_of(i: int, parent: list[int], slot: list[int]) -> tuple[int, ...]:
+    """The premise-index path of pre-order node ``i`` (see :func:`_preorder`)."""
+    out = []
+    while i > 0:
+        out.append(slot[i])
+        i = parent[i]
+    return tuple(reversed(out))
 
 
 def _pf(d: Derivation) -> PFormula:
@@ -1161,43 +1197,15 @@ def check_position_condition(d: Derivation) -> tuple[Violation, ...]:
     instance's scope subtree: the premise of its ``box-i``, or the second
     premise of its ``dia-e``.
     """
-    # Nodes in pre-order, so a subtree is the index range [i, end[i]).
-    nodes: list[Derivation] = []
-    parents: list[tuple[int, int]] = []
-    stack: list[tuple[Derivation, int, int]] = [(d, -1, 0)]
-    while stack:
-        n, parent, slot = stack.pop()
-        here = len(nodes)
-        nodes.append(n)
-        parents.append((parent, slot))
-        for i in range(len(n.premises) - 1, -1, -1):
-            stack.append((n.premises[i], here, i))
-    end = list(range(1, len(nodes) + 1))
-    for i in range(len(nodes) - 1, 0, -1):
-        parent = parents[i][0]
-        end[parent] = max(end[parent], end[i])
-
-    def path_of(i: int) -> tuple[int, ...]:
-        out = []
-        while i > 0:
-            i, slot = parents[i]
-            out.append(slot)
-        return tuple(reversed(out))
-
-    def child(i: int, slot: int) -> int:
-        j = i + 1
-        for _ in range(slot):
-            j = end[j]
-        return j
-
+    nodes, parent, slot, end, _ = _preorder(d)
     instances: list[tuple[int, str, Position, int]] = []
     for i, n in enumerate(nodes):
         c = n.conclusion
         if n.rule == "box-i" and n.token is not None and isinstance(c, PFormula):
-            instances.append((i, "box-i", c.position + (n.token,), child(i, 0)))
+            instances.append((i, "box-i", c.position + (n.token,), i + 1))
         if n.rule == "dia-e" and n.token is not None:
             major = _pf(n.premises[0])
-            instances.append((i, "dia-e", major.position + (n.token,), child(i, 1)))
+            instances.append((i, "dia-e", major.position + (n.token,), end[i + 1]))
     # For each witness length, the nodes whose position has each prefix of
     # that length, in pre-order.
     holders: dict[Position, list[int]] = {}
@@ -1208,29 +1216,17 @@ def check_position_condition(d: Derivation) -> tuple[Violation, ...]:
                 holders.setdefault(pos[:length], []).append(i)
     violations: list[Violation] = []
     seen: set[Position] = set()
-    for i, rule, proper, _scope in instances:
-        if proper in seen:
-            violations.append(
-                Violation(
-                    path_of(i),
-                    rule,
-                    f"witness position {print_position(proper)} is introduced "
-                    "by more than one rule instance",
-                )
-            )
-        else:
-            seen.add(proper)
     for i, rule, proper, scope in instances:
+        faults = []
+        if proper in seen:
+            faults.append("is introduced by more than one rule instance")
+        seen.add(proper)
         at = holders.get(proper)
         if at and (at[0] < scope or at[-1] >= end[scope]):
-            violations.append(
-                Violation(
-                    path_of(i),
-                    rule,
-                    f"witness position {print_position(proper)} occurs "
-                    "outside the scope of its introducing rule",
-                )
-            )
+            faults.append("occurs outside the scope of its introducing rule")
+        for fault in faults:
+            message = f"witness position {print_position(proper)} {fault}"
+            violations.append(Violation(_path_of(i, parent, slot), rule, message))
     return tuple(sorted(violations, key=lambda v: (v.path, v.rule, v.message)))
 
 

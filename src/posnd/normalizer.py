@@ -17,14 +17,20 @@ matching proper contraction; each such round strictly decreases the rank.
 A final, rank-preserving phase pushes any remaining eliminations through
 case-split conclusions so that no contraction applies to the result.
 
-Every contraction checks its result, and a normalization checks its input
-once, before the first round.  The public ``contract_proper`` and
-``contract_commutative`` also check their input; inside ``normalize`` and
-``reduce_once`` they are skipped, because each contraction's input is the
-(freshened) tree that the initial check or the previous contraction's
-check has just accepted with the same system.  One cut scan per round gives
-both the rank recorded in the trace and the next round's selection; it
-climbs segments only from introductions.  Every walk here is iterative.
+Every contraction checks and freshens its result.  The public entries
+(``normalize``, ``reduce_once``, ``contract_proper``,
+``contract_commutative``) check their input and freshen it once; inside a
+normalization each contraction takes the previous one's result as it is,
+since that tree is freshened and was just accepted with the same system.
+
+One cut scan per round, over the kernel's pre-order index (``_preorder``),
+gives both the rank recorded in the trace and the next round's selection; it
+climbs segments only from introductions.  Selection tests a cut's
+duplication zones as two ranges of pre-order numbers against a prefix count
+of the candidates' occurrences, so a round's scan and selection take time
+linear in the tree's size.  Paths are built only for what leaves the module:
+the public ``segments``, ``cuts`` and ``rank``, the selected segment and the
+step log.  Every walk here is iterative.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ from .kernel import (
     relabel_binders,
     plug,
     all_labels,
+    _path_of,
+    _preorder,
     _rebuild,
     _rebuilt,
     _walk,
@@ -153,31 +161,19 @@ def _replace_at(d: Derivation, path: Occurrence, new: Derivation) -> Derivation:
     return new
 
 
-def _index(d: Derivation) -> tuple[dict[Occurrence, Derivation], dict[Occurrence, int]]:
-    """Every node by path, in pre-order (the paths' sorted order), and each
-    path's number in post-order; one walk on an explicit stack."""
-    nodes: dict[Occurrence, Derivation] = {}
-    post: dict[Occurrence, int] = {}
-    stack: list[tuple[Occurrence, Derivation | None]] = [((), d)]
-    while stack:
-        path, node = stack.pop()
-        if node is None:
-            post[path] = len(post)
-            continue
-        nodes[path] = node
-        stack.append((path, None))
-        for i in range(len(node.premises) - 1, -1, -1):
-            stack.append((path + (i,), node.premises[i]))
-    return nodes, post
-
-
-def _is_minor_root(path: Occurrence, idx: dict[Occurrence, Derivation]) -> bool:
-    if not path:
-        return False
-    return path[-1] in _RULE_TABLE[idx[path[:-1]].rule].minors
-
-
 # --- segments, cuts, rank --------------------------------------------------
+#
+# Inside the module a node is its pre-order number in ``_preorder``'s index
+# ``ix``, a segment the list of its occurrences' numbers and a cut the triple
+# ``(segment, connective, degree)``; paths are built only for what leaves it.
+
+
+def _occurrences(seg: list[int], ix) -> tuple[Occurrence, ...]:
+    """The paths of a segment's occurrences, each the one before minus its
+    last step."""
+    _, parent, slot, *_ = ix
+    start = _path_of(seg[0], parent, slot)
+    return tuple(start[: len(start) - k] for k in range(len(seg)))
 
 
 def segments(d: Derivation) -> tuple[Segment, ...]:
@@ -190,96 +186,98 @@ def segments(d: Derivation) -> tuple[Segment, ...]:
     the segments cover every occurrence but only partition them in trees
     without such splits.
     """
-    idx = _index(d)[0]
+    ix = _preorder(d)
     return tuple(
-        _segment(path, idx) for path, node in idx.items() if node.rule not in JOIN_RULES
+        Segment(_occurrences(_segment(i, ix), ix))
+        for i, node in enumerate(ix[0])
+        if node.rule not in JOIN_RULES
     )
 
 
-def _segment(path: Occurrence, idx: dict[Occurrence, Derivation]) -> Segment:
-    """The segment that starts at ``path``."""
-    occ = [path]
-    while _is_minor_root(occ[-1], idx):
-        occ.append(occ[-1][:-1])
-    return Segment(tuple(occ))
+def _segment(i: int, ix) -> list[int]:
+    """The segment that starts at node ``i``."""
+    nodes, parent, slot, *_ = ix
+    seg = [i]
+    while i > 0 and slot[i] in _RULE_TABLE[nodes[parent[i]].rule].minors:
+        i = parent[i]
+        seg.append(i)
+    return seg
 
 
 def cuts(d: Derivation) -> tuple[Cut, ...]:
     """The maximal segments that run from an introduction into an elimination."""
-    return _cuts(_index(d)[0])
+    ix = _preorder(d)
+    return tuple(
+        Cut(Segment(_occurrences(seg, ix)), fam, deg) for seg, fam, deg in _cuts(ix)
+    )
 
 
-def _cuts(idx: dict[Occurrence, Derivation]) -> tuple[Cut, ...]:
+def _cuts(ix) -> list[tuple[list[int], str, int]]:
     """The cuts, climbing a segment only from each introduction."""
+    nodes, parent, slot, *_ = ix
     res = []
-    for path, start in idx.items():
+    for i, start in enumerate(nodes):
         fam = _RULE_TABLE[start.rule].intro
         if fam is None:
             continue
-        seg = _segment(path, idx)
-        end = seg.end
-        if not end or end[-1] != 0:
+        seg = _segment(i, ix)
+        top = seg[-1]
+        if top == 0 or slot[top] != 0:
             continue
-        parent = idx[end[:-1]]
-        if _RULE_TABLE[parent.rule].elim != fam:
+        if _RULE_TABLE[nodes[parent[top]].rule].elim != fam:
             continue
-        res.append(Cut(seg, fam, degree(start.conclusion.formula)))
-    return tuple(res)
+        res.append((seg, fam, degree(start.conclusion.formula)))
+    return res
 
 
 def rank(d: Derivation) -> Rank:
     """``(0, 0)`` when cut-free, else (max cut degree, total length at that degree)."""
-    return _rank(cuts(d))
+    return _rank(_cuts(_preorder(d)))
 
 
-def _rank(cs: tuple[Cut, ...]) -> Rank:
+def _rank(cs) -> Rank:
     if not cs:
         return (0, 0)
-    top = max(c.degree for c in cs)
-    return (top, sum(len(c.segment) for c in cs if c.degree == top))
+    top = max(deg for _, _, deg in cs)
+    return (top, sum(len(seg) for seg, _, deg in cs if deg == top))
 
 
 # --- cut selection ---------------------------------------------------------
 
 
-def _dup_zones(cut: Cut, idx: dict[Occurrence, Derivation]) -> list[Occurrence]:
-    """Path prefixes of the subtrees a contraction of ``cut`` may duplicate:
-    the elimination's non-major premises and the introduction's premises."""
-    zones = []
-    e = cut.segment.end[:-1]
-    for i in range(1, len(idx[e].premises)):
-        zones.append(e + (i,))
-    start = cut.segment.start
-    for i in range(len(idx[start].premises)):
-        zones.append(start + (i,))
-    return zones
-
-
-def _select(d: Derivation, cs: tuple[Cut, ...], ix=None) -> Cut:
-    """A highest-degree cut whose duplication zones hold no other highest cut.
+def _select(cs, ix) -> list[int]:
+    """The segment of a highest-degree cut whose duplication zones hold no
+    other highest cut.
 
     Such a cut always exists; contracting it strictly shrinks the rank
-    because only cut-free material is ever duplicated.  Ties break toward
-    the segment end that comes first in postorder, then the earliest start
-    (two cuts can share their end at a case-split conclusion).  ``ix`` is
-    ``d``'s :func:`_index` when the caller has it.
+    because only cut-free material is ever duplicated.  The zones, the
+    subtrees a contraction may copy, are two pre-order ranges: the premises
+    of the introduction ``s``, ``[s + 1, end[s])``, and those of the
+    elimination ``e`` after its major, ``[end[e + 1], end[e])``.  A cut's own
+    occurrences lie in neither, so a prefix count of all candidates'
+    occurrences finds the others'.  Ties break toward the segment end that
+    comes first in post-order, then the earliest start (two cuts can share
+    their end at a case-split conclusion).
     """
-    idx, po = ix or _index(d)
-    top = max(c.degree for c in cs)
-    cands = [c for c in cs if c.degree == top]
+    _, parent, _, end, post = ix
+    top = max(deg for _, _, deg in cs)
+    cands = [seg for seg, _, deg in cs if deg == top]
+    before = [0] * (len(end) + 1)  # candidate occurrences at numbers < i
+    for seg in cands:
+        for o in seg:
+            before[o + 1] += 1
+    for i in range(len(end)):
+        before[i + 1] += before[i]
 
-    def blocked(c: Cut) -> bool:
-        zones = _dup_zones(c, idx)
-        for other in cands:
-            if other is c:
-                continue
-            for o in other.segment.occurrences:
-                if any(o[: len(z)] == z for z in zones):
-                    return True
-        return False
+    def free(seg: list[int]) -> bool:
+        s, e = seg[0], parent[seg[-1]]
+        return (
+            before[end[s]] == before[s + 1]
+            and before[end[e]] == before[end[e + 1]]
+        )
 
-    pool = [c for c in cands if not blocked(c)] or cands
-    return min(pool, key=lambda c: (po[c.segment.end], po[c.segment.start]))
+    pool = [seg for seg in cands if free(seg)] or cands
+    return min(pool, key=lambda seg: (post[seg[-1]], post[seg[0]]))
 
 
 # --- proper contraction ----------------------------------------------------
@@ -364,7 +362,7 @@ def contract_proper(
     _redex_at(d, occ)
     if not check(d, system, t_strict_empty_beta=t_strict_empty_beta).ok:
         raise ValueError("contract_proper requires a derivation that checks")
-    return _contract_proper(d, occ, system, t_strict_empty_beta)
+    return _contract_proper(freshen(d), occ, system, t_strict_empty_beta)
 
 
 def _redex_at(d: Derivation, occ: tuple[Occurrence, ...]) -> Occurrence:
@@ -392,10 +390,10 @@ def _redex_at(d: Derivation, occ: tuple[Occurrence, ...]) -> Occurrence:
 def _contract_proper(
     d: Derivation, occ: tuple[Occurrence, ...], system: System, t_strict: bool
 ) -> Derivation:
-    """:func:`contract_proper` of the cut segment ``occ`` of a ``d`` that
-    checks in ``system``: the result is checked, the input is not."""
+    """:func:`contract_proper` of the cut segment ``occ`` of a freshened
+    ``d`` that checks in ``system``: the result is checked, the input is not."""
     at = _redex_at(d, occ)
-    out = freshen(_contract_proper_core(freshen(d), at, system, t_strict))
+    out = freshen(_contract_proper_core(d, at, system, t_strict))
     rep = check(out, system, t_strict_empty_beta=t_strict)
     if not rep.ok:
         raise NormalizerError(
@@ -439,7 +437,7 @@ def contract_commutative(
     _require_commutable(d, at)
     if not check(d, system, t_strict_empty_beta=t_strict_empty_beta).ok:
         raise ValueError("contract_commutative requires a derivation that checks")
-    return _contract_commutative(d, at, system, t_strict_empty_beta)
+    return _contract_commutative(freshen(d), at, system, t_strict_empty_beta)
 
 
 def _require_commutable(d: Derivation, at: Occurrence) -> None:
@@ -459,13 +457,10 @@ def _require_commutable(d: Derivation, at: Occurrence) -> None:
 def _contract_commutative(
     d: Derivation, at: Occurrence, system: System, t_strict: bool
 ) -> Derivation:
-    """:func:`contract_commutative` on a ``d`` that checks in ``system``: the
-    result is checked, the input is not."""
+    """:func:`contract_commutative` on a freshened ``d`` that checks in
+    ``system``: the result is checked, the input is not."""
     _require_commutable(d, at)
-    base = freshen(d)
-    out = freshen(
-        _replace_at(base, at, _commute_node(subtree_at(base, at), all_labels(base)))
-    )
+    out = freshen(_replace_at(d, at, _commute_node(subtree_at(d, at), all_labels(d))))
     rep = check(out, system, t_strict_empty_beta=t_strict)
     if not rep.ok:
         raise NormalizerError(
@@ -550,16 +545,15 @@ def normalize_steps(
     if not check(d, system, t_strict_empty_beta=t).ok:
         raise ValueError("normalize requires a derivation that checks")
     cur = freshen(d)
-    ix = _index(cur)
-    cs = _cuts(ix[0])
+    ix = _preorder(cur)
+    cs = _cuts(ix)
     trace: list[Rank] = [_rank(cs)]
     steps: list[tuple[int, str, Occurrence, Rank]] = []
     rounds = 0
     while cs:
         rounds += 1
         prev = trace[-1]
-        sel = _select(cur, cs, ix)
-        seg = list(sel.segment.occurrences)
+        seg = list(_occurrences(_select(cs, ix), ix))
         while len(seg) > 1:
             end = seg[-1]
             e = end[:-1]
@@ -570,8 +564,8 @@ def normalize_steps(
             new_prefix = e + (mslot, 0)
             seg = [new_prefix + o[len(old_prefix):] for o in seg[:-1]]
         cur = _contract_proper(cur, (seg[0],), system, t)
-        ix = _index(cur)
-        cs = _cuts(ix[0])
+        ix = _preorder(cur)
+        cs = _cuts(ix)
         rk = _rank(cs)
         steps.append((rounds, "proper", seg[0][:-1], rk))
         trace.append(rk)
@@ -592,7 +586,7 @@ def normalize_steps(
             "normalization broke the derivation: "
             + "; ".join(v.message for v in rep.violations[:3])
         )
-    if cuts(cur) or not is_normal(cur):
+    if _cuts(_preorder(cur)) or not is_normal(cur):
         raise NormalizerError("normalization finished on a non-normal derivation")
     if cur.conclusion != d.conclusion:
         raise NormalizerError("normalization changed the conclusion")
@@ -634,18 +628,22 @@ def reduce_once(
     t = t_strict_empty_beta
     if not check(d, system, t_strict_empty_beta=t).ok:
         raise ValueError("reduce_once requires a derivation that checks")
-    ix = _index(d)
-    cs = _cuts(ix[0])
+    ix = _preorder(d)
+    nodes, parent, slot, end, post = ix
+    cs = _cuts(ix)
     if cs:
-        sel = _select(d, cs, ix)
-        if len(sel.segment) > 1:
-            return _contract_commutative(d, sel.segment.end[:-1], system, t)
-        return _contract_proper(d, sel.segment.occurrences, system, t)
-    cands = [p for p, n in ix[0].items() if _splits(n)]
-    if not cands:
-        return None
-    at = min(cands, key=lambda p: (-len(p), p))
-    return _contract_commutative(d, at, system, t)
+        seg = _select(cs, ix)
+        if len(seg) == 1:
+            return _contract_proper(freshen(d), _occurrences(seg, ix), system, t)
+        at = parent[seg[-1]]
+    else:
+        cands = [i for i, n in enumerate(nodes) if _splits(n)]
+        if not cands:
+            return None
+        # The deepest split (a node's depth is end - 1 - post), then the first
+        # in pre-order, which is the order of paths.
+        at = min(cands, key=lambda i: (post[i] - end[i], i))
+    return _contract_commutative(freshen(d), _path_of(at, parent, slot), system, t)
 
 
 # --- spines ----------------------------------------------------------------

@@ -256,3 +256,30 @@ class TestExportLabelled:
         assert code == 1
         assert out == ""
         assert ":ok false" in err
+
+
+class TestInternalErrors:
+    def test_formula_too_deep_exits_3_in_one_line(self):
+        nested = "(box " * 1500 + "p" + ")" * 1500
+        text = f"(proof :system s4 :flavor intuitionistic\n  (hyp u {nested} ()))\n"
+        code, out, err = run(["check", "-"], stdin=text)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("internal error: RecursionError: ")
+
+    def test_normalizer_invariant_exits_3_in_one_line(self, monkeypatch):
+        from posnd import normalizer as N
+
+        def broken(*_args, **_kwargs):
+            raise N.NormalizerError("proper contraction broke the derivation")
+
+        monkeypatch.setattr(N, "normalize", broken)
+        d = K.imp_i(frozenset({"u"}), K.hyp("u", P, ()))
+        text = K.print_proof(d, System("s4", "intuitionistic"))
+        code, out, err = run(["normalize", "-"], stdin=text)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "internal invariant breach: proper contraction broke the derivation\n"
+        )

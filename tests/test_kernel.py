@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -477,6 +478,35 @@ def test_walks_take_any_depth():
         lines = text.splitlines()
         assert lines[0] == "labelled-sketch total"
         assert len(lines) >= 1 + sum(1 for _ in d)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cut_scan_memory_is_linear_in_nodes():
+    # A cut scan indexes nodes by pre-order number, not by path: a path per
+    # node would hold O(nodes x depth), about 49 MB here.
+    ors = or_chain(2000)
+    rk, peak = _peak_bytes(N.rank, ors)
+    assert rk == (0, 0)
+    assert peak < 5_000_000
+
+
+def test_reduce_once_on_a_long_detour_chain():
+    assert sys.getrecursionlimit() < 2000
+    d = detour_chain(2000)
+    out, peak = _peak_bytes(N.reduce_once, d, K.System("s4", "intuitionistic"))
+    assert N.rank(d) == (1, 2000) and N.rank(out) == (1, 1999)
+    assert out.conclusion == d.conclusion
+    # Selection tests each cut's duplication zones as pre-order ranges; a
+    # path per node and per occurrence would hold about 50 MB here.
+    assert peak < 10_000_000
 
 
 def test_freshen_keeps_builtin_conclusion():

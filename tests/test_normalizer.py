@@ -170,12 +170,16 @@ class TestSegments:
                 idx[path] = n
                 for i, pr in enumerate(n.premises):
                     stack.append((path + (i,), pr))
+
+            def is_minor_root(path):
+                return bool(path) and path[-1] in K._RULE_TABLE[idx[path[:-1]].rule].minors
+
             for seg in N.segments(d):
                 first, last = seg.start, seg.end
                 assert idx[first].rule not in ("or-e", "dia-e")
-                assert not N._is_minor_root(last, idx)
+                assert not is_minor_root(last)
                 for a, b in zip(seg.occurrences, seg.occurrences[1:]):
-                    assert b == a[:-1] and N._is_minor_root(a, idx)
+                    assert b == a[:-1] and is_minor_root(a)
                     assert idx[a].conclusion == idx[b].conclusion
 
     def test_coverage_and_join_free_partition(self):
@@ -345,7 +349,9 @@ class TestContractCommutative:
         lengths = [max(len(c.segment) for c in N.cuts(d))]
         cur = d
         for _ in range(2):
-            cur = N.contract_commutative(cur, N._select(cur, N.cuts(cur)).segment.end[:-1], S4i)
+            ix = K._preorder(cur)
+            end = N._occurrences(N._select(N._cuts(ix), ix), ix)[-1]
+            cur = N.contract_commutative(cur, end[:-1], S4i)
             lengths.append(max(len(c.segment) for c in N.cuts(cur)))
         assert lengths == [3, 2, 1]
 
