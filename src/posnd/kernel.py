@@ -53,6 +53,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import _sexpr
@@ -553,12 +554,11 @@ def imp_i(
     read off the bound leaves; a vacuous discharge needs an explicit ``ante``.
     """
     if ante is None:
-        bound = bound_leaf_contents(premise, frozenset(labels), "p")
-        if not bound:
+        ante = _first_bound(premise, frozenset(labels))
+        if ante is None:
             raise ValueError(
                 "imp_i with a vacuous discharge needs an explicit antecedent"
             )
-        ante = bound[0]
     return _mk("imp-i", (premise,), discharges=(frozenset(labels),), ante=ante)
 
 
@@ -655,19 +655,33 @@ def _free_labels(kind: str):
 _FREE_LABELS = {kind: _free_labels(kind) for kind in ("p", "e")}
 
 
+def _bound_leaves(
+    d: Derivation, labels: frozenset[str], kind: str
+) -> Iterator[PFormula | EFormula]:
+    """Contents of the open leaves a discharge over ``d`` would bind, in
+    pre-order, found one at a time on an explicit stack."""
+    leaf = "hyp" if kind == "p" else "ehyp"
+    enter = _FREE_LABELS[kind]
+    stack = [(d, frozenset(labels))]
+    while stack:
+        n, free = stack.pop()
+        if n.rule == leaf and n.label in free:
+            yield n.conclusion
+        stack += reversed(enter(n, free)[0])
+
+
 def bound_leaf_contents(
     d: Derivation, labels: frozenset[str], kind: str
 ) -> list[PFormula | EFormula]:
     """Contents of the open leaves a discharge over ``d`` would bind."""
-    out: list[PFormula | EFormula] = []
-    leaf = "hyp" if kind == "p" else "ehyp"
+    return list(_bound_leaves(d, labels, kind))
 
-    def leave(n: Derivation, _prems, free: frozenset[str]) -> None:
-        if n.rule == leaf and n.label in free:
-            out.append(n.conclusion)
 
-    _walk(d, _FREE_LABELS[kind], leave, frozenset(labels))
-    return out
+def _first_bound(d: Derivation, labels: frozenset[str]) -> PFormula | None:
+    """The first of ``bound_leaf_contents(d, labels, "p")``, ``None`` if
+    there is none; the walk stops there.  An ``imp-i`` reads its
+    antecedent off it."""
+    return next(_bound_leaves(d, labels, "p"), None)
 
 
 def all_labels(d: Derivation) -> frozenset[str]:
@@ -1879,14 +1893,13 @@ def _read_node(root: object, locs) -> Derivation:
                 fields["token"] = str(x)
         else:
             if head == "imp-i" and "ante" not in fields:
-                bound = bound_leaf_contents(prems[0], fields["discharges"][0], "p")
-                if not bound:
+                fields["ante"] = _first_bound(prems[0], fields["discharges"][0])
+                if fields["ante"] is None:
                     raise ParseError(
                         "imp-i discharges no open assumption; give the antecedent "
                         "formula and position explicitly",
                         *_loc(locs, form),
                     )
-                fields["ante"] = bound[0]
             node = _mk(head, tuple(prems), **fields)
             if not stack:
                 return node
@@ -1948,7 +1961,7 @@ def _node_args(n: Derivation):
         if i == len(spec.args) - spec.optional and (
             fld >= len(n.premises)
             if kind == "premise"
-            else bound_leaf_contents(n.premises[0], n.discharges[0], "p")
+            else _first_bound(n.premises[0], n.discharges[0]) is not None
         ):
             return
         if kind == "premise":

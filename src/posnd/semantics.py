@@ -8,8 +8,9 @@ truth is uniform (:func:`chain_truth`).  An evaluation sends positions to
 worlds, totally for ``d``/``t``/``d4``/``s4``, possibly partially for
 ``k``/``k4``.  The enumerators list models and evaluations in a fixed order.
 The probe engine, :func:`find_countermodel`, finds the first refutation in
-that order one tree shape at a time: it enumerates evaluations once per
-shape and computes truth as bitsets over blocks of valuations.  A refuted
+that order one tree shape at a time, and only the first shape of each
+isomorphism class: it enumerates evaluations once per shape and computes
+truth as bitsets over blocks of valuations.  A refuted
 probe comes with that countermodel; an unrefuted one only says that no
 refutation exists within the bounds.
 """
@@ -478,13 +479,12 @@ def _shape_sets(max_depth: int, max_branching: int) -> list[frozenset[Node]]:
     return shapes
 
 
-@functools.lru_cache(maxsize=8)
 def _canonical_shapes(max_depth: int, max_branching: int) -> tuple:
     """Every shape within the bounds, ordered by size then node list, as its
     worlds in (depth, node) order and the child indices of each world.
 
-    The probe engine keeps this, and only this, across calls; every logic
-    shares it.
+    Built afresh on each call: :func:`enumerate_models` sweeps it, and the
+    probe engine keeps only :func:`_class_shapes` of it.
     """
     shapes = []
     for ns in sorted(
@@ -493,6 +493,26 @@ def _canonical_shapes(max_depth: int, max_branching: int) -> tuple:
     ):
         kids = [tuple(j for j, c in enumerate(ns) if c and c[:-1] == w) for w in ns]
         shapes.append((tuple(ns), tuple(kids)))
+    return tuple(shapes)
+
+
+@functools.lru_cache(maxsize=8)
+def _class_shapes(max_depth: int, max_branching: int) -> tuple:
+    """The first shape of each isomorphism class of rooted trees among
+    :func:`_canonical_shapes`, in that order; cached, and shared by every
+    logic.
+
+    A world's canonical form is the sorted tuple of its children's forms,
+    built leaves-up; two shapes are isomorphic when their roots' agree.
+    """
+    seen, shapes = set(), []
+    for nodes, kids in _canonical_shapes(max_depth, max_branching):
+        form: list = [()] * len(nodes)
+        for k in range(len(nodes) - 1, -1, -1):
+            form[k] = tuple(sorted(form[c] for c in kids[k]))
+        if form[0] not in seen:
+            seen.add(form[0])
+            shapes.append((nodes, kids))
     return tuple(shapes)
 
 
@@ -660,6 +680,14 @@ def find_countermodel(
     only on the shape and come in the same order in every logic, so they
     are enumerated once per shape.  Truth is computed for a block of
     valuations at once, bit ``j`` of an ``int`` standing for the ``j``-th.
+
+    Only the first shape of each isomorphism class is swept
+    (:func:`_class_shapes`).  An isomorphism of rooted trees preserves each
+    logic's step relation and sends leaves to leaves, hence completion chains
+    to completion chains; it maps the evaluations and the valuations of one
+    shape one to one onto those of the other, preserving truth.  So a later
+    shape of a class holds a refutation exactly when the first one does, and
+    the first refutation in the enumerators' order lies in a first shape.
     """
     _check_logic(logic)
     if not isinstance(target, PFormula):
@@ -673,7 +701,7 @@ def find_countermodel(
     order = _subformulas([c.formula for c in facts] + [target.formula])
     names, kind = atom_names(b.num_atoms), _STEP_KIND[logic]
     pattern: list[int] = []  # bit j of pattern[i] is bit i of j
-    for nodes, kids in _canonical_shapes(b.max_depth, b.max_branching):
+    for nodes, kids in _class_shapes(b.max_depth, b.max_branching):
         n = len(nodes)
         leaves = [k for k in range(n) if serial and not kids[k]]
         chains = tuple(nodes[k] + (0,) for k in leaves)

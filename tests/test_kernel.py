@@ -61,6 +61,17 @@ def or_chain(depth):
     return K.imp_i(frozenset({"u"}), d)
 
 
+def imp_and_chain(depth):
+    """``depth`` nested ``imp-i``, each over an ``and-e1``/``and-i`` detour
+    whose left premise is the leaf it binds and whose right premise is the
+    chain below, down to an open leaf ``u``."""
+    d = K.hyp("u", P, ())
+    for i in range(depth):
+        lab = f"v{i}"
+        d = K.imp_i(frozenset({lab}), K.and_e1(K.and_i(K.hyp(lab, P, ()), d)))
+    return d
+
+
 def test_rule_sets():
     assert K.RULES == (
         "hyp", "ehyp", "and-i", "and-e1", "and-e2", "or-i1", "or-i2", "or-e",
@@ -478,6 +489,57 @@ def test_walks_take_any_depth():
         lines = text.splitlines()
         assert lines[0] == "labelled-sketch total"
         assert len(lines) >= 1 + sum(1 for _ in d)
+
+
+def test_first_bound_leaf_is_the_first_of_all_bound_leaves():
+    rng = random.Random(8)
+    trees = [K.builtin(axiom, logic)[0] for axiom, logic in K.BUILTIN_PAIRS]
+    trees += [
+        proofgen.random_derivation(rng, system, steps=14)
+        for system in SYSTEMS
+        for _ in range(5)
+    ]
+    trees += [imp_and_chain(20), or_chain(20), detour_chain(20)]
+    a, b = K.hyp("a", P, ()), K.hyp("b", Q, ())
+    trees += [K.and_i(a, b), K.and_i(b, K.and_e1(K.and_i(a, b))), K.and_i(trees[-1], b)]
+    hits = misses = mixed = 0
+    for d in trees:
+        scopes = [
+            (n.premises[slot], labels)
+            for n in d
+            for slot, labels, kind in K._scopes(n)
+            if kind == "p"
+        ]
+        scopes += [(n, K.all_labels(d)) for n in d]
+        for prem, labels in scopes:
+            want = K.bound_leaf_contents(prem, labels, "p")
+            assert K._first_bound(prem, labels) == (want[0] if want else None)
+            hits += bool(want)
+            misses += not want
+            mixed += len(set(want)) > 1
+    assert hits > 500 and misses > 50 and mixed > 10
+
+
+def test_imp_i_antecedents_are_read_off_the_first_bound_leaf(monkeypatch):
+    # Printing decides and reading infers each antecedent from the first
+    # bound leaf alone; a walk over each whole premise would enter about
+    # 1.5 million nodes here.
+    d = imp_and_chain(1000)
+    entered = []
+    enter = K._FREE_LABELS["p"]
+
+    def counting(n, free):
+        entered.append(n)
+        return enter(n, free)
+
+    monkeypatch.setitem(K._FREE_LABELS, "p", counting)
+    text = K.print_proof(d, S4)
+    d2, system = K.parse_proof(text)
+    assert len(entered) < 10 * 1000
+    assert (d2, system) == (d, S4)
+    assert K.print_proof(d2, system) == text
+    assert "(imp-i (v999)\n" in text  # the antecedent is not written
+    assert K.check(d2, system).ok
 
 
 def _peak_bytes(fn, *args):

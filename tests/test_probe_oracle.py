@@ -1,11 +1,13 @@
-"""The probe engine against reference copies of its first version.
+"""The probe engine against reference copies of its earlier versions.
 
 The reference ``find_countermodel`` builds one model per valuation and
 enumerates every evaluation of it; the reference ``_probe_closed_root``
 sweeps the valuations of each shape as NumPy boolean arrays, for closed
 probes at the root.  Both are copied verbatim below, with the model
 enumerator, the evaluation enumerator and the truth functions they call.
-The engine must give the same verdict and the same first
+``every_shape_countermodel`` is the bitset engine as it was before it swept
+only one shape per isomorphism class; it reaches bounds the model-by-model
+search cannot.  The engine must give the same verdict and the same first
 ``(TreeModel, Evaluation)`` on every probe here, whatever the size of its
 valuation blocks.
 """
@@ -28,9 +30,14 @@ from posnd.semantics import (
     Node,
     TreeModel,
     UndefinedPosition,
+    _assignments,
     _check_logic,
+    _depth_order,
     _prefix_closed_subsets,
     _shape_sets,
+    _subformulas,
+    _truths,
+    _valuation,
     atom_names,
     chain_truth,
 )
@@ -431,6 +438,86 @@ def consequence_probe(
 
 
 
+# --- reference: the engine before it swept one shape per class --------------
+
+
+@functools.lru_cache(maxsize=8)
+def _every_shape(max_depth: int, max_branching: int) -> tuple:
+    """Every shape within the bounds, ordered by size then node list, as its
+    worlds in (depth, node) order and the child indices of each world."""
+    shapes = []
+    for ns in sorted(
+        (sorted(s, key=_depth_order) for s in _shape_sets(max_depth, max_branching)),
+        key=lambda ns: (len(ns), ns),
+    ):
+        kids = [tuple(j for j, c in enumerate(ns) if c and c[:-1] == w) for w in ns]
+        shapes.append((tuple(ns), tuple(kids)))
+    return tuple(shapes)
+
+
+def every_shape_countermodel(
+    gamma: Sequence[PFormula | EFormula], target: PFormula, logic: str, b: Bounds
+) -> tuple[TreeModel, Evaluation] | None:
+    """The engine sweeping every shape of ``_every_shape``, blocks of
+    ``2 ** 16`` valuations; it shares the package's evaluation and truth
+    helpers, which sweeping fewer shapes left as they were."""
+    _check_logic(logic)
+    if not isinstance(target, PFormula):
+        raise TypeError("the target of a consequence probe is a decorated formula")
+    partial, serial = logic in PARTIAL_LOGICS, logic in SERIAL_LOGICS
+    facts = [c for c in gamma if isinstance(c, PFormula)]
+    if not partial and len(facts) < len(gamma):
+        raise TypeError("existence assumptions belong to the partial reading")
+    wanted = sorted(init_set([c.position for c in gamma] + [target.position]),
+                    key=_depth_order)
+    order = _subformulas([c.formula for c in facts] + [target.formula])
+    names, kind = atom_names(b.num_atoms), _STEP_KIND[logic]
+    pattern: list[int] = []  # bit j of pattern[i] is bit i of j
+    for nodes, kids in _every_shape(b.max_depth, b.max_branching):
+        n = len(nodes)
+        leaves = [k for k in range(n) if serial and not kids[k]]
+        chains = tuple(nodes[k] + (0,) for k in leaves)
+        slot = {w: k for k, w in enumerate(nodes + chains)}
+        kids = [ks or (n + leaves.index(k),) if serial else ks
+                for k, ks in enumerate(kids)]
+
+        def slot_of(world: Node) -> int:
+            while world not in slot:  # further along a completion chain
+                world = world[:-1]
+            return slot[world]
+
+        runs = [
+            (entries, [(id(c.formula), slot_of(entries[c.position])) for c in facts],
+             slot_of(entries[target.position]))
+            for entries in _assignments(
+                wanted, lambda w: S._step_targets(nodes, chains, kind, w))
+        ]
+        width = n * len(names)
+        bits = min(width, 16)
+        while len(pattern) < bits:  # shapes come smallest first
+            half = 1 << len(pattern)
+            pattern = [p | p << half for p in pattern] + [((1 << half) - 1) << half]
+        full = (1 << (1 << bits)) - 1
+        for lo in range(0, 1 << width, 1 << bits):
+            bit = pattern + [full * (lo >> i & 1) for i in range(bits, width)]
+            atoms = {name: [bit[k * len(names) + i] for k in [*range(n), *leaves]]
+                     for i, name in enumerate(names)}
+            val = _truths(order, atoms, full, kids, kind)
+            best = None
+            for entries, facts_at, target_at in runs:
+                refuting = full ^ val[id(target.formula)][target_at]
+                for f, s in facts_at:
+                    refuting &= val[f][s]
+                low = (refuting & -refuting).bit_length() - 1
+                if refuting and (best is None or low < best[0]):
+                    best = (low, entries)
+            if best is not None:
+                valuation = _valuation(nodes, names, lo + best[0])
+                return (TreeModel(frozenset(nodes), valuation, serial),
+                        Evaluation(best[1], partial_allowed=partial))
+    return None
+
+
 # --- cases -------------------------------------------------------------------
 
 
@@ -449,7 +536,12 @@ CASE_BOUNDS = [(0, 1, 2), (1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 1)]
 POSITIONS = [(), ("x",), ("y",), ("x", "y")]
 
 
-def random_cases(count: int, seed: int) -> list:
+#: Wider bounds, searched only against the every-shape engine: up to 15
+#: worlds in 676 shapes, or 7 worlds with two atoms.
+WIDE_BOUNDS = [(3, 2, 1), (2, 2, 2), (2, 3, 1), (1, 3, 2)]
+
+
+def random_cases(count: int, seed: int, bounds=CASE_BOUNDS) -> list:
     """Seeded ``(gamma, target, logic, bounds)`` over all six logics: open
     and closed, targets on and off the root, existence assumptions for the
     partial logics, and positions two steps deep, which reach the serial
@@ -465,11 +557,12 @@ def random_cases(count: int, seed: int) -> list:
             else:
                 gamma.append(PFormula(random_formula(rng, 3), rng.choice(POSITIONS)))
         target = PFormula(random_formula(rng, 3), rng.choice(POSITIONS))
-        cases.append((gamma, target, logic, Bounds(*rng.choice(CASE_BOUNDS))))
+        cases.append((gamma, target, logic, Bounds(*rng.choice(bounds))))
     return cases
 
 
 CASES = random_cases(240, seed=20261018)
+WIDE_CASES = random_cases(600, seed=20261019, bounds=WIDE_BOUNDS)
 
 #: The formulas of the closed-root test of the first version.
 CLOSED_FORMULAS = [
@@ -510,6 +603,31 @@ def test_engine_matches_the_reference_search(monkeypatch, chunk_bits):
         assert_same_answer(gamma, target, logic, b, want)
         refuted += want is not None
     assert 0 < refuted < len(CASES)
+
+
+def test_engine_matches_the_every_shape_engine_on_wide_bounds():
+    """Sweeping one shape per class changes no answer, also where the first
+    countermodel comes after a shape the engine skips."""
+    refuted = past_skipped = 0
+    for gamma, target, logic, b in WIDE_CASES:
+        want = every_shape_countermodel(gamma, target, logic, b)
+        assert_same_answer(gamma, target, logic, b, want)
+        if want is not None:
+            refuted += 1
+            shapes = [
+                [frozenset(nodes) for nodes, _ in table(b.max_depth, b.max_branching)]
+                for table in (_every_shape, S._class_shapes)
+            ]
+            index = [each.index(want[0].nodes) for each in shapes]
+            past_skipped += index[0] > index[1]
+    assert 0 < refuted < len(WIDE_CASES)
+    assert past_skipped > 0
+    assert {logic for *_, logic, _ in WIDE_CASES} == set(LOGICS)
+    bounds = {(b.max_depth, b.max_branching, b.num_atoms) for *_, b in WIDE_CASES}
+    assert bounds == set(WIDE_BOUNDS)
+    assert any(isinstance(c, EFormula) for gamma, *_ in WIDE_CASES for c in gamma)
+    assert any(t.position != () for _, t, *_ in WIDE_CASES)
+    assert any(len(gamma) == 2 for gamma, *_ in WIDE_CASES)
 
 
 def test_cases_cover_the_probe_kinds():

@@ -32,7 +32,7 @@ from posnd.semantics import (
     validate_evaluation,
     validate_model,
 )
-from posnd.semantics import _canonical_shapes
+from posnd.semantics import _canonical_shapes, _class_shapes
 from posnd.syntax import (
     And,
     Atom,
@@ -337,6 +337,38 @@ class TestEnumerateModels:
             for atoms in m.valuation.values():
                 assert atoms <= {"p", "q"}
 
+
+
+def _tree_code(nodes) -> str:
+    """A rooted tree's code, independent of the engine's: each world is its
+    children's codes, sorted and parenthesized, read off the node set."""
+    nodes = set(nodes)
+
+    def code(w):
+        kids = sorted(code(c) for c in nodes if c[:-1] == w and len(c) == len(w) + 1)
+        return "(" + "".join(kids) + ")"
+
+    return code(())
+
+
+class TestClassShapes:
+    def test_class_counts(self):
+        assert len(_class_shapes(3, 2)) == 66
+        assert len(_class_shapes(2, 2)) == 10
+
+    @pytest.mark.parametrize("bounds", [(3, 2), (2, 2), (2, 3), (1, 3), (0, 1)])
+    def test_one_first_shape_per_class(self, bounds):
+        shapes = _canonical_shapes(*bounds)
+        reps = _class_shapes(*bounds)
+        codes = [_tree_code(nodes) for nodes, _ in reps]
+        assert len(set(codes)) == len(reps)
+        index = [shapes.index(rep) for rep in reps]
+        assert index == sorted(index)
+        for k, (nodes, _) in enumerate(shapes):
+            code = _tree_code(nodes)
+            matches = [i for i, c in zip(index, codes) if c == code]
+            assert len(matches) == 1
+            assert matches[0] <= k
 
 class TestEnumerateEvaluations:
     POSITIONS = [(), ("x",)]
