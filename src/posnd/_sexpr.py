@@ -36,14 +36,19 @@ class QStr(str):
     """A string that round-trips as a double-quoted literal."""
 
 
-# One token per match; ``\s`` matches exactly the characters for which
+# One token per match, in group 1, with the whitespace after it: a match
+# ends where the next token starts, so a run of whitespace is skipped in one
+# step (only leading whitespace is stepped over one character at a time).
+# Skipping it before the token instead would rescan a trailing run from
+# each of its characters.  ``\s`` matches exactly the characters for which
 # ``str.isspace`` holds.
 _TOKEN_RE = re.compile(
-    r"""[()]"""  # a parenthesis
+    r"""([()]"""  # a parenthesis
     r'''|"[^"\\]*(?:\\.[^"\\]*)*"'''  # a string
     r"""|[^\s();"]+"""  # a symbol
     r"""|;[^\n]*"""  # a comment
-    r'''|"''',  # a quote that never closes: the string runs to the end
+    r'''|")'''  # a quote that never closes: the string runs to the end
+    r"""\s*""",
     re.DOTALL,
 )
 _STRING_PREFIX_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*', re.DOTALL)
@@ -135,11 +140,11 @@ def _list_locations(text: str, lists: list[list[object]]):
     escaped: list[int] = []
     offsets: list[int] = []
     for m in _TOKEN_RE.finditer(text):
-        tok = m.group()
+        tok = m.group(1)
         if tok == "(":
-            offsets.append(m.start())
+            offsets.append(m.start(1))
         elif tok[0] == '"':
-            _note_escaped_newlines(tok[1:-1], m.start() + 1, escaped)
+            _note_escaped_newlines(tok[1:-1], m.start(1) + 1, escaped)
     return zip(lists, _line_cols(text, offsets, escaped))
 
 
@@ -156,18 +161,19 @@ def _located_error(text: str) -> ParseError:
     starts: list[int] = []
     unbalanced = None
     for m in _TOKEN_RE.finditer(text):
-        tok = m.group()
+        tok = m.group(1)
+        start = m.start(1)
         if tok == "(":
-            starts.append(m.start())
+            starts.append(start)
         elif tok == ")":
             if starts:
                 starts.pop()
             elif unbalanced is None:
-                unbalanced = m.start()
+                unbalanced = start
         elif tok == '"':
-            return _unclosed_string(text, m.start(), escaped)
+            return _unclosed_string(text, start, escaped)
         elif tok[0] == '"':
-            _note_escaped_newlines(tok[1:-1], m.start() + 1, escaped)
+            _note_escaped_newlines(tok[1:-1], start + 1, escaped)
     if unbalanced is not None:
         return _error(text, "unbalanced ')'", unbalanced, escaped)
     return _error(text, "unclosed '('", starts[-1], escaped)

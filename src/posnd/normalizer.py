@@ -17,11 +17,18 @@ matching proper contraction; each such round strictly decreases the rank.
 A final, rank-preserving phase pushes any remaining eliminations through
 case-split conclusions so that no contraction applies to the result.
 
-Every contraction checks and freshens its result.  The public entries
-(``normalize``, ``reduce_once``, ``contract_proper``,
-``contract_commutative``) check their input and freshen it once; inside a
+Every contraction checks its result, and freshens it when a witness
+repeats.  The public entries (``normalize``, ``reduce_once``,
+``contract_proper``, ``contract_commutative``) check their input and freshen
+it once, which gives every witness its own reserved token.  A contraction
+keeps those tokens unless it copies a witness: ``plug`` with two or more
+bound leaves, a commutation over the minors of an ``or-e``, or
+``substitute``'s freshen of one subtree numbering into tokens used elsewhere.
+Each makes a token repeat or fall below those of the input's freshen, and
+only then is the whole result freshened (``_freshened``); otherwise every
+subtree a contraction does not rewrite is kept as the same object.  Inside a
 normalization each contraction takes the previous one's result as it is,
-since that tree is freshened and was just accepted with the same system.
+since that tree was just accepted with the same system.
 
 One cut scan per round, over the kernel's pre-order index (``_preorder``),
 gives both the rank recorded in the trace and the next round's selection; it
@@ -49,6 +56,7 @@ from .kernel import (
     all_labels,
     _path_of,
     _preorder,
+    _reserved_index,
     _rebuild,
     _rebuilt,
     _walk,
@@ -280,6 +288,45 @@ def _select(cs, ix) -> list[int]:
     return min(pool, key=lambda seg: (post[seg[-1]], post[seg[0]]))
 
 
+# --- witness tokens --------------------------------------------------------
+
+
+def _witness_tokens(d: Derivation):
+    """The tokens of the witnesses of ``d``, in pre-order: the ``box-i``
+    nodes with a token over a premise at a non-empty position and the
+    ``dia-e`` nodes with a token, as :func:`freshen` counts them."""
+    for n in d:
+        tok = n.token
+        if tok is not None and (
+            n.rule == "dia-e" or (n.rule == "box-i" and n.premises[0].conclusion.position)
+        ):
+            yield tok
+
+
+def _fresh(d: Derivation) -> tuple[Derivation, int]:
+    """``freshen(d)`` and its *floor*: 1 + the lowest reserved index it gave a
+    witness (0 without witnesses).  Every reserved token in a position of
+    ``d`` lies below the floor."""
+    out = freshen(d)
+    return out, min(map(_reserved_index, _witness_tokens(out)), default=0)
+
+
+def _freshened(d: Derivation, floor: int) -> Derivation:
+    """``d`` as it is when its witnesses have distinct reserved tokens at or
+    above ``floor`` (see :func:`_fresh`), else ``freshen(d)``.
+
+    A token below the floor comes from ``substitute``'s freshen of a subtree
+    that holds no witness position, and may name a position outside it.
+    The walk stops at the first offending token.
+    """
+    seen: set[str] = set()
+    for tok in _witness_tokens(d):
+        if tok in seen or _reserved_index(tok) < floor:
+            return freshen(d)
+        seen.add(tok)
+    return d
+
+
 # --- proper contraction ----------------------------------------------------
 
 
@@ -362,7 +409,7 @@ def contract_proper(
     _redex_at(d, occ)
     if not check(d, system, t_strict_empty_beta=t_strict_empty_beta).ok:
         raise ValueError("contract_proper requires a derivation that checks")
-    return _contract_proper(freshen(d), occ, system, t_strict_empty_beta)
+    return _contract_proper(*_fresh(d), occ, system, t_strict_empty_beta)
 
 
 def _redex_at(d: Derivation, occ: tuple[Occurrence, ...]) -> Occurrence:
@@ -388,12 +435,18 @@ def _redex_at(d: Derivation, occ: tuple[Occurrence, ...]) -> Occurrence:
 
 
 def _contract_proper(
-    d: Derivation, occ: tuple[Occurrence, ...], system: System, t_strict: bool
+    d: Derivation,
+    floor: int,
+    occ: tuple[Occurrence, ...],
+    system: System,
+    t_strict: bool,
 ) -> Derivation:
-    """:func:`contract_proper` of the cut segment ``occ`` of a freshened
-    ``d`` that checks in ``system``: the result is checked, the input is not."""
+    """:func:`contract_proper` of the cut segment ``occ`` of a ``d`` that
+    checks in ``system`` and whose witnesses have distinct tokens at or above
+    ``floor``: the result is checked, and freshened unless it keeps that
+    (:func:`_freshened`); the input is not."""
     at = _redex_at(d, occ)
-    out = freshen(_contract_proper_core(d, at, system, t_strict))
+    out = _freshened(_contract_proper_core(d, at, system, t_strict), floor)
     rep = check(out, system, t_strict_empty_beta=t_strict)
     if not rep.ok:
         raise NormalizerError(
@@ -437,7 +490,7 @@ def contract_commutative(
     _require_commutable(d, at)
     if not check(d, system, t_strict_empty_beta=t_strict_empty_beta).ok:
         raise ValueError("contract_commutative requires a derivation that checks")
-    return _contract_commutative(freshen(d), at, system, t_strict_empty_beta)
+    return _contract_commutative(*_fresh(d), at, system, t_strict_empty_beta)
 
 
 def _require_commutable(d: Derivation, at: Occurrence) -> None:
@@ -455,12 +508,16 @@ def _require_commutable(d: Derivation, at: Occurrence) -> None:
 
 
 def _contract_commutative(
-    d: Derivation, at: Occurrence, system: System, t_strict: bool
+    d: Derivation, floor: int, at: Occurrence, system: System, t_strict: bool
 ) -> Derivation:
-    """:func:`contract_commutative` on a freshened ``d`` that checks in
-    ``system``: the result is checked, the input is not."""
+    """:func:`contract_commutative` on a ``d`` that checks in ``system`` and
+    whose witnesses have distinct tokens at or above ``floor``: the result is
+    checked, and freshened unless it keeps that (:func:`_freshened`); the
+    input is not."""
     _require_commutable(d, at)
-    out = freshen(_replace_at(d, at, _commute_node(subtree_at(d, at), all_labels(d))))
+    out = _freshened(
+        _replace_at(d, at, _commute_node(subtree_at(d, at), all_labels(d))), floor
+    )
     rep = check(out, system, t_strict_empty_beta=t_strict)
     if not rep.ok:
         raise NormalizerError(
@@ -544,7 +601,7 @@ def normalize_steps(
     t = t_strict_empty_beta
     if not check(d, system, t_strict_empty_beta=t).ok:
         raise ValueError("normalize requires a derivation that checks")
-    cur = freshen(d)
+    cur, floor = _fresh(d)
     ix = _preorder(cur)
     cs = _cuts(ix)
     trace: list[Rank] = [_rank(cs)]
@@ -558,12 +615,12 @@ def normalize_steps(
             end = seg[-1]
             e = end[:-1]
             mslot = seg[-2][len(e) + 1]
-            cur = _contract_commutative(cur, e, system, t)
+            cur = _contract_commutative(cur, floor, e, system, t)
             steps.append((rounds, "commutative", e, rank(cur)))
             old_prefix = e + (0, mslot)
             new_prefix = e + (mslot, 0)
             seg = [new_prefix + o[len(old_prefix):] for o in seg[:-1]]
-        cur = _contract_proper(cur, (seg[0],), system, t)
+        cur = _contract_proper(cur, floor, (seg[0],), system, t)
         ix = _preorder(cur)
         cs = _cuts(ix)
         rk = _rank(cs)
@@ -576,7 +633,7 @@ def normalize_steps(
     cleanup: list[tuple[str, Occurrence]] = []
     cur = _resolve_joins(cur, cleanup)
     if cleanup:
-        cur = freshen(cur)
+        cur = _freshened(cur, floor)
         for kind, path in cleanup:
             rounds += 1
             steps.append((rounds, kind, path, (0, 0)))
@@ -634,7 +691,7 @@ def reduce_once(
     if cs:
         seg = _select(cs, ix)
         if len(seg) == 1:
-            return _contract_proper(freshen(d), _occurrences(seg, ix), system, t)
+            return _contract_proper(*_fresh(d), _occurrences(seg, ix), system, t)
         at = parent[seg[-1]]
     else:
         cands = [i for i, n in enumerate(nodes) if _splits(n)]
@@ -643,7 +700,7 @@ def reduce_once(
         # The deepest split (a node's depth is end - 1 - post), then the first
         # in pre-order, which is the order of paths.
         at = min(cands, key=lambda i: (post[i] - end[i], i))
-    return _contract_commutative(freshen(d), _path_of(at, parent, slot), system, t)
+    return _contract_commutative(*_fresh(d), _path_of(at, parent, slot), system, t)
 
 
 # --- spines ----------------------------------------------------------------

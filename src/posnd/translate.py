@@ -591,6 +591,9 @@ def derivation_to_labelled(d: Derivation, system: System) -> LabelledProofSketch
     """Render a derivation as a labelled sequent-calculus proof sketch.
 
     Each node's open assumptions are gathered bottom-up in the same walk.
+    Reserved tokens are first renamed as :func:`~posnd.kernel.print_proof`
+    renames them (``kernel.sanitize_tokens``), so world names do not depend
+    on how the normalizer numbered its witnesses.
     """
     mode = "partial" if system.partial else "total"
 
@@ -617,7 +620,9 @@ def derivation_to_labelled(d: Derivation, system: System) -> LabelledProofSketch
             return _mediate(rule, children, jud, alpha, tuple(n.beta)), opens
         return LabelledStep(rule, children, jud), opens
 
-    return LabelledProofSketch(K._walk(d, enter, leave, True)[0], mode)
+    return LabelledProofSketch(
+        K._walk(K.sanitize_tokens(d), enter, leave, True)[0], mode
+    )
 
 
 def print_labelled(sketch: LabelledProofSketch) -> str:

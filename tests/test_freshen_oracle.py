@@ -131,6 +131,36 @@ def reference_freshen(d):
     return go(d)
 
 
+def reserved_canon(d):
+    """The node data of ``d`` in pre-order, every reserved token ``_N``
+    replaced by the order of its first occurrence: two trees are equal up to
+    a bijective renaming of reserved tokens iff their canons are equal."""
+    names = {}
+
+    def tok(t):
+        if t.startswith(RESERVED_TOKEN_PREFIX):
+            return names.setdefault(t, ("reserved", len(names)))
+        return t
+
+    def pos(p):
+        return None if p is None else tuple(tok(t) for t in p)
+
+    def content(c):
+        if c is None:
+            return None
+        return type(c), getattr(c, "formula", None), pos(c.position)
+
+    return [
+        (
+            n.rule, len(n.premises), content(n.conclusion), n.label,
+            content(n.content), content(n.ante), n.other, content(n.target),
+            n.discharges, n.e_discharges, pos(n.beta),
+            None if n.token is None else tok(n.token),
+        )
+        for n in d
+    ]
+
+
 def reference_check_position_condition(d):
     instances = []
     positions = []
@@ -297,16 +327,18 @@ def test_freshen_matches_reference_on_nested_witnesses():
 
 
 def test_freshen_matches_reference_on_trees_normalize_freshens(monkeypatch):
+    # A normalization freshens its input once, and a contraction's result
+    # only when a witness repeats in it; every contraction result is a tree
+    # it may freshen, so each is captured where that decision is made.
     seen = []
-    real = K.freshen
+    real = N._freshened
 
-    def capture(d):
+    def capture(d, floor):
         seen.append(d)
-        return real(d)
+        return real(d, floor)
 
-    monkeypatch.setattr(K, "freshen", capture)
-    monkeypatch.setattr(N, "freshen", capture)
-    for d, system in detour_corpus(5):
+    monkeypatch.setattr(N, "_freshened", capture)
+    for d, system in detour_corpus(5) + detour_corpus(6):
         N.normalize(d, system)
     monkeypatch.undo()
     assert len(seen) > 100

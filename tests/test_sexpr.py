@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
+import time
+
 import pytest
 
 from posnd import kernel as K
-from posnd._sexpr import ParseError, QStr, dump, parse_all, parse_one
+from posnd._sexpr import _TOKEN_RE, ParseError, QStr, dump, parse_all, parse_one
 from posnd.syntax import And, Atom, Imp, PFormula, parse_formula
 
 
@@ -253,3 +256,66 @@ def test_printing_odd_atoms_inside_formulas_matches_text_round_trip():
             continue
         assert want in K.print_check_report(report)
         assert want in K.print_proof(d, s4)
+
+
+# --- the tokenizer ----------------------------------------------------------
+
+# The token pattern before whitespace was consumed with each token: one
+# token per match, whitespace stepped over one character at a time.
+REFERENCE_TOKEN_RE = re.compile(
+    r'''[()]|"[^"\\]*(?:\\.[^"\\]*)*"|[^\s();"]+|;[^\n]*|"''', re.DOTALL
+)
+
+
+def _indented(depth: int) -> str:
+    return "".join(
+        "  " * i + f"(and-i ; level {i}\n" for i in range(depth)
+    ) + "(hyp u p ())" + ")" * depth + "\n"
+
+
+TOKENIZER_TEXTS = [
+    "",
+    "   \n\t ",
+    "(a b)",
+    "  (a b)  \n",
+    _indented(60),
+    "(a ; comment (not a list)\n  b)\n; trailing comment",
+    '(a "s t\\"u" ; c\n\t"x\\\ny")  ',
+    '(a "never closed\n  (b c)',
+    '(a)\n\n  "x\ny  ',
+    ') (a "b\\',
+    "(a\u00a0b\u2003c\u3000)\r\n(d)\x0b\x0c",
+    "(a (b c)\n  (d",
+]
+
+
+@pytest.mark.parametrize("text", TOKENIZER_TEXTS)
+def test_tokens_and_offsets_match_reference(text):
+    got = [(m.group(1), m.start(1)) for m in _TOKEN_RE.finditer(text)]
+    want = [(m.group(), m.start()) for m in REFERENCE_TOKEN_RE.finditer(text)]
+    assert got == want
+    assert _TOKEN_RE.findall(text) == REFERENCE_TOKEN_RE.findall(text)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        (_indented(40).replace("(hyp u p ())", "  (hyp u p (\n"), ("unclosed '('", 2, 3)),
+        (_indented(3) + "  )", ("unbalanced ')'", 5, 3)),
+        ("  ; c (\n    (a ; d\n  \"e", ("unterminated string", 3, 3)),
+        ("\n\n      (a \"b\\", ("unterminated escape", 3, 12)),
+    ],
+)
+def test_error_location_in_indented_and_commented_text(text, want):
+    assert _error(text) == want
+
+
+def test_whitespace_runs_cost_linear_time():
+    # Skipping whitespace before each token would rescan a trailing run
+    # from each of its characters: half a minute here, not milliseconds.
+    n = 30_000
+    text = " " * n + "(a\n" + "\t" * n + "b)" + " " * n
+    start = time.perf_counter()
+    assert parse_all(text) == [["a", "b"]]
+    assert _error(text + "(") == ("unclosed '('", 2, 2 * n + 3)
+    assert time.perf_counter() - start < 2

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from posnd import kernel as K
+from posnd import normalizer as N
 from posnd.kernel import System, check, open_assumptions
 from posnd.syntax import (
     And,
@@ -36,6 +37,7 @@ from posnd.translate import (
 )
 
 import proofgen
+from test_witness_copy_oracle import deep_chains
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 LOGICS = ("k", "d", "t", "k4", "d4", "s4")
@@ -523,3 +525,47 @@ class TestDerivationToLabelled:
         text = print_labelled(sketch)
         assert text.startswith("labelled-sketch")
         assert text.count("|-") >= 1
+
+
+def _worlds(sketch):
+    """Every world label in a labelled sketch."""
+    out = set()
+    stack = [sketch.root]
+    while stack:
+        step = stack.pop()
+        seq = step.sequent
+        out.add(seq.right[0])
+        out.update(lab for lab, _ in seq.formulas)
+        for a, b in seq.relations:
+            out.update((a, b))
+        stack.extend(step.premises)
+    return out
+
+
+def _position_worlds(d, reserved):
+    """The world labels of every position in ``d`` and its prefixes, those
+    with a reserved token (``reserved=True``) or those without."""
+    out = set()
+    for n in d:
+        for c in (n.conclusion, n.content, n.ante, n.target):
+            if c is None:
+                continue
+            for i in range(len(c.position) + 1):
+                p = c.position[:i]
+                if any(t.startswith("_") for t in p) == reserved:
+                    out.add(position_label(p))
+    return out
+
+
+def test_labelled_export_names_worlds_as_print_proof_does():
+    renamed = 0
+    for d, system in deep_chains():
+        out, _ = N.normalize(d, system)
+        sketch = derivation_to_labelled(out, system)
+        worlds = _worlds(sketch)
+        assert not worlds & _position_worlds(out, reserved=True)
+        printed, _ = K.parse_proof(K.print_proof(out, system))
+        assert worlds <= _position_worlds(printed, reserved=False)
+        assert print_labelled(sketch) == print_labelled(derivation_to_labelled(printed, system))
+        renamed += bool(_position_worlds(out, reserved=True))
+    assert renamed > 20
