@@ -1326,15 +1326,11 @@ def _remap(d: Derivation, fn, witnesses=None) -> Derivation:
         if not n.premises:
             done.append(_remapped(n, (), f, None))
             continue
-        slot = None
-        if witnesses and n.token is not None:
-            if n.rule == "box-i":
-                old = n.premises[0].conclusion.position
-                slot = 0 if old else None
-            elif n.rule == "dia-e":
-                old = n.premises[0].conclusion.position + (n.token,)
-                slot = 1
+        slot = _scope_slot(n) if witnesses else None
         if slot is not None:
+            old = n.premises[0].conclusion.position
+            if slot:
+                old += (n.token,)
             name = f"{RESERVED_TOKEN_PREFIX}{start + finished + counts[id(n)] - 1}"
             scope = _Renaming(old, old[:-1] + (name,), f, stops)
         stack.append((n, f, scope, True))
@@ -1407,6 +1403,20 @@ def _reserved_index(tok: str) -> int:
     return int(m.group(1)) + 1 if m else 0
 
 
+def _scope_slot(n: Derivation) -> int | None:
+    """The premise over which ``n`` scopes a witness, else ``None``: 0 for a
+    ``box-i`` with a token over a premise at a non-empty position, 1 for a
+    ``dia-e`` with a token.  These are the witnesses :func:`freshen`
+    renames."""
+    if n.token is None:
+        return None
+    if n.rule == "dia-e":
+        return 1
+    if n.rule == "box-i" and n.premises[0].conclusion.position:
+        return 0
+    return None
+
+
 def _witness_census(d: Derivation) -> tuple[dict[int, int], int, bool]:
     """What :func:`freshen` numbers its witnesses from, in one pass.
 
@@ -1426,12 +1436,10 @@ def _witness_census(d: Derivation) -> tuple[dict[int, int], int, bool]:
                     if tok.startswith(RESERVED_TOKEN_PREFIX):
                         start = max(start, _reserved_index(tok))
         own = 0
-        if n.token is not None:
+        if _scope_slot(n) is not None:
+            own = 1
             if n.rule == "dia-e":
-                own = 1
                 token_top = max(token_top, _reserved_index(n.token))
-            elif n.rule == "box-i" and n.premises[0].conclusion.position:
-                own = 1
         for p in n.premises:
             own += counts[id(p)]
         counts[id(n)] = own
@@ -1500,14 +1508,23 @@ def substitute(
     constraint (possible when the replaced prefix cuts through a recorded
     step), ``SubstitutionUnsound`` is raised.
     """
-    pre = check(d, system, t_strict_empty_beta=t_strict_empty_beta)
-    if not pre.ok:
+    t = t_strict_empty_beta
+    if not check(d, system, t_strict_empty_beta=t).ok:
         raise ValueError("substitute requires a derivation that checks")
-    fresh = freshen(d)
-    beta = tuple(beta)
-    gamma = tuple(gamma)
-    mapped = map_positions(fresh, lambda p: prefix_replace(p, beta, gamma))
-    for orig, new in zip(fresh, mapped):
+    return _substitute(freshen(d), tuple(beta), tuple(gamma), system, t)
+
+
+def _substitute(
+    d: Derivation, beta: Position, gamma: Position, system: System, t_strict: bool
+) -> Derivation:
+    """:func:`substitute` without its freshen, for a ``d`` whose witnesses
+    have tokens of their own, used in no position outside their scopes (as
+    after a :func:`freshen` of a tree that holds ``d``): the replacement
+    then cannot capture them."""
+    if not check(d, system, t_strict_empty_beta=t_strict).ok:
+        raise ValueError("substitute requires a derivation that checks")
+    mapped = map_positions(d, lambda p: prefix_replace(p, beta, gamma))
+    for orig, new in zip(d, mapped):
         oc, nc = orig.conclusion, new.conclusion
         want = prefix_replace(oc.position, beta, gamma)
         same_formula = (
@@ -1522,7 +1539,7 @@ def substitute(
                 (),
             )
     cleaned = _drop_trivial_reposition(mapped)
-    post = check(cleaned, system, t_strict_empty_beta=t_strict_empty_beta)
+    post = check(cleaned, system, t_strict_empty_beta=t_strict)
     if not post.ok:
         raise SubstitutionUnsound(
             f"replacing prefix {print_position(beta)} by "

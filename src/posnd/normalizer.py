@@ -21,14 +21,13 @@ Every contraction checks its result, and freshens it when a witness
 repeats.  The public entries (``normalize``, ``reduce_once``,
 ``contract_proper``, ``contract_commutative``) check their input and freshen
 it once, which gives every witness its own reserved token.  A contraction
-keeps those tokens unless it copies a witness: ``plug`` with two or more
-bound leaves, a commutation over the minors of an ``or-e``, or
-``substitute``'s freshen of one subtree numbering into tokens used elsewhere.
-Each makes a token repeat or fall below those of the input's freshen, and
-only then is the whole result freshened (``_freshened``); otherwise every
-subtree a contraction does not rewrite is kept as the same object.  Inside a
-normalization each contraction takes the previous one's result as it is,
-since that tree was just accepted with the same system.
+keeps those tokens, its ``box-e``/``dia-e`` substitutions included, unless
+it copies a witness: ``plug`` with two or more bound leaves, or a
+commutation over the minors of an ``or-e``.  Only then does a token repeat,
+and only then is the whole result freshened (``_freshened``); otherwise
+every subtree a contraction does not rewrite is kept as the same object.
+Inside a normalization each contraction takes the previous one's result as
+it is, since that tree was just accepted with the same system.
 
 One cut scan per round, over the kernel's pre-order index (``_preorder``),
 gives both the rank recorded in the trace and the next round's selection; it
@@ -50,15 +49,15 @@ from .kernel import (
     System,
     check,
     freshen,
-    substitute,
     relabel_binders,
     plug,
     all_labels,
     _path_of,
     _preorder,
-    _reserved_index,
     _rebuild,
     _rebuilt,
+    _scope_slot,
+    _substitute,
     _walk,
     _RULE_TABLE,
     INTRO_RULES,
@@ -259,13 +258,22 @@ def _select(cs, ix) -> list[int]:
 
     Such a cut always exists; contracting it strictly shrinks the rank
     because only cut-free material is ever duplicated.  The zones, the
-    subtrees a contraction may copy, are two pre-order ranges: the premises
-    of the introduction ``s``, ``[s + 1, end[s])``, and those of the
-    elimination ``e`` after its major, ``[end[e + 1], end[e])``.  A cut's own
-    occurrences lie in neither, so a prefix count of all candidates'
-    occurrences finds the others'.  Ties break toward the segment end that
-    comes first in post-order, then the earliest start (two cuts can share
-    their end at a case-split conclusion).
+    subtrees a contraction may copy, are the premises of the introduction
+    ``s`` and those of the elimination ``e`` after its major; the second is
+    the pre-order range ``[end[e + 1], end[e])``.  A cut's own occurrences
+    lie in neither, so a prefix count of all candidates' occurrences finds
+    the others'.  Ties break toward the segment end that comes first in
+    post-order, then the earliest start (two cuts can share their end at a
+    case-split conclusion).
+
+    Only the elimination zone is tested; testing the introduction's too
+    would select the same cut.  A segment leaves a subtree only through a
+    case-split conclusion, and ``s`` is none, so a candidate with an
+    occurrence above ``s`` lies wholly in one premise of ``s``, zones
+    included, and so do the candidates that could block it.  That premise,
+    a derivation of its own, therefore holds a free candidate (the claim
+    above), whose end precedes ``s`` in post-order and so the cut's end: a
+    cut blocked only in its introduction zone never wins the tie-break.
     """
     _, parent, _, end, post = ix
     top = max(deg for _, _, deg in cs)
@@ -278,11 +286,8 @@ def _select(cs, ix) -> list[int]:
         before[i + 1] += before[i]
 
     def free(seg: list[int]) -> bool:
-        s, e = seg[0], parent[seg[-1]]
-        return (
-            before[end[s]] == before[s + 1]
-            and before[end[e]] == before[end[e + 1]]
-        )
+        e = parent[seg[-1]]
+        return before[end[e]] == before[end[e + 1]]
 
     pool = [seg for seg in cands if free(seg)] or cands
     return min(pool, key=lambda seg: (post[seg[-1]], post[seg[0]]))
@@ -292,39 +297,34 @@ def _select(cs, ix) -> list[int]:
 
 
 def _witness_tokens(d: Derivation):
-    """The tokens of the witnesses of ``d``, in pre-order: the ``box-i``
-    nodes with a token over a premise at a non-empty position and the
-    ``dia-e`` nodes with a token, as :func:`freshen` counts them."""
-    for n in d:
-        tok = n.token
-        if tok is not None and (
-            n.rule == "dia-e" or (n.rule == "box-i" and n.premises[0].conclusion.position)
-        ):
-            yield tok
+    """The tokens of the witnesses of ``d``, in pre-order (see
+    ``kernel._scope_slot``)."""
+    return (n.token for n in d if _scope_slot(n) is not None)
 
 
-def _fresh(d: Derivation) -> tuple[Derivation, int]:
-    """``freshen(d)`` and its *floor*: 1 + the lowest reserved index it gave a
-    witness (0 without witnesses).  Every reserved token in a position of
-    ``d`` lies below the floor."""
-    out = freshen(d)
-    return out, min(map(_reserved_index, _witness_tokens(out)), default=0)
-
-
-def _freshened(d: Derivation, floor: int) -> Derivation:
-    """``d`` as it is when its witnesses have distinct reserved tokens at or
-    above ``floor`` (see :func:`_fresh`), else ``freshen(d)``.
-
-    A token below the floor comes from ``substitute``'s freshen of a subtree
-    that holds no witness position, and may name a position outside it.
-    The walk stops at the first offending token.
-    """
+def _freshened(d: Derivation) -> Derivation:
+    """``d`` as it is when its witnesses have distinct tokens, else
+    ``freshen(d)``.  The walk stops at the first repeat."""
     seen: set[str] = set()
     for tok in _witness_tokens(d):
-        if tok in seen or _reserved_index(tok) < floor:
+        if tok in seen:
             return freshen(d)
         seen.add(tok)
     return d
+
+
+def _accepted(d: Derivation, system: System, t_strict: bool, what: str) -> Derivation:
+    """A contraction's result ``d``, freshened if a witness repeats
+    (:func:`_freshened`), once it checks in ``system``; else
+    :class:`NormalizerError`."""
+    out = _freshened(d)
+    rep = check(out, system, t_strict_empty_beta=t_strict)
+    if not rep.ok:
+        raise NormalizerError(
+            f"{what} contraction broke the derivation: "
+            + "; ".join(v.message for v in rep.violations[:3])
+        )
+    return out
 
 
 # --- proper contraction ----------------------------------------------------
@@ -358,24 +358,16 @@ def _contract_proper_core(
     elif r == "box-e":
         alpha = I.conclusion.position
         witness = alpha + (I.token,)
-        new = substitute(
-            I.premises[0],
-            witness,
-            alpha + tuple(R.beta or ()),
-            system,
-            t_strict_empty_beta=t_strict,
+        new = _substitute(
+            I.premises[0], witness, alpha + tuple(R.beta or ()), system, t_strict
         )
         if I.e_discharges:
             new = plug(new, I.e_discharges, R.premises[1], "e")
     elif r == "dia-e":
         alpha = I.conclusion.position
         witness = alpha + (R.token,)
-        mapped = substitute(
-            R.premises[1],
-            witness,
-            alpha + tuple(I.beta or ()),
-            system,
-            t_strict_empty_beta=t_strict,
+        mapped = _substitute(
+            R.premises[1], witness, alpha + tuple(I.beta or ()), system, t_strict
         )
         skel = relabel_binders(mapped, forb)
         if R.e_discharges:
@@ -409,7 +401,7 @@ def contract_proper(
     _redex_at(d, occ)
     if not check(d, system, t_strict_empty_beta=t_strict_empty_beta).ok:
         raise ValueError("contract_proper requires a derivation that checks")
-    return _contract_proper(*_fresh(d), occ, system, t_strict_empty_beta)
+    return _contract_proper(freshen(d), occ, system, t_strict_empty_beta)
 
 
 def _redex_at(d: Derivation, occ: tuple[Occurrence, ...]) -> Occurrence:
@@ -435,25 +427,14 @@ def _redex_at(d: Derivation, occ: tuple[Occurrence, ...]) -> Occurrence:
 
 
 def _contract_proper(
-    d: Derivation,
-    floor: int,
-    occ: tuple[Occurrence, ...],
-    system: System,
-    t_strict: bool,
+    d: Derivation, occ: tuple[Occurrence, ...], system: System, t_strict: bool
 ) -> Derivation:
     """:func:`contract_proper` of the cut segment ``occ`` of a ``d`` that
-    checks in ``system`` and whose witnesses have distinct tokens at or above
-    ``floor``: the result is checked, and freshened unless it keeps that
-    (:func:`_freshened`); the input is not."""
+    checks in ``system`` and whose witnesses have distinct tokens, with
+    :func:`_accepted`'s result; the input is not checked or freshened."""
     at = _redex_at(d, occ)
-    out = _freshened(_contract_proper_core(d, at, system, t_strict), floor)
-    rep = check(out, system, t_strict_empty_beta=t_strict)
-    if not rep.ok:
-        raise NormalizerError(
-            "proper contraction broke the derivation: "
-            + "; ".join(v.message for v in rep.violations[:3])
-        )
-    return out
+    out = _contract_proper_core(d, at, system, t_strict)
+    return _accepted(out, system, t_strict, "proper")
 
 
 # --- commutative contraction -----------------------------------------------
@@ -490,7 +471,7 @@ def contract_commutative(
     _require_commutable(d, at)
     if not check(d, system, t_strict_empty_beta=t_strict_empty_beta).ok:
         raise ValueError("contract_commutative requires a derivation that checks")
-    return _contract_commutative(*_fresh(d), at, system, t_strict_empty_beta)
+    return _contract_commutative(freshen(d), at, system, t_strict_empty_beta)
 
 
 def _require_commutable(d: Derivation, at: Occurrence) -> None:
@@ -508,23 +489,14 @@ def _require_commutable(d: Derivation, at: Occurrence) -> None:
 
 
 def _contract_commutative(
-    d: Derivation, floor: int, at: Occurrence, system: System, t_strict: bool
+    d: Derivation, at: Occurrence, system: System, t_strict: bool
 ) -> Derivation:
     """:func:`contract_commutative` on a ``d`` that checks in ``system`` and
-    whose witnesses have distinct tokens at or above ``floor``: the result is
-    checked, and freshened unless it keeps that (:func:`_freshened`); the
-    input is not."""
+    whose witnesses have distinct tokens, with :func:`_accepted`'s result;
+    the input is not checked or freshened."""
     _require_commutable(d, at)
-    out = _freshened(
-        _replace_at(d, at, _commute_node(subtree_at(d, at), all_labels(d))), floor
-    )
-    rep = check(out, system, t_strict_empty_beta=t_strict)
-    if not rep.ok:
-        raise NormalizerError(
-            "commutative contraction broke the derivation: "
-            + "; ".join(v.message for v in rep.violations[:3])
-        )
-    return out
+    out = _replace_at(d, at, _commute_node(subtree_at(d, at), all_labels(d)))
+    return _accepted(out, system, t_strict, "commutative")
 
 
 # --- normalization ---------------------------------------------------------
@@ -601,7 +573,7 @@ def normalize_steps(
     t = t_strict_empty_beta
     if not check(d, system, t_strict_empty_beta=t).ok:
         raise ValueError("normalize requires a derivation that checks")
-    cur, floor = _fresh(d)
+    cur = freshen(d)
     ix = _preorder(cur)
     cs = _cuts(ix)
     trace: list[Rank] = [_rank(cs)]
@@ -615,12 +587,12 @@ def normalize_steps(
             end = seg[-1]
             e = end[:-1]
             mslot = seg[-2][len(e) + 1]
-            cur = _contract_commutative(cur, floor, e, system, t)
+            cur = _contract_commutative(cur, e, system, t)
             steps.append((rounds, "commutative", e, rank(cur)))
             old_prefix = e + (0, mslot)
             new_prefix = e + (mslot, 0)
             seg = [new_prefix + o[len(old_prefix):] for o in seg[:-1]]
-        cur = _contract_proper(cur, floor, (seg[0],), system, t)
+        cur = _contract_proper(cur, (seg[0],), system, t)
         ix = _preorder(cur)
         cs = _cuts(ix)
         rk = _rank(cs)
@@ -633,7 +605,7 @@ def normalize_steps(
     cleanup: list[tuple[str, Occurrence]] = []
     cur = _resolve_joins(cur, cleanup)
     if cleanup:
-        cur = _freshened(cur, floor)
+        cur = _freshened(cur)
         for kind, path in cleanup:
             rounds += 1
             steps.append((rounds, kind, path, (0, 0)))
@@ -691,7 +663,7 @@ def reduce_once(
     if cs:
         seg = _select(cs, ix)
         if len(seg) == 1:
-            return _contract_proper(*_fresh(d), _occurrences(seg, ix), system, t)
+            return _contract_proper(freshen(d), _occurrences(seg, ix), system, t)
         at = parent[seg[-1]]
     else:
         cands = [i for i, n in enumerate(nodes) if _splits(n)]
@@ -700,7 +672,7 @@ def reduce_once(
         # The deepest split (a node's depth is end - 1 - post), then the first
         # in pre-order, which is the order of paths.
         at = min(cands, key=lambda i: (post[i] - end[i], i))
-    return _contract_commutative(*_fresh(d), _path_of(at, parent, slot), system, t)
+    return _contract_commutative(freshen(d), _path_of(at, parent, slot), system, t)
 
 
 # --- spines ----------------------------------------------------------------

@@ -170,20 +170,18 @@ class Bounds:
     """Search bounds for the enumerators.
 
     ``max_depth`` bounds tree height (0 keeps just the root),
-    ``max_branching`` the child count per world, ``num_atoms`` the
-    proposition supply, and ``alphabet_size`` the position-token supply
-    available to randomized instance generators.
+    ``max_branching`` the child count per world, and ``num_atoms`` the
+    proposition supply.
     """
 
     max_depth: int
     max_branching: int
     num_atoms: int
-    alphabet_size: int = 1
 
     def __post_init__(self) -> None:
         if self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
-        for name in ("max_branching", "num_atoms", "alphabet_size"):
+        for name in ("max_branching", "num_atoms"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 

@@ -2,12 +2,15 @@
 
 import contextlib
 import io
+import re
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posnd import kernel as K
 from posnd import semantics as S
+from posnd import translate as T
 from posnd.cli import main
 from posnd.kernel import System
 from posnd.syntax import And, Atom, Bottom, Box, PFormula
@@ -283,3 +286,70 @@ class TestInternalErrors:
         assert err == (
             "internal invariant breach: proper contraction broke the derivation\n"
         )
+
+
+# --- mutated proof files ---------------------------------------------------
+
+_TOKEN = re.compile(r'[()]|"(?:[^"\\]|\\.)*"|[^\s()";]+')
+
+
+def _source_tokens():
+    """The built-in classical proofs and their g-translations, as token lists."""
+    out = []
+    for axiom, logic in sorted(K.BUILTIN_PAIRS):
+        d, system = K.builtin(axiom, logic)
+        out.append(K.print_proof(d, system))
+        target = System(logic, "intuitionistic")
+        out.append(K.print_proof(T.classical_to_intuitionistic(d, system), target))
+    return [_TOKEN.findall(text) for text in out]
+
+
+_SOURCES = _source_tokens()
+_POOL = sorted({t for toks in _SOURCES for t in toks}) + [
+    "()", '""', "_0", "0", "-1", "99999999999999999999", "\u00b2", "bogus",
+]
+
+# Every subcommand that reads a proof file (``axioms`` reads none).
+_COMMAND_LINES = (
+    ["check", "-"],
+    ["check", "-", "--t-strict-empty-beta"],
+    ["normalize", "-", "--trace"],
+    ["normalize", "-", "--flavor", "intuitionistic"],
+    ["eval", "-", "--bounds", "1,1,1"],
+    ["translate-g", "-"],
+    ["export-labelled", "-"],
+)
+
+
+@st.composite
+def mutated_proof_texts(draw):
+    """A built-in proof or its translation with one to three of its tokens
+    swapped, replaced or wrapped in parentheses."""
+    toks = list(draw(st.sampled_from(_SOURCES)))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("swap", "replace", "wrap")))
+        # Swaps and replacements pick atoms, so most texts stay balanced.
+        atoms = [k for k, t in enumerate(toks) if t not in ("(", ")")]
+        i = draw(st.sampled_from(atoms))
+        if kind == "swap":
+            j = draw(st.sampled_from(atoms))
+            toks[i], toks[j] = toks[j], toks[i]
+        elif kind == "replace":
+            toks[i] = draw(st.sampled_from(_POOL))
+        else:
+            j = draw(st.integers(i + 1, min(len(toks), i + 6)))
+            toks[i:j] = ["(", *toks[i:j], ")"]
+    return " ".join(toks)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(mutated_proof_texts())
+def test_every_command_ends_cleanly_on_mutated_proofs(text):
+    # Exit 3 would be a crash or a broken invariant: a mutated file is
+    # either read and answered (0 or 1) or rejected as malformed (2).
+    for argv in _COMMAND_LINES:
+        code, _, err = run(argv, stdin=text)
+        assert code in (0, 1, 2), (argv, text, err)
+        assert "Traceback" not in err
+        assert err == "" if code == 0 else err.count("\n") <= 1, (argv, text, err)
+        assert code != 2 or err.count("\n") == 1, (argv, text)

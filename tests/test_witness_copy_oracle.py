@@ -3,14 +3,15 @@ copies of the versions that freshened every contraction's result.
 
 A witness (a ``box-i`` with a token over a premise at a non-empty position,
 or a ``dia-e`` with a token) needs renaming apart only when a contraction
-copies it: ``plug`` with several bound leaves, a commutation over ``or-e``
-minors, or ``substitute``'s freshen of one subtree numbering into tokens
-used elsewhere.  The references freshen the whole tree after every
-contraction.  Both must give the same rank traces, step logs and printed
-normal forms, and every intermediate tree must be the same up to a
-bijective renaming of reserved tokens and satisfy the position condition.
-A contraction that copies no witness keeps every subtree off the rewritten
-path as the same object.
+copies it: ``plug`` with several bound leaves, or a commutation over
+``or-e`` minors.  The references freshen the whole tree after every
+contraction, and their ``box-e``/``dia-e`` contractions freshen the subtree
+they substitute into first (the public ``substitute``).  Both must give the
+same rank traces, step logs and printed normal forms, and every
+intermediate tree must be the same up to a bijective renaming of reserved
+tokens and satisfy the position condition.  A contraction that copies no
+witness keeps every subtree off the rewritten path as the same object, and
+its witnesses keep the tokens its input's freshen gave them.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ from __future__ import annotations
 from posnd import kernel as K
 from posnd import normalizer as N
 from posnd import translate as T
-from posnd.kernel import all_labels, check, freshen
+from posnd.kernel import all_labels, check, freshen, plug, relabel_binders
 from posnd.normalizer import (
     FlavorUnsupported,
     NormalizerError,
     RankIncreased,
+    NotARedex,
     _commute_node,
-    _contract_proper_core,
     _cuts,
     _occurrences,
     _preorder,
@@ -50,9 +51,62 @@ S4I = K.System("s4", "intuitionistic")
 # --- the reference: every contraction freshens its result ------------------
 
 
+def reference_contract_proper_core(d, elim_path, system, t_strict):
+    """The contraction core whose substitutions freshen their subtree."""
+    R = subtree_at(d, elim_path)
+    I = R.premises[0]
+    forb = all_labels(d)
+    r = R.rule
+    if r == "and-e1":
+        new = I.premises[0]
+    elif r == "and-e2":
+        new = I.premises[1]
+    elif r == "imp-e":
+        skel = relabel_binders(I.premises[0], forb)
+        new = plug(skel, I.discharges[0], R.premises[1], "p")
+    elif r == "or-e":
+        if I.rule == "or-i1":
+            slot, labels = 1, R.discharges[0]
+        else:
+            slot, labels = 2, R.discharges[1]
+        skel = relabel_binders(R.premises[slot], forb)
+        new = plug(skel, labels, I.premises[0], "p")
+    elif r == "box-e":
+        alpha = I.conclusion.position
+        witness = alpha + (I.token,)
+        new = K.substitute(
+            I.premises[0],
+            witness,
+            alpha + tuple(R.beta or ()),
+            system,
+            t_strict_empty_beta=t_strict,
+        )
+        if I.e_discharges:
+            new = plug(new, I.e_discharges, R.premises[1], "e")
+    elif r == "dia-e":
+        alpha = I.conclusion.position
+        witness = alpha + (R.token,)
+        mapped = K.substitute(
+            R.premises[1],
+            witness,
+            alpha + tuple(I.beta or ()),
+            system,
+            t_strict_empty_beta=t_strict,
+        )
+        skel = relabel_binders(mapped, forb)
+        if R.e_discharges:
+            skel = plug(skel, R.e_discharges, I.premises[1], "e")
+        new = plug(skel, R.discharges[0], I.premises[0], "p")
+    else:
+        raise NotARedex(f"no proper contraction for rule {r!r}")
+    if new.conclusion != R.conclusion:
+        raise NormalizerError("proper contraction changed the conclusion")
+    return _replace_at(d, elim_path, new)
+
+
 def reference_contract_proper(d, occ, system, t_strict):
     at = _redex_at(d, occ)
-    out = freshen(_contract_proper_core(d, at, system, t_strict))
+    out = freshen(reference_contract_proper_core(d, at, system, t_strict))
     rep = check(out, system, t_strict_empty_beta=t_strict)
     if not rep.ok:
         raise NormalizerError(
@@ -237,6 +291,13 @@ def deep_chains():
     return out
 
 
+def nested_box_detour():
+    """A ``box-e`` of a ``box-i`` over a second ``box-i``: its contraction
+    substitutes into a subtree that holds a witness, and copies none."""
+    inner = K.box_e(K.hyp("u", Box(P), ()), ("x", "y"))
+    return K.box_e(K.box_i("x", frozenset(), K.box_i("y", frozenset(), inner)), ("z",))
+
+
 def copied_witness():
     """``(\\u. u & u) (box-i x. \\v. v)`` with ``u: box (p -> p)``: the proper
     contraction plugs the ``box-i`` into both leaves bound by ``u``."""
@@ -259,9 +320,7 @@ def _counted_freshen(monkeypatch):
 def test_normalization_matches_the_always_freshening_reference(monkeypatch):
     trail = []
     real = N._freshened
-    monkeypatch.setattr(
-        N, "_freshened", lambda t, floor: trail.append(real(t, floor)) or trail[-1]
-    )
+    monkeypatch.setattr(N, "_freshened", lambda t: trail.append(real(t)) or trail[-1])
     trees = rounds = 0
     for d, system in corpus() + list(chains(longest=100)) + deep_chains():
         trail.clear()
@@ -285,13 +344,13 @@ def test_contraction_keeps_untouched_subtrees(monkeypatch):
     calls = _counted_freshen(monkeypatch)
     kept = witness_siblings = 0
     for d, system in corpus() + deep_chains() + [(copied_witness(), S4I)]:
-        f, floor = N._fresh(d)
+        f = freshen(d)
         for cut in N.cuts(f):
             if len(cut.segment) != 1:
                 continue
             occ = cut.segment.occurrences
             before = len(calls)
-            out = N._contract_proper(f, floor, occ, system, False)
+            out = N._contract_proper(f, occ, system, False)
             if len(calls) > before:
                 continue
             kept += 1
@@ -319,12 +378,45 @@ def test_a_copied_witness_is_freshened_once(monkeypatch):
     assert len(tokens) == 2 and tokens[0] != tokens[1]
 
 
+def test_a_contraction_that_copies_no_witness_keeps_the_entry_tokens():
+    d = nested_box_detour()
+    (cut,) = N.cuts(d)
+    entry = [n.token for n in freshen(d) if n.rule == "box-i"]
+    out = N.contract_proper(d, cut, S4I)
+    assert [n.token for n in out if n.rule == "box-i"] == entry[1:]
+    assert check(out, S4I).ok
+    assert K.check_position_condition(out) == ()
+
+
+def test_contractions_without_a_repeat_keep_their_input_tokens(monkeypatch):
+    calls = _counted_freshen(monkeypatch)
+    kept = []
+
+    def keeping(real):
+        def contract(d, *args):
+            before = len(calls)
+            out = real(d, *args)
+            if len(calls) == before:
+                tokens = set(N._witness_tokens(out))
+                assert tokens <= set(N._witness_tokens(d))
+                kept.append(len(tokens))
+            return out
+
+        return contract
+
+    for name in ("_contract_proper", "_contract_commutative"):
+        monkeypatch.setattr(N, name, keeping(getattr(N, name)))
+    for d, system in corpus() + deep_chains() + [(nested_box_detour(), S4I)]:
+        N.normalize(d, system)
+    assert len(kept) > 1000 and sum(map(bool, kept)) > 300
+
+
 def test_a_witness_numbered_below_the_floor_is_freshened():
     # ``_0`` names a world outside every witness scope, so the input's
-    # freshen numbers from ``_1``.  Contracting the outer dia-e freshens its
-    # minor, which holds no witness position, from ``_0`` again: the inner,
-    # unused dia-e witness would then be the world ``(_0)`` held outside
-    # its scope.  No token repeats; the token below the floor is caught.
+    # freshen numbers from ``_1``.  Freshening the outer dia-e's minor on its
+    # own, which holds no witness position, would number from ``_0`` again
+    # and make the inner, unused dia-e witness the world ``(_0)`` held
+    # outside its scope.  The contraction keeps the input's tokens instead.
     inner = K.dia_e(
         K.hyp("m", Dia(P), ()), "w", frozenset({"b"}), frozenset(), K.hyp("k", Q, ())
     )
