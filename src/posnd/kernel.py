@@ -26,15 +26,18 @@ The checker validates, in one post-order pass over the tree:
   scope always carries one content, and discharge removes every open leaf
   bound by the discharging rule.
 
-The pass walks the tree on an explicit stack, so a derivation's depth is not
-bounded by the interpreter's recursion limit.  Each node's open assumptions
-are a map from label to a multiset of contents.  A discharge pops just the
-labels it binds; the premises' maps are merged into the largest one, and
-only the labels of the smaller maps are tested for a second content, since
-no other label can gain one.  Witness freshness is a prefix test over the
-open positions left after the discharge.  The cost is linear in the number
-of nodes plus the smaller-into-larger merging (an open assumption moves
-O(log n) times), plus one scan of the open positions per ``box-i``/``dia-e``.
+The pass is ``_check_walk``; ``check`` sorts what it finds into a report,
+and the normalizer runs the pass alone on the subtree a contraction
+rewrote.  It walks the tree on an explicit stack, so a derivation's depth
+is not bounded by the interpreter's recursion limit.  Each node's open
+assumptions are a map from label to a multiset of contents.  A discharge
+pops just the labels it binds; the premises' maps are merged into the
+largest one, and only the labels of the smaller maps are tested for a
+second content, since no other label can gain one.  Witness freshness is a
+prefix test over the open positions left after the discharge.  The cost is
+linear in the number of nodes plus the smaller-into-larger merging (an open
+assumption moves O(log n) times), plus one scan of the open positions per
+``box-i``/``dia-e``.
 
 Walks that keep tuned stacks of their own: the checker, the reader, the
 writer, ``map_positions`` and ``freshen`` (whose ``_remap`` composes the
@@ -686,14 +689,20 @@ def _first_bound(d: Derivation, labels: frozenset[str]) -> PFormula | None:
 
 def all_labels(d: Derivation) -> frozenset[str]:
     """Every label mentioned anywhere in the tree (leaves and binders)."""
-    acc: set[str] = set()
+    return frozenset(_label_occurrences(d))
+
+
+def _label_occurrences(d: Derivation) -> list[str]:
+    """The labels of :func:`all_labels`, once per occurrence: a leaf's
+    label and each label a node discharges."""
+    acc: list[str] = []
     for n in d:
         if n.label is not None:
-            acc.add(n.label)
+            acc.append(n.label)
         for s in n.discharges:
-            acc |= s
-        acc |= n.e_discharges
-    return frozenset(acc)
+            acc += s
+        acc += n.e_discharges
+    return acc
 
 
 def plug(
@@ -731,11 +740,14 @@ def _rebuilt(n: Derivation, prems, **over) -> Derivation:
     return _rebuild(n, tuple(prems), **over)
 
 
-def _fresh_names(prefix: str, used):
-    """``prefix1``, ``prefix2``, ... skipping the names in ``used``."""
+def _fresh_names(prefix: str, *used):
+    """``prefix1``, ``prefix2``, ... skipping the names in any of ``used``."""
     for i in itertools.count(1):
         name = f"{prefix}{i}"
-        if name not in used:
+        for u in used:
+            if name in u:
+                break
+        else:
             yield name
 
 
@@ -745,7 +757,12 @@ def relabel_binders(d: Derivation, forbidden: frozenset[str]) -> Derivation:
     Free leaves keep their labels; bound leaves track their binder.  The
     result is check-equivalent to ``d``.
     """
-    fresh = _fresh_names("l", all_labels(d).union(forbidden))
+    return _relabel_binders(d, _fresh_names("l", all_labels(d), forbidden))
+
+
+def _relabel_binders(d: Derivation, fresh) -> Derivation:
+    """:func:`relabel_binders` taking the new names in turn from the
+    iterator ``fresh``, which must yield no label of ``d``."""
     # (kind, label) -> the new names its binders above the current node
     # give it, innermost last: a node pushes the names its parent binds over
     # it on the way down and pops them on the way up.
@@ -800,6 +817,34 @@ def check(
     Returns every violation found together with the open-assumption
     multiset; ``ok`` holds exactly when there are no violations.
     """
+    violations, merged = _check_walk(d, system, t_strict_empty_beta)
+    if isinstance(d.conclusion, EFormula):
+        violations.append(
+            Violation((), d.rule, "a derivation must conclude a p-formula")
+        )
+    keyed = sorted(
+        (
+            ((lab or "", _content_str(content)), Assumption(lab, content), cnt)
+            for lab, contents in merged.items()
+            for content, cnt in contents.items()
+        ),
+        key=lambda entry: entry[0],
+    )
+    assumptions = tuple(a for _key, a, cnt in keyed for _ in range(cnt))
+    ordered = tuple(sorted(violations, key=lambda v: (v.path, v.rule, v.message)))
+    return CheckReport(not ordered, ordered, assumptions)
+
+
+def _check_walk(
+    d: Derivation, system: System, t_strict: bool
+) -> tuple[list[Violation], dict]:
+    """The violations at the nodes of ``d``, unsorted, and its open
+    assumptions as ``label -> {content: count}``.
+
+    Every test at a node reads only the node, its premises' rules and
+    conclusions, and its premises' open maps.  Whether the whole
+    derivation concludes a p-formula is :func:`check`'s own test.
+    """
     violations: list[Violation] = []
     path: list[int] = []  # premise indices from the root to the current node
 
@@ -841,7 +886,7 @@ def check(
 
         shape_ok = _check_shape(n, path, system, bad)
         if rule in ("box-e", "dia-i"):
-            _check_beta(n, path, system, t_strict_empty_beta, bad)
+            _check_beta(n, path, system, t_strict, bad)
             _check_e_discipline(n, path, system, bad)
         if rule == "ehyp" and not system.partial:
             bad(path, rule, "existence assumptions require a partial system")
@@ -912,20 +957,7 @@ def check(
             break
         path.pop()
         stack[-1][1].append(merged)
-
-    if isinstance(d.conclusion, EFormula):
-        bad((), d.rule, "a derivation must conclude a p-formula")
-    keyed = sorted(
-        (
-            ((lab or "", _content_str(content)), Assumption(lab, content), cnt)
-            for lab, contents in merged.items()
-            for content, cnt in contents.items()
-        ),
-        key=lambda entry: entry[0],
-    )
-    assumptions = tuple(a for _key, a, cnt in keyed for _ in range(cnt))
-    ordered = tuple(sorted(violations, key=lambda v: (v.path, v.rule, v.message)))
-    return CheckReport(not ordered, ordered, assumptions)
+    return violations, merged
 
 
 def _opens_below(opens: dict, proper: Position) -> bool:

@@ -17,17 +17,24 @@ matching proper contraction; each such round strictly decreases the rank.
 A final, rank-preserving phase pushes any remaining eliminations through
 case-split conclusions so that no contraction applies to the result.
 
-Every contraction checks its result, and freshens it when a witness
-repeats.  The public entries (``normalize``, ``reduce_once``,
-``contract_proper``, ``contract_commutative``) check their input and freshen
-it once, which gives every witness its own reserved token.  A contraction
-keeps those tokens, its ``box-e``/``dia-e`` substitutions included, unless
-it copies a witness: ``plug`` with two or more bound leaves, or a
-commutation over the minors of an ``or-e``.  Only then does a token repeat,
-and only then is the whole result freshened (``_freshened``); otherwise
+The public entries (``normalize``, ``reduce_once``, ``contract_proper``,
+``contract_commutative``) check their input and freshen it once, which
+gives every witness its own reserved token.  A contraction rewrites one
+subtree and is accepted by a local guard (``_accepted``) instead of a
+check of the whole result: by subject reduction, a rewritten subtree that
+passes the kernel's check walk, keeps the conclusion of the subtree it
+replaces and opens only assumptions open there leaves every condition
+above it satisfied.  A contraction keeps the witness tokens, its
+``box-e``/``dia-e`` substitutions included, unless it copies a witness:
+``plug`` with two or more bound leaves, or a commutation over the minors
+of an ``or-e``.  Only then does a token repeat, and only inside the
+rewritten subtree, the only place searched; only then is the whole result
+freshened (``_freshened``), a renaming that preserves checking.  Otherwise
 every subtree a contraction does not rewrite is kept as the same object.
-Inside a normalization each contraction takes the previous one's result as
-it is, since that tree was just accepted with the same system.
+A normalization keeps a count of the labels of its current tree, updated
+from the replaced and the rewritten subtree, and copies draw fresh
+discharge labels outside it.  The whole tree is checked only on entry and
+at the end.
 
 One cut scan per round, over the kernel's pre-order index (``_preorder``),
 gives both the rank recorded in the trace and the next round's selection; it
@@ -37,10 +44,17 @@ of the candidates' occurrences, so a round's scan and selection take time
 linear in the tree's size.  Paths are built only for what leaves the module:
 the public ``segments``, ``cuts`` and ``rank``, the selected segment and the
 step log.  Every walk here is iterative.
+
+A round therefore costs the tree's size for the index and the cut scan,
+the redex's depth for rebuilding the path above it, and the sizes of the
+replaced and the rewritten subtree for the contraction and its guard.  The
+index is rebuilt every round, so ``n`` nested detours still take time
+quadratic in ``n``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .syntax import degree
@@ -49,13 +63,16 @@ from .kernel import (
     System,
     check,
     freshen,
-    relabel_binders,
     plug,
     all_labels,
+    _check_walk,
+    _fresh_names,
+    _label_occurrences,
     _path_of,
     _preorder,
     _rebuild,
     _rebuilt,
+    _relabel_binders,
     _scope_slot,
     _substitute,
     _walk,
@@ -293,7 +310,7 @@ def _select(cs, ix) -> list[int]:
     return min(pool, key=lambda seg: (post[seg[-1]], post[seg[0]]))
 
 
-# --- witness tokens --------------------------------------------------------
+# --- accepting a contraction ----------------------------------------------
 
 
 def _witness_tokens(d: Derivation):
@@ -302,29 +319,111 @@ def _witness_tokens(d: Derivation):
     return (n.token for n in d if _scope_slot(n) is not None)
 
 
-def _freshened(d: Derivation) -> Derivation:
-    """``d`` as it is when its witnesses have distinct tokens, else
-    ``freshen(d)``.  The walk stops at the first repeat."""
+def _freshened(d: Derivation, new: Derivation | None = None) -> Derivation:
+    """``d`` as it is when the witnesses of ``new``, all of ``d`` by
+    default, have distinct tokens, else ``freshen(d)``.  The walk stops at
+    the first repeat.
+
+    ``new`` is the subtree a contraction rewrote.  Before the contraction
+    every witness had its own token, and ``new`` is built from the material
+    of the subtree it replaces, so a token can repeat only inside ``new``.
+    """
     seen: set[str] = set()
-    for tok in _witness_tokens(d):
+    for tok in _witness_tokens(d if new is None else new):
         if tok in seen:
             return freshen(d)
         seen.add(tok)
     return d
 
 
-def _accepted(d: Derivation, system: System, t_strict: bool, what: str) -> Derivation:
-    """A contraction's result ``d``, freshened if a witness repeats
-    (:func:`_freshened`), once it checks in ``system``; else
-    :class:`NormalizerError`."""
-    out = _freshened(d)
-    rep = check(out, system, t_strict_empty_beta=t_strict)
-    if not rep.ok:
+def _tally(labels: list[str], census: dict[str, int], step: int) -> None:
+    """Add ``step`` to the count in ``census`` of each label occurrence in
+    ``labels``, dropping a label whose count falls to 0."""
+    get = census.get
+    for lab in labels:
+        k = get(lab, 0) + step
+        if k:
+            census[lab] = k
+        else:
+            del census[lab]
+
+
+def _open_pairs(old: Derivation) -> set:
+    """The ``(label, content)`` pairs open in ``old`` as ``check`` counts
+    them: a leaf is open unless a node above it in ``old`` discharges its
+    label over the premise it stands in."""
+    opens = set()
+    stack = [(old, frozenset())]
+    while stack:
+        n, bound = stack.pop()
+        if n.label is not None and n.label not in bound:
+            opens.add((n.label, n.conclusion))
+        scopes = _RULE_TABLE[n.rule].scopes
+        if scopes:
+            over = [bound] * len(n.premises)
+            for slot, kind, j in scopes:
+                over[slot] = over[slot] | (
+                    n.discharges[j] if kind == "p" else n.e_discharges
+                )
+            stack += zip(n.premises, over)
+        else:
+            stack += ((p, bound) for p in n.premises)
+    return opens
+
+
+def _accepted(
+    d: Derivation,
+    out: Derivation,
+    at: Occurrence,
+    system: System,
+    t_strict: bool,
+    census: dict[str, int] | None,
+    what: str,
+) -> Derivation:
+    """A contraction's result ``out``, which is ``d`` with the subtree
+    ``old`` at ``at`` replaced by ``new``, once a local guard accepts it,
+    and freshened if a witness repeats (:func:`_freshened`); else
+    :class:`NormalizerError`.  ``d`` must check in ``system``.
+
+    The guard: ``new`` passes the kernel's check walk, concludes what
+    ``old`` concluded, is an existence-assumption leaf exactly when ``old``
+    is one, and opens only ``(label, content)`` pairs open in ``old``
+    (copies allowed).  Then ``out`` checks, by subject reduction: the nodes
+    of ``new`` are checked, and the subtrees beside the path to ``at`` are
+    those of ``d``.  Every test ``check`` makes at a node reads only the
+    node, its premises' rules and conclusions, and its premises' open maps.
+    Above ``at`` the rules and conclusions are those of ``d`` (a node's
+    conclusion follows from its data and its premises' conclusions), and
+    each open map holds a subset of the pairs it held in ``d``.  Discharges
+    still bind only the contents they must, a witness stays fresh for fewer
+    assumptions, and no label gains a second content, so every test that
+    passed in ``d`` passes in ``out``.  ``freshen`` preserves checking.
+
+    ``census``, the label counts of ``d`` kept across a normalization's
+    rounds, is updated to those of ``out``.
+    """
+    old, new = subtree_at(d, at), subtree_at(out, at)
+    was_open = _open_pairs(old)
+    violations, opens = _check_walk(new, system, t_strict)
+    problems = [v.message for v in violations]
+    if new.conclusion != old.conclusion:
+        problems.append("the rewritten subtree changed its conclusion")
+    if (new.rule == "ehyp") != (old.rule == "ehyp"):
+        problems.append("the rewritten subtree changed an existence-assumption leaf")
+    problems += [
+        f"assumption {lab!r} is opened"
+        for lab, contents in opens.items()
+        for content in contents
+        if (lab, content) not in was_open
+    ]
+    if problems:
         raise NormalizerError(
-            f"{what} contraction broke the derivation: "
-            + "; ".join(v.message for v in rep.violations[:3])
+            f"{what} contraction broke the derivation: " + "; ".join(problems[:3])
         )
-    return out
+    if census is not None:
+        _tally(_label_occurrences(old), census, -1)
+        _tally(_label_occurrences(new), census, 1)
+    return _freshened(out, new)
 
 
 # --- proper contraction ----------------------------------------------------
@@ -335,25 +434,29 @@ def _contract_proper_core(
     elim_path: Occurrence,
     system: System,
     t_strict: bool,
+    census: dict[str, int] | None = None,
 ) -> Derivation:
-    """Rewrite the introduction/elimination pair rooted at ``elim_path``."""
+    """Rewrite the introduction/elimination pair rooted at ``elim_path``.
+
+    Fresh discharge labels avoid the labels of ``d``: the keys of its label
+    ``census``, or ``all_labels(d)`` when none is given."""
     R = subtree_at(d, elim_path)
     I = R.premises[0]
-    forb = all_labels(d)
+    fresh = _fresh_names("l", all_labels(d) if census is None else census)
     r = R.rule
     if r == "and-e1":
         new = I.premises[0]
     elif r == "and-e2":
         new = I.premises[1]
     elif r == "imp-e":
-        skel = relabel_binders(I.premises[0], forb)
+        skel = _relabel_binders(I.premises[0], fresh)
         new = plug(skel, I.discharges[0], R.premises[1], "p")
     elif r == "or-e":
         if I.rule == "or-i1":
             slot, labels = 1, R.discharges[0]
         else:
             slot, labels = 2, R.discharges[1]
-        skel = relabel_binders(R.premises[slot], forb)
+        skel = _relabel_binders(R.premises[slot], fresh)
         new = plug(skel, labels, I.premises[0], "p")
     elif r == "box-e":
         alpha = I.conclusion.position
@@ -369,17 +472,12 @@ def _contract_proper_core(
         mapped = _substitute(
             R.premises[1], witness, alpha + tuple(I.beta or ()), system, t_strict
         )
-        skel = relabel_binders(mapped, forb)
+        skel = _relabel_binders(mapped, fresh)
         if R.e_discharges:
             skel = plug(skel, R.e_discharges, I.premises[1], "e")
         new = plug(skel, R.discharges[0], I.premises[0], "p")
     else:  # pragma: no cover - guarded by the caller
         raise NotARedex(f"no proper contraction for rule {r!r}")
-    if new.conclusion != R.conclusion:
-        raise NormalizerError(
-            "proper contraction changed the conclusion at "
-            f"{'.'.join(map(str, elim_path)) or 'root'}"
-        )
     return _replace_at(d, elim_path, new)
 
 
@@ -427,29 +525,43 @@ def _redex_at(d: Derivation, occ: tuple[Occurrence, ...]) -> Occurrence:
 
 
 def _contract_proper(
-    d: Derivation, occ: tuple[Occurrence, ...], system: System, t_strict: bool
+    d: Derivation,
+    occ: tuple[Occurrence, ...],
+    system: System,
+    t_strict: bool,
+    census: dict[str, int] | None = None,
 ) -> Derivation:
     """:func:`contract_proper` of the cut segment ``occ`` of a ``d`` that
     checks in ``system`` and whose witnesses have distinct tokens, with
-    :func:`_accepted`'s result; the input is not checked or freshened."""
+    :func:`_accepted`'s result; the input is not checked or freshened.
+    ``census`` is ``d``'s label census, if one is kept."""
     at = _redex_at(d, occ)
-    out = _contract_proper_core(d, at, system, t_strict)
-    return _accepted(out, system, t_strict, "proper")
+    out = _contract_proper_core(d, at, system, t_strict, census)
+    return _accepted(d, out, at, system, t_strict, census, "proper")
 
 
 # --- commutative contraction -----------------------------------------------
 
 
-def _commute_node(R: Derivation, forbidden: frozenset[str]) -> Derivation:
-    """Push the elimination ``R`` into the minors of its case-split major."""
-    J = relabel_binders(R.premises[0], forbidden | all_labels(R))
+def _commute_node(R: Derivation, forbidden) -> Derivation:
+    """Push the elimination ``R`` into the minors of its case-split major.
+
+    The major's binders and then each copy of ``R`` are relabelled with
+    fresh names outside ``forbidden``, the labels of ``R`` and the names
+    drawn before them."""
+    own = all_labels(R)
+    drawn: set[str] = set()
+
+    def fresh():
+        for name in _fresh_names("l", forbidden, own, drawn):
+            drawn.add(name)
+            yield name
+
+    J = _relabel_binders(R.premises[0], fresh())
     sides = R.premises[1:]
-    used = set(forbidden) | set(all_labels(R)) | set(all_labels(J))
     prems = list(J.premises)
     for s in _RULE_TABLE[J.rule].minors:
-        copy = relabel_binders(_rebuild(R, (J.premises[s],) + sides), frozenset(used))
-        used |= set(all_labels(copy))
-        prems[s] = copy
+        prems[s] = _relabel_binders(_rebuild(R, (J.premises[s],) + sides), fresh())
     return _rebuild(J, tuple(prems))
 
 
@@ -489,14 +601,20 @@ def _require_commutable(d: Derivation, at: Occurrence) -> None:
 
 
 def _contract_commutative(
-    d: Derivation, at: Occurrence, system: System, t_strict: bool
+    d: Derivation,
+    at: Occurrence,
+    system: System,
+    t_strict: bool,
+    census: dict[str, int] | None = None,
 ) -> Derivation:
     """:func:`contract_commutative` on a ``d`` that checks in ``system`` and
     whose witnesses have distinct tokens, with :func:`_accepted`'s result;
-    the input is not checked or freshened."""
+    the input is not checked or freshened.  ``census`` is ``d``'s label
+    census, if one is kept."""
     _require_commutable(d, at)
-    out = _replace_at(d, at, _commute_node(subtree_at(d, at), all_labels(d)))
-    return _accepted(out, system, t_strict, "commutative")
+    forbidden = all_labels(d) if census is None else census
+    out = _replace_at(d, at, _commute_node(subtree_at(d, at), forbidden))
+    return _accepted(d, out, at, system, t_strict, census, "commutative")
 
 
 # --- normalization ---------------------------------------------------------
@@ -574,6 +692,7 @@ def normalize_steps(
     if not check(d, system, t_strict_empty_beta=t).ok:
         raise ValueError("normalize requires a derivation that checks")
     cur = freshen(d)
+    census = Counter(_label_occurrences(cur))
     ix = _preorder(cur)
     cs = _cuts(ix)
     trace: list[Rank] = [_rank(cs)]
@@ -587,12 +706,12 @@ def normalize_steps(
             end = seg[-1]
             e = end[:-1]
             mslot = seg[-2][len(e) + 1]
-            cur = _contract_commutative(cur, e, system, t)
+            cur = _contract_commutative(cur, e, system, t, census)
             steps.append((rounds, "commutative", e, rank(cur)))
             old_prefix = e + (0, mslot)
             new_prefix = e + (mslot, 0)
             seg = [new_prefix + o[len(old_prefix):] for o in seg[:-1]]
-        cur = _contract_proper(cur, (seg[0],), system, t)
+        cur = _contract_proper(cur, (seg[0],), system, t, census)
         ix = _preorder(cur)
         cs = _cuts(ix)
         rk = _rank(cs)

@@ -333,9 +333,9 @@ def test_freshen_matches_reference_on_trees_normalize_freshens(monkeypatch):
     seen = []
     real = N._freshened
 
-    def capture(d):
+    def capture(d, *new):
         seen.append(d)
-        return real(d)
+        return real(d, *new)
 
     monkeypatch.setattr(N, "_freshened", capture)
     for d, system in detour_corpus(5) + detour_corpus(6):

@@ -320,7 +320,9 @@ def _counted_freshen(monkeypatch):
 def test_normalization_matches_the_always_freshening_reference(monkeypatch):
     trail = []
     real = N._freshened
-    monkeypatch.setattr(N, "_freshened", lambda t: trail.append(real(t)) or trail[-1])
+    monkeypatch.setattr(
+        N, "_freshened", lambda t, *new: trail.append(real(t, *new)) or trail[-1]
+    )
     trees = rounds = 0
     for d, system in corpus() + list(chains(longest=100)) + deep_chains():
         trail.clear()
