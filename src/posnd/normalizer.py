@@ -24,36 +24,45 @@ subtree and is accepted by a local guard (``_accepted``) instead of a
 check of the whole result: by subject reduction, a rewritten subtree that
 passes the kernel's check walk, keeps the conclusion of the subtree it
 replaces and opens only assumptions open there leaves every condition
-above it satisfied.  A contraction keeps the witness tokens, its
-``box-e``/``dia-e`` substitutions included, unless it copies a witness:
-``plug`` with two or more bound leaves, or a commutation over the minors
-of an ``or-e``.  Only then does a token repeat, and only inside the
-rewritten subtree, the only place searched; only then is the whole result
-freshened (``_freshened``), a renaming that preserves checking.  Otherwise
-every subtree a contraction does not rewrite is kept as the same object.
-A normalization keeps a count of the labels of its current tree, updated
-from the replaced and the rewritten subtree, and copies draw fresh
-discharge labels outside it.  The whole tree is checked only on entry and
-at the end.
+above it satisfied.  The path above the rewritten subtree is rebuilt only
+after the guard, each node keeping its conclusion.  A contraction keeps the
+witness tokens, its ``box-e``/``dia-e`` substitutions included, unless it
+copies a witness: ``plug`` with two or more bound leaves, or a commutation
+over the minors of an ``or-e``.  Only then does a token repeat, and only
+inside the rewritten subtree, the only place searched; only then is the
+whole result freshened (``_freshened``), a renaming that preserves
+checking.  Otherwise every subtree a contraction does not rewrite is kept
+as the same object.  The whole tree is checked only on entry and at the
+end.
 
-One cut scan per round, over the kernel's pre-order index (``_preorder``),
-gives both the rank recorded in the trace and the next round's selection; it
-climbs segments only from introductions.  Selection tests a cut's
-duplication zones as two ranges of pre-order numbers against a prefix count
-of the candidates' occurrences, so a round's scan and selection take time
-linear in the tree's size.  Paths are built only for what leaves the module:
-the public ``segments``, ``cuts`` and ``rank``, the selected segment and the
-step log.  Every walk here is iterative.
+A normalization keeps three things of its current tree across
+contractions (``_Kept``): a count of its labels, outside which copies draw
+fresh discharge labels; the kernel's pre-order index (``_preorder``); and
+its cuts.  A contraction updates them from the replaced and the rewritten
+subtree: it indexes the rewritten subtree only, shifts the numbers after
+it and the ancestors' subtree ends, and scans for cuts only from the
+introductions inside it; only a whole-tree freshen indexes and scans the
+whole tree again.  The kept cuts give both the rank recorded in the trace
+and the step log and the next round's selection; a scan climbs segments
+only from introductions.  Selection tests a cut's duplication zones as two
+ranges of pre-order numbers against a prefix count of the candidates'
+occurrences.  Paths are built only for what leaves the module: the public
+``segments``, ``cuts`` and ``rank``, the selected segment and the step
+log.  Every walk here is iterative.
 
-A round therefore costs the tree's size for the index and the cut scan,
-the redex's depth for rebuilding the path above it, and the sizes of the
-replaced and the rewritten subtree for the contraction and its guard.  The
-index is rebuilt every round, so ``n`` nested detours still take time
-quadratic in ``n``.
+A round therefore costs the sizes of the replaced and the rewritten subtree
+for the contraction, its guard, its index and its cut scan; the redex's
+depth for rebuilding the path above it and for updating the ancestors'
+numbers; and integer work linear in the tree's size for selection's prefix
+count and for splicing the index's lists and shifting the cuts after the
+rewritten subtree.  So ``n`` nested detours still take time quadratic in
+``n``, with a small constant.
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
@@ -67,6 +76,7 @@ from .kernel import (
     all_labels,
     _check_walk,
     _fresh_names,
+    _FIELDS,
     _label_occurrences,
     _path_of,
     _preorder,
@@ -174,14 +184,23 @@ def subtree_at(d: Derivation, path: Occurrence) -> Derivation:
     return node
 
 
+#: A node's conclusion and the fields after it, in ``Derivation``'s order.
+_kept_data = operator.attrgetter("conclusion", *_FIELDS)
+
+
 def _replace_at(d: Derivation, path: Occurrence, new: Derivation) -> Derivation:
+    """``d`` with the subtree at ``path`` replaced by ``new``, which must
+    conclude what that subtree concludes.  Each node above it gets one new
+    premise and keeps its conclusion, which that premise leaves unchanged
+    (see :func:`_accepted`); every other subtree is kept as is."""
     above = [d]
     for i in path[:-1]:
         above.append(above[-1].premises[i])
     for node, i in zip(reversed(above), reversed(path)):
-        prems = list(node.premises)
-        prems[i] = new
-        new = _rebuild(node, tuple(prems))
+        prems = node.premises
+        new = Derivation(
+            node.rule, prems[:i] + (new,) + prems[i + 1 :], *_kept_data(node)
+        )
     return new
 
 
@@ -236,11 +255,14 @@ def cuts(d: Derivation) -> tuple[Cut, ...]:
     )
 
 
-def _cuts(ix) -> list[tuple[list[int], str, int]]:
-    """The cuts, climbing a segment only from each introduction."""
+def _cuts(ix, lo: int = 0, hi: int | None = None) -> list[tuple[list[int], str, int]]:
+    """The cuts that start at the numbers ``[lo, hi)``, all by default, in
+    pre-order of their starts, climbing a segment only from each
+    introduction."""
     nodes, parent, slot, *_ = ix
     res = []
-    for i, start in enumerate(nodes):
+    for i in range(lo, len(nodes) if hi is None else hi):
+        start = nodes[i]
         fam = _RULE_TABLE[start.rule].intro
         if fam is None:
             continue
@@ -273,7 +295,8 @@ def _select(cs, ix) -> list[int]:
     """The segment of a highest-degree cut whose duplication zones hold no
     other highest cut.
 
-    Such a cut always exists; contracting it strictly shrinks the rank
+    Such a cut always exists, so finding none is a broken invariant
+    (:class:`NormalizerError`); contracting it strictly shrinks the rank
     because only cut-free material is ever duplicated.  The zones, the
     subtrees a contraction may copy, are the premises of the introduction
     ``s`` and those of the elimination ``e`` after its major; the second is
@@ -306,7 +329,11 @@ def _select(cs, ix) -> list[int]:
         e = parent[seg[-1]]
         return before[end[e]] == before[end[e + 1]]
 
-    pool = [seg for seg in cands if free(seg)] or cands
+    pool = [seg for seg in cands if free(seg)]
+    if not pool:
+        raise NormalizerError(
+            "every highest cut holds another in its elimination's duplication zone"
+        )
     return min(pool, key=lambda seg: (post[seg[-1]], post[seg[0]]))
 
 
@@ -371,18 +398,90 @@ def _open_pairs(old: Derivation) -> set:
     return opens
 
 
+class _Kept:
+    """What a normalization keeps of its current tree across contractions:
+    the label ``census`` (each label's number of occurrences), the
+    pre-order index ``ix`` of :func:`kernel._preorder` and the cut list
+    ``cs`` of :func:`_cuts`, always equal to what they would be if computed
+    afresh from the tree."""
+
+    def __init__(self, d: Derivation) -> None:
+        self.census = Counter(_label_occurrences(d))
+        self.index(d)
+
+    def index(self, d: Derivation) -> None:
+        """Index ``d`` and scan it for cuts from scratch."""
+        self.ix = _preorder(d)
+        self.cs = _cuts(self.ix)
+
+    def splice(self, out: Derivation, at: Occurrence, new: Derivation) -> None:
+        """Move the index and the cuts to ``out``, the kept tree with the
+        subtree at ``at`` replaced by ``new`` and each node above it by one
+        with the same rule and data (:func:`_replace_at`).
+
+        Only ``new`` is indexed.  If the old subtree took the numbers
+        ``[a, b)``, numbers before ``a`` keep their nodes, except that the
+        nodes above ``at`` take their new objects and shift the end of
+        their subtree and their post-order number by the change in size;
+        numbers from ``b`` on shift by it, and so do parents among them.  A
+        cut whose start lies outside ``[a, b)`` keeps its segment, which
+        runs through the same rules and slots, shifted the same way.  A
+        cut's segment lies above its start, so only the cuts that start in
+        ``new`` are scanned again; they may climb above ``a``.
+        """
+        nodes, parent, slot, end, post = self.ix
+        above = []
+        a, n = 0, out
+        for k in at:
+            nodes[a] = n
+            above.append(a)
+            n = n.premises[k]
+            a += 1
+            for _ in range(k):
+                a = end[a]
+        b = end[a]
+        sub_nodes, sub_parent, sub_slot, sub_end, sub_post = _preorder(new)
+        delta = len(sub_nodes) - (b - a)
+        low = post[a] - (b - a) + 1  # the old subtree's first post-order number
+        cs = self.cs
+        lo = bisect_left(cs, a, key=_start)
+        rest = cs[bisect_left(cs, b, key=_start) :]
+        if delta:
+            for i in above:
+                end[i] += delta
+                post[i] += delta
+            parent[b:] = [p if p < a else p + delta for p in parent[b:]]
+            end[b:] = [e + delta for e in end[b:]]
+            post[b:] = [q + delta for q in post[b:]]
+            rest = [
+                ([o + delta if o >= b else o for o in seg], fam, deg)
+                for seg, fam, deg in rest
+            ]
+        nodes[a:b] = sub_nodes
+        parent[a:b] = [parent[a]] + [p + a for p in sub_parent[1:]]
+        slot[a:b] = [slot[a]] + sub_slot[1:]
+        end[a:b] = [e + a for e in sub_end]
+        post[a:b] = [q + low for q in sub_post]
+        cs[lo:] = _cuts(self.ix, a, a + len(sub_nodes)) + rest
+
+
+def _start(cut) -> int:
+    """The number of a cut's introduction, the key its list is sorted by."""
+    return cut[0][0]
+
+
 def _accepted(
     d: Derivation,
-    out: Derivation,
     at: Occurrence,
+    new: Derivation,
     system: System,
     t_strict: bool,
-    census: dict[str, int] | None,
+    kept: _Kept | None,
     what: str,
 ) -> Derivation:
-    """A contraction's result ``out``, which is ``d`` with the subtree
-    ``old`` at ``at`` replaced by ``new``, once a local guard accepts it,
-    and freshened if a witness repeats (:func:`_freshened`); else
+    """``out``, which is ``d`` with the subtree ``old`` at ``at`` replaced
+    by a contraction's ``new``, once a local guard accepts ``new``, and
+    freshened if a witness repeats (:func:`_freshened`); else
     :class:`NormalizerError`.  ``d`` must check in ``system``.
 
     The guard: ``new`` passes the kernel's check walk, concludes what
@@ -399,10 +498,19 @@ def _accepted(
     assumptions, and no label gains a second content, so every test that
     passed in ``d`` passes in ``out``.  ``freshen`` preserves checking.
 
-    ``census``, the label counts of ``d`` kept across a normalization's
-    rounds, is updated to those of ``out``.
+    The guard runs before ``out`` is built.  Since ``new`` concludes what
+    ``old`` concluded, the conclusion each node above ``at`` would compute
+    from its data and its premises is the one it has, so :func:`_replace_at`
+    keeps it instead of computing it again; a rewrite the guard rejects is
+    never put into a tree, and no node of ``out`` holds a conclusion other
+    than the one it would compute.
+
+    ``kept``, what a normalization keeps of ``d`` across rounds, is moved
+    to the result: the census by the labels of ``old`` and ``new``, the
+    index and the cuts by :meth:`_Kept.splice`, or from scratch when the
+    whole tree was freshened.
     """
-    old, new = subtree_at(d, at), subtree_at(out, at)
+    old = subtree_at(d, at)
     was_open = _open_pairs(old)
     violations, opens = _check_walk(new, system, t_strict)
     problems = [v.message for v in violations]
@@ -420,10 +528,16 @@ def _accepted(
         raise NormalizerError(
             f"{what} contraction broke the derivation: " + "; ".join(problems[:3])
         )
-    if census is not None:
-        _tally(_label_occurrences(old), census, -1)
-        _tally(_label_occurrences(new), census, 1)
-    return _freshened(out, new)
+    out = _replace_at(d, at, new)
+    got = _freshened(out, new)
+    if kept is not None:
+        _tally(_label_occurrences(old), kept.census, -1)
+        _tally(_label_occurrences(new), kept.census, 1)
+        if got is out:
+            kept.splice(out, at, new)
+        else:
+            kept.index(got)
+    return got
 
 
 # --- proper contraction ----------------------------------------------------
@@ -436,7 +550,8 @@ def _contract_proper_core(
     t_strict: bool,
     census: dict[str, int] | None = None,
 ) -> Derivation:
-    """Rewrite the introduction/elimination pair rooted at ``elim_path``.
+    """The rewrite of the introduction/elimination pair rooted at
+    ``elim_path``, which takes its place in ``d``.
 
     Fresh discharge labels avoid the labels of ``d``: the keys of its label
     ``census``, or ``all_labels(d)`` when none is given."""
@@ -478,7 +593,7 @@ def _contract_proper_core(
         new = plug(skel, R.discharges[0], I.premises[0], "p")
     else:  # pragma: no cover - guarded by the caller
         raise NotARedex(f"no proper contraction for rule {r!r}")
-    return _replace_at(d, elim_path, new)
+    return new
 
 
 def contract_proper(
@@ -529,15 +644,16 @@ def _contract_proper(
     occ: tuple[Occurrence, ...],
     system: System,
     t_strict: bool,
-    census: dict[str, int] | None = None,
+    kept: _Kept | None = None,
 ) -> Derivation:
     """:func:`contract_proper` of the cut segment ``occ`` of a ``d`` that
     checks in ``system`` and whose witnesses have distinct tokens, with
     :func:`_accepted`'s result; the input is not checked or freshened.
-    ``census`` is ``d``'s label census, if one is kept."""
+    ``kept`` is what a normalization keeps of ``d``, if one runs."""
     at = _redex_at(d, occ)
-    out = _contract_proper_core(d, at, system, t_strict, census)
-    return _accepted(d, out, at, system, t_strict, census, "proper")
+    census = None if kept is None else kept.census
+    new = _contract_proper_core(d, at, system, t_strict, census)
+    return _accepted(d, at, new, system, t_strict, kept, "proper")
 
 
 # --- commutative contraction -----------------------------------------------
@@ -605,16 +721,16 @@ def _contract_commutative(
     at: Occurrence,
     system: System,
     t_strict: bool,
-    census: dict[str, int] | None = None,
+    kept: _Kept | None = None,
 ) -> Derivation:
     """:func:`contract_commutative` on a ``d`` that checks in ``system`` and
     whose witnesses have distinct tokens, with :func:`_accepted`'s result;
-    the input is not checked or freshened.  ``census`` is ``d``'s label
-    census, if one is kept."""
+    the input is not checked or freshened.  ``kept`` is what a
+    normalization keeps of ``d``, if one runs."""
     _require_commutable(d, at)
-    forbidden = all_labels(d) if census is None else census
-    out = _replace_at(d, at, _commute_node(subtree_at(d, at), forbidden))
-    return _accepted(d, out, at, system, t_strict, census, "commutative")
+    forbidden = all_labels(d) if kept is None else kept.census
+    new = _commute_node(subtree_at(d, at), forbidden)
+    return _accepted(d, at, new, system, t_strict, kept, "commutative")
 
 
 # --- normalization ---------------------------------------------------------
@@ -692,29 +808,25 @@ def normalize_steps(
     if not check(d, system, t_strict_empty_beta=t).ok:
         raise ValueError("normalize requires a derivation that checks")
     cur = freshen(d)
-    census = Counter(_label_occurrences(cur))
-    ix = _preorder(cur)
-    cs = _cuts(ix)
-    trace: list[Rank] = [_rank(cs)]
+    kept = _Kept(cur)
+    trace: list[Rank] = [_rank(kept.cs)]
     steps: list[tuple[int, str, Occurrence, Rank]] = []
     rounds = 0
-    while cs:
+    while kept.cs:
         rounds += 1
         prev = trace[-1]
-        seg = list(_occurrences(_select(cs, ix), ix))
+        seg = list(_occurrences(_select(kept.cs, kept.ix), kept.ix))
         while len(seg) > 1:
             end = seg[-1]
             e = end[:-1]
             mslot = seg[-2][len(e) + 1]
-            cur = _contract_commutative(cur, e, system, t, census)
-            steps.append((rounds, "commutative", e, rank(cur)))
+            cur = _contract_commutative(cur, e, system, t, kept)
+            steps.append((rounds, "commutative", e, _rank(kept.cs)))
             old_prefix = e + (0, mslot)
             new_prefix = e + (mslot, 0)
             seg = [new_prefix + o[len(old_prefix):] for o in seg[:-1]]
-        cur = _contract_proper(cur, (seg[0],), system, t, census)
-        ix = _preorder(cur)
-        cs = _cuts(ix)
-        rk = _rank(cs)
+        cur = _contract_proper(cur, (seg[0],), system, t, kept)
+        rk = _rank(kept.cs)
         steps.append((rounds, "proper", seg[0][:-1], rk))
         trace.append(rk)
         if not rk < prev:

@@ -5,19 +5,28 @@ accepts it by checking ``new`` alone (``normalizer._accepted``): ``new``
 passes the kernel's check walk, keeps ``old``'s conclusion and opens only
 assumptions open in ``old``.  It keeps a label census of the current tree
 across rounds instead of collecting ``all_labels`` of the whole tree, and
-looks for repeated witness tokens in ``new`` only.
+looks for repeated witness tokens in ``new`` only.  It also keeps the
+pre-order index and the cut list of the current tree, splicing in the index
+of ``new`` only, and rebuilds the path above ``new`` keeping each node's
+conclusion.
 
 Here every contraction of the oracle corpora is also judged by the
-whole-tree ``check``, which must agree with the guard; the census must
-equal the labels of the accepted tree; the repeat test over ``new`` must
-agree with the one over the whole tree.  Deliberately broken contraction
-cores must be rejected by both the guard and ``check``.  A normalization
-of a detour chain makes exactly two whole-tree check walks, searches only
-the rewritten subtrees for witnesses, and calls no ``all_labels``.
+whole-tree ``check``, which must agree with the guard; the accepted tree
+must equal the one built by rebuilding every node above ``new`` with its
+conclusion computed again; the census must equal the labels of the
+accepted tree, the kept index ``_preorder`` of it and the kept cuts
+``_cuts`` of that; the repeat test over ``new`` must agree with the one
+over the whole tree.  Deliberately broken contraction cores must be
+rejected by both the guard and ``check``.  A normalization of a detour or
+a ``box`` chain makes exactly two whole-tree check walks and indexes the
+whole tree only on entry and at the end, searches and indexes only the
+rewritten subtrees otherwise, builds no node above a redex with ``_mk``,
+and calls no ``all_labels`` or ``rank``.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 
 import pytest
@@ -25,11 +34,11 @@ import pytest
 from posnd import kernel as K
 from posnd import normalizer as N
 from posnd.kernel import check, freshen
-from posnd.normalizer import NormalizerError, _replace_at, subtree_at
+from posnd.normalizer import NormalizerError, subtree_at
 from posnd.syntax import Atom, Bottom, Box, Imp, PFormula
 
-from test_kernel import detour_chain
-from test_preorder_oracle import chains, corpus
+from test_kernel import box_chain, detour_chain
+from test_preorder_oracle import chains, corpus, reference_replace_at
 from test_witness_copy_oracle import deep_chains
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
@@ -43,44 +52,85 @@ def _repeats(tokens) -> bool:
 
 def _spy_on_acceptance(monkeypatch):
     """Judge every contraction the normalizer accepts with the whole-tree
-    ``check`` as well; returns the list of accepted contractions' kinds."""
+    ``check`` as well, and check what a normalization keeps against what
+    it would compute afresh.  Returns the list of accepted contractions'
+    kinds and the list of results a normalization accepted, each with
+    whether the whole tree was freshened."""
     real = N._accepted
     seen = []
+    kept_trees = []
 
-    def spy(d, out, at, system, t_strict, census, what):
-        old, new = subtree_at(d, at), subtree_at(out, at)
+    def spy(d, at, new, system, t_strict, kept, what):
+        old = subtree_at(d, at)
+        out = reference_replace_at(d, at, new)
         opens = check(old, system, t_strict_empty_beta=t_strict).open_assumptions
         assert N._open_pairs(old) == {(a.label, a.content) for a in opens}
         try:
-            got = real(d, out, at, system, t_strict, census, what)
+            got = real(d, at, new, system, t_strict, kept, what)
         except NormalizerError:
             assert not check(out, system, t_strict_empty_beta=t_strict).ok
             raise
         assert check(out, system, t_strict_empty_beta=t_strict).ok
         assert check(got, system, t_strict_empty_beta=t_strict).ok
-        assert _repeats(N._witness_tokens(new)) == _repeats(N._witness_tokens(out))
-        assert (got is out) != _repeats(N._witness_tokens(out))
-        if census is not None:
-            assert census == Counter(K._label_occurrences(got))
-            assert set(census) == K.all_labels(got)
+        freshened = _repeats(N._witness_tokens(out))
+        assert _repeats(N._witness_tokens(new)) == freshened
+        assert (got == out) != freshened
+        if kept is not None:
+            assert kept.census == Counter(K._label_occurrences(got))
+            assert set(kept.census) == K.all_labels(got)
+            ix = K._preorder(got)
+            assert len(kept.ix[0]) == len(ix[0])
+            assert all(map(operator.is_, kept.ix[0], ix[0]))
+            assert kept.ix[1:] == ix[1:]
+            assert kept.cs == N._cuts(ix)
+            kept_trees.append((got, freshened))
         seen.append(what)
         return got
 
     monkeypatch.setattr(N, "_accepted", spy)
-    return seen
+    return seen, kept_trees
+
+
+def copied_witness_mid_run():
+    """``and-e1`` of ``(\\a. a & a) (box-i x. box-e u)`` with ``a, u: box p``:
+    its first round plugs the ``box-i`` into both leaves bound by ``a``,
+    which copies the witness ``x`` and freshens the whole tree, and its
+    second round contracts the ``and-e1``."""
+    bp = Box(P)
+    major = K.imp_i(frozenset({"a"}), K.and_i(K.hyp("a", bp, ()), K.hyp("a", bp, ())))
+    minor = K.box_i("x", frozenset(), K.box_e(K.hyp("u", bp, ()), ("x",)))
+    return K.and_e1(K.imp_e(major, minor))
 
 
 def test_guard_agrees_with_the_whole_tree_check(monkeypatch):
-    seen = _spy_on_acceptance(monkeypatch)
-    for d, system in corpus() + list(chains(longest=100)) + deep_chains():
-        N.normalize_steps(d, system)
+    seen, kept_trees = _spy_on_acceptance(monkeypatch)
+    rank = N.rank
+    ranked = []
+    monkeypatch.setattr(N, "rank", lambda t: ranked.append(t) or rank(t))
+    trees = corpus() + list(chains()) + deep_chains()
+    trees.append((copied_witness_mid_run(), S4I))
+    logged = 0
+    for d, system in trees:
+        kept_trees.clear()
+        out, trace, steps = N.normalize_steps(d, system)
+        # Every contraction of a round, commutative ones included, logs the
+        # rank of the tree it accepted, read off the kept cuts; the cleanup
+        # steps come after them.
+        for (_, _, _, rk), (got, _) in zip(steps, kept_trees):
+            assert rk == rank(got)
+        logged += len(kept_trees)
         N.reduce_once(d, system)
+    assert ranked == []
     assert len(seen) > 1500
     assert seen.count("commutative") > 100
+    assert logged > 1000
+    # The last tree freshens the whole tree in its first round, and the
+    # normalization goes on from an index made afresh.
+    assert [freshened for _, freshened in kept_trees] == [True, False]
 
 
 def test_public_contractions_use_the_guard(monkeypatch):
-    seen = _spy_on_acceptance(monkeypatch)
+    seen, _ = _spy_on_acceptance(monkeypatch)
     for d, system in corpus() + deep_chains():
         for cut in N.cuts(d):
             if len(cut.segment) == 1:
@@ -93,13 +143,13 @@ def test_public_contractions_use_the_guard(monkeypatch):
 # --- broken contraction cores ----------------------------------------------
 #
 # Each base tree has one cut, an ``imp-e`` or ``and-e1`` over its
-# introduction; each core rewrites it wrongly and returns the whole tree, as
+# introduction; each core rewrites it wrongly and returns the rewrite, as
 # ``_contract_proper_core`` does.
 
 
 def _core(rewrite):
     def core(d, elim_path, system, t_strict, census=None):
-        return _replace_at(d, elim_path, rewrite(subtree_at(d, elim_path)))
+        return rewrite(subtree_at(d, elim_path))
 
     return core
 
@@ -190,14 +240,15 @@ def test_broken_cores_are_rejected_by_guard_and_check(case, system, fault, monke
     assert check(base, system).ok
     assert len(N.cuts(base)) == 1
     d = freshen(base)
-    out = core(d, at, system, False)
+    new = core(d, at, system, False)
+    out = reference_replace_at(d, at, new)
     assert out.conclusion == base.conclusion
     assert not check(out, system).ok
     # The guard reports exactly the fault the core was built with.
     message = f"proper contraction broke the derivation: {fault}"
-    for census in (None, Counter(K._label_occurrences(d))):
+    for kept in (None, N._Kept(d)):
         with pytest.raises(NormalizerError) as err:
-            N._accepted(d, out, at, system, False, census, "proper")
+            N._accepted(d, at, new, system, False, kept, "proper")
         assert str(err.value) == message
     monkeypatch.setattr(N, "_contract_proper_core", core)
     (cut,) = N.cuts(base)
@@ -210,7 +261,8 @@ def test_broken_cores_are_rejected_by_guard_and_check(case, system, fault, monke
 # --- no whole-tree pass per round ------------------------------------------
 
 
-def test_a_round_walks_only_what_it_rewrote(monkeypatch):
+@pytest.mark.parametrize("chain", [detour_chain, box_chain])
+def test_a_round_walks_only_what_it_rewrote(chain, monkeypatch):
     walked = []
     real = K._check_walk
 
@@ -232,14 +284,55 @@ def test_a_round_walks_only_what_it_rewrote(monkeypatch):
     monkeypatch.setattr(
         N, "_scope_slot", lambda n: searched.append(n) or K._scope_slot(n)
     )
-    d = detour_chain(300)
+    indexed = []
+    monkeypatch.setattr(N, "_preorder", lambda t: indexed.append(t) or K._preorder(t))
+    ranked = []
+    rank = N.rank
+    monkeypatch.setattr(N, "rank", lambda t: ranked.append(t) or rank(t))
+    made = []
+    real_mk = K._mk
+
+    def counted_mk(*args, **kw):
+        made.append(real_mk(*args, **kw))
+        return made[-1]
+
+    monkeypatch.setattr(K, "_mk", counted_mk)
+    accepted = []  # (input, redex path, rewrite, the redex's ancestors in the result)
+    real_accepted = N._accepted
+
+    def spy(d, at, new, *args):
+        got = real_accepted(d, at, new, *args)
+        above, node = [], got
+        for i in at:
+            above.append(node)
+            node = node.premises[i]
+        accepted.append((d, at, new, above))
+        return got
+
+    monkeypatch.setattr(N, "_accepted", spy)
+    d = chain(300)
     out, trace, steps = N.normalize_steps(d, S4I)
-    assert len(steps) == 300 and trace[-1] == (0, 0)
+    assert len(steps) == len(trace) - 1 >= 299 and trace[-1] == (0, 0)
+    news = [new for _, _, new, _ in accepted]
+    assert len(news) == len(steps)
     # The entry and the final check walk the whole tree; each contraction's
-    # guard walks only the leaf its detour contracted to.
-    assert len(walked) == 2 + len(steps)
+    # guard walks only the subtree it rewrote, and a ``box-e`` contraction's
+    # substitution checks the subtree it maps and its image.
     assert walked[0] is d and walked[-1] is out
-    assert all(sum(1 for _ in t) == 1 for t in walked[1:-1])
-    # The witness search, too, looks at that leaf only.
-    assert len(searched) == len(steps)
-    assert labelled == []
+    guarded = iter(walked[1:-1])
+    assert all(any(t is new for t in guarded) for new in news)
+    size = max(sum(1 for _ in new) for new in news)
+    assert size <= 2 and all(sum(1 for _ in t) <= size for t in walked[1:-1])
+    assert len(walked) == 2 + len(steps) * (1 if chain is detour_chain else 3)
+    # The index, too, is made of the whole tree only on entry and for the
+    # final cut scan; in between only each rewritten subtree is indexed.
+    assert len(indexed) == 2 + len(steps)
+    assert indexed[0] is accepted[0][0] and indexed[-1] is out
+    assert all(map(operator.is_, indexed[1:-1], news))
+    # The witness search looks at the rewritten subtrees only.
+    assert len(searched) == sum(sum(1 for _ in new) for new in news)
+    assert labelled == [] and ranked == []
+    # No node above a redex is built by ``_mk``, which computes conclusions.
+    made_ids = {id(n) for n in made}
+    assert sum(len(above) for *_, above in accepted) > 300
+    assert not any(id(n) in made_ids for *_, above in accepted for n in above)

@@ -33,7 +33,6 @@ from posnd.normalizer import (
     _commute_node,
     _contract_proper_core,
     _redex_at,
-    _replace_at,
     _require_commutable,
     _resolve_joins,
     _splits,
@@ -158,9 +157,24 @@ def reference_select(d, cs, ix=None):
     return min(pool, key=lambda c: (po[c.segment.end], po[c.segment.start]))
 
 
+def reference_replace_at(d, path, new):
+    """``d`` with the subtree at ``path`` replaced by ``new``, every node
+    above it rebuilt and its conclusion computed again."""
+    above = [d]
+    for i in path[:-1]:
+        above.append(above[-1].premises[i])
+    for node, i in zip(reversed(above), reversed(path)):
+        prems = list(node.premises)
+        prems[i] = new
+        new = K._rebuild(node, tuple(prems))
+    return new
+
+
 def reference_contract_proper(d, occ, system, t_strict):
     at = _redex_at(d, occ)
-    out = freshen(_contract_proper_core(freshen(d), at, system, t_strict))
+    base = freshen(d)
+    new = _contract_proper_core(base, at, system, t_strict)
+    out = freshen(reference_replace_at(base, at, new))
     rep = check(out, system, t_strict_empty_beta=t_strict)
     if not rep.ok:
         raise NormalizerError("proper contraction broke the derivation")
@@ -170,9 +184,8 @@ def reference_contract_proper(d, occ, system, t_strict):
 def reference_contract_commutative(d, at, system, t_strict):
     _require_commutable(d, at)
     base = freshen(d)
-    out = freshen(
-        _replace_at(base, at, _commute_node(subtree_at(base, at), all_labels(base)))
-    )
+    new = _commute_node(subtree_at(base, at), all_labels(base))
+    out = freshen(reference_replace_at(base, at, new))
     rep = check(out, system, t_strict_empty_beta=t_strict)
     if not rep.ok:
         raise NormalizerError("commutative contraction broke the derivation")

@@ -31,7 +31,6 @@ from posnd.normalizer import (
     _preorder,
     _rank,
     _redex_at,
-    _replace_at,
     _require_commutable,
     _resolve_joins,
     _select,
@@ -42,7 +41,7 @@ from posnd.normalizer import (
 from posnd.syntax import Atom, Box, Dia, Imp, Or, Bottom
 
 from test_freshen_oracle import reserved_canon
-from test_preorder_oracle import chains, corpus
+from test_preorder_oracle import chains, corpus, reference_replace_at
 
 P, Q = Atom("p"), Atom("q")
 S4I = K.System("s4", "intuitionistic")
@@ -101,7 +100,7 @@ def reference_contract_proper_core(d, elim_path, system, t_strict):
         raise NotARedex(f"no proper contraction for rule {r!r}")
     if new.conclusion != R.conclusion:
         raise NormalizerError("proper contraction changed the conclusion")
-    return _replace_at(d, elim_path, new)
+    return reference_replace_at(d, elim_path, new)
 
 
 def reference_contract_proper(d, occ, system, t_strict):
@@ -118,7 +117,8 @@ def reference_contract_proper(d, occ, system, t_strict):
 
 def reference_contract_commutative(d, at, system, t_strict):
     _require_commutable(d, at)
-    out = freshen(_replace_at(d, at, _commute_node(subtree_at(d, at), all_labels(d))))
+    new = _commute_node(subtree_at(d, at), all_labels(d))
+    out = freshen(reference_replace_at(d, at, new))
     rep = check(out, system, t_strict_empty_beta=t_strict)
     if not rep.ok:
         raise NormalizerError(
