@@ -732,6 +732,14 @@ def _rebuild(n: Derivation, premises: tuple[Derivation, ...], **over) -> Derivat
     return _mk(n.rule, premises, **data)
 
 
+def _with_premises(n: Derivation, premises: tuple[Derivation, ...]) -> Derivation:
+    """``n`` over ``premises``, keeping its conclusion and data as they are:
+    nothing is computed, so the caller vouches that ``premises`` leave the
+    conclusion unchanged."""
+    rule, conclusion, *data = _node_data(n)
+    return Derivation(rule, premises, conclusion, *data)
+
+
 def _rebuilt(n: Derivation, prems, **over) -> Derivation:
     """``n`` over ``prems`` with the fields in ``over`` replaced; ``n``
     itself when no field is replaced and every premise came back as is."""

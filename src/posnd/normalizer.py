@@ -61,7 +61,6 @@ rewritten subtree.  So ``n`` nested detours still take time quadratic in
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -76,7 +75,6 @@ from .kernel import (
     all_labels,
     _check_walk,
     _fresh_names,
-    _FIELDS,
     _label_occurrences,
     _path_of,
     _preorder,
@@ -86,6 +84,7 @@ from .kernel import (
     _scope_slot,
     _substitute,
     _walk,
+    _with_premises,
     _RULE_TABLE,
     INTRO_RULES,
     ELIM_RULES,
@@ -184,10 +183,6 @@ def subtree_at(d: Derivation, path: Occurrence) -> Derivation:
     return node
 
 
-#: A node's conclusion and the fields after it, in ``Derivation``'s order.
-_kept_data = operator.attrgetter("conclusion", *_FIELDS)
-
-
 def _replace_at(d: Derivation, path: Occurrence, new: Derivation) -> Derivation:
     """``d`` with the subtree at ``path`` replaced by ``new``, which must
     conclude what that subtree concludes.  Each node above it gets one new
@@ -198,9 +193,7 @@ def _replace_at(d: Derivation, path: Occurrence, new: Derivation) -> Derivation:
         above.append(above[-1].premises[i])
     for node, i in zip(reversed(above), reversed(path)):
         prems = node.premises
-        new = Derivation(
-            node.rule, prems[:i] + (new,) + prems[i + 1 :], *_kept_data(node)
-        )
+        new = _with_premises(node, prems[:i] + (new,) + prems[i + 1 :])
     return new
 
 

@@ -261,8 +261,16 @@ def test_broken_cores_are_rejected_by_guard_and_check(case, system, fault, monke
 # --- no whole-tree pass per round ------------------------------------------
 
 
+#: Per chain of 300 levels: its number of contractions, the number of nodes
+#: each one rewrites (a detour contracts to a leaf, a ``box`` detour to a
+#: ``box-e`` over a leaf) and the check walks each makes (a ``box-e``
+#: contraction's substitution also checks the subtree it maps and its image).
+_CHAIN_COUNTS = {detour_chain: (300, 1, 1), box_chain: (299, 2, 3)}
+
+
 @pytest.mark.parametrize("chain", [detour_chain, box_chain])
 def test_a_round_walks_only_what_it_rewrote(chain, monkeypatch):
+    n_steps, size, walks = _CHAIN_COUNTS[chain]
     walked = []
     real = K._check_walk
 
@@ -312,25 +320,25 @@ def test_a_round_walks_only_what_it_rewrote(chain, monkeypatch):
     monkeypatch.setattr(N, "_accepted", spy)
     d = chain(300)
     out, trace, steps = N.normalize_steps(d, S4I)
-    assert len(steps) == len(trace) - 1 >= 299 and trace[-1] == (0, 0)
+    assert len(steps) == len(trace) - 1 == n_steps and trace[-1] == (0, 0)
     news = [new for _, _, new, _ in accepted]
     assert len(news) == len(steps)
+    assert all(sum(1 for _ in new) == size for new in news)
     # The entry and the final check walk the whole tree; each contraction's
     # guard walks only the subtree it rewrote, and a ``box-e`` contraction's
     # substitution checks the subtree it maps and its image.
+    assert len(walked) == 2 + len(steps) * walks
     assert walked[0] is d and walked[-1] is out
     guarded = iter(walked[1:-1])
     assert all(any(t is new for t in guarded) for new in news)
-    size = max(sum(1 for _ in new) for new in news)
-    assert size <= 2 and all(sum(1 for _ in t) <= size for t in walked[1:-1])
-    assert len(walked) == 2 + len(steps) * (1 if chain is detour_chain else 3)
+    assert all(sum(1 for _ in t) == size for t in walked[1:-1])
     # The index, too, is made of the whole tree only on entry and for the
     # final cut scan; in between only each rewritten subtree is indexed.
     assert len(indexed) == 2 + len(steps)
     assert indexed[0] is accepted[0][0] and indexed[-1] is out
     assert all(map(operator.is_, indexed[1:-1], news))
     # The witness search looks at the rewritten subtrees only.
-    assert len(searched) == sum(sum(1 for _ in new) for new in news)
+    assert len(searched) == len(steps) * size
     assert labelled == [] and ranked == []
     # No node above a redex is built by ``_mk``, which computes conclusions.
     made_ids = {id(n) for n in made}
