@@ -694,7 +694,8 @@ def all_labels(d: Derivation) -> frozenset[str]:
 
 def _label_occurrences(d: Derivation) -> list[str]:
     """The labels of :func:`all_labels`, once per occurrence: a leaf's
-    label and each label a node discharges."""
+    label and each label a node discharges.  ``d`` may also be a list of
+    nodes, such as a slice of :func:`_preorder`'s."""
     acc: list[str] = []
     for n in d:
         if n.label is not None:
@@ -726,12 +727,6 @@ def plug(
     return _walk(d, _FREE_LABELS[kind], leave, frozenset(labels))
 
 
-def _rebuild(n: Derivation, premises: tuple[Derivation, ...], **over) -> Derivation:
-    data = {f: getattr(n, f) for f in _FIELDS}
-    data.update(over)
-    return _mk(n.rule, premises, **data)
-
-
 def _with_premises(n: Derivation, premises: tuple[Derivation, ...]) -> Derivation:
     """``n`` over ``premises``, keeping its conclusion and data as they are:
     nothing is computed, so the caller vouches that ``premises`` leave the
@@ -741,11 +736,14 @@ def _with_premises(n: Derivation, premises: tuple[Derivation, ...]) -> Derivatio
 
 
 def _rebuilt(n: Derivation, prems, **over) -> Derivation:
-    """``n`` over ``prems`` with the fields in ``over`` replaced; ``n``
-    itself when no field is replaced and every premise came back as is."""
+    """``n`` over ``prems`` with the fields in ``over`` replaced and its
+    conclusion computed again; ``n`` itself when no field is replaced and
+    every premise came back as is."""
     if not over and all(map(operator.is_, prems, n.premises)):
         return n
-    return _rebuild(n, tuple(prems), **over)
+    data = {f: getattr(n, f) for f in _FIELDS}
+    data.update(over)
+    return _mk(n.rule, tuple(prems), **data)
 
 
 def _fresh_names(prefix: str, *used):

@@ -17,38 +17,43 @@ matching proper contraction; each such round strictly decreases the rank.
 A final, rank-preserving phase pushes any remaining eliminations through
 case-split conclusions so that no contraction applies to the result.
 
-The public entries (``normalize``, ``reduce_once``, ``contract_proper``,
-``contract_commutative``) check their input and freshen it once, which
-gives every witness its own reserved token.  A contraction rewrites one
-subtree and is accepted by a local guard (``_accepted``) instead of a
-check of the whole result: by subject reduction, a rewritten subtree that
-passes the kernel's check walk, keeps the conclusion of the subtree it
-replaces and opens only assumptions open there leaves every condition
-above it satisfied.  The path above the rewritten subtree is rebuilt only
-after the guard, each node keeping its conclusion.  A contraction keeps the
-witness tokens, its ``box-e``/``dia-e`` substitutions included, unless it
-copies a witness: ``plug`` with two or more bound leaves, or a commutation
-over the minors of an ``or-e``.  Only then does a token repeat, and only
-inside the rewritten subtree, the only place searched; only then is the
-whole result freshened (``_freshened``), a renaming that preserves
-checking.  Otherwise every subtree a contraction does not rewrite is kept
-as the same object.  The whole tree is checked only on entry and at the
-end.
+Every contraction runs through one state (``_Kept``), made by each public
+entry (``normalize``, ``reduce_once``, ``contract_proper``,
+``contract_commutative``): the entry checks its input and freshens it once,
+which gives every witness its own reserved token, and the state holds the
+current tree with three things kept of it across contractions: a count of
+its labels, outside which copies draw fresh discharge labels; the kernel's
+pre-order index (``_preorder``); and its cuts.  The entries select from the
+kept index and cuts and contract through it.
 
-A normalization keeps three things of its current tree across
-contractions (``_Kept``): a count of its labels, outside which copies draw
-fresh discharge labels; the kernel's pre-order index (``_preorder``); and
-its cuts.  A contraction updates them from the replaced and the rewritten
-subtree: it indexes the rewritten subtree only, shifts the numbers after
-it and the ancestors' subtree ends, and scans for cuts only from the
-introductions inside it; only a whole-tree freshen indexes and scans the
-whole tree again.  The kept cuts give both the rank recorded in the trace
-and the step log and the next round's selection; a scan climbs segments
-only from introductions.  Selection tests a cut's duplication zones as two
-ranges of pre-order numbers against a prefix count of the candidates'
-occurrences.  Paths are built only for what leaves the module: the public
-``segments``, ``cuts`` and ``rank``, the selected segment and the step
-log.  Every walk here is iterative.
+A contraction rewrites one subtree and is accepted by a local guard
+(``_accepted``) instead of a check of the whole result: by subject
+reduction, a rewritten subtree that passes the kernel's check walk, keeps
+the conclusion of the subtree it replaces and opens only assumptions open
+there leaves every condition above it satisfied.  The path above the
+rewritten subtree is rebuilt only after the guard, each node keeping its
+conclusion.  A contraction keeps the witness tokens, its
+``box-e``/``dia-e`` substitutions included, unless it copies a witness:
+``plug`` with two or more bound leaves, or a commutation over the minors of
+an ``or-e``.  Only then does a token repeat, and only inside the rewritten
+subtree, the only place searched; only then is the whole result freshened
+(``_freshened``), a renaming that preserves checking, and indexed and
+scanned again.  Otherwise every subtree a contraction does not rewrite is
+kept as the same object.  The whole tree is checked only on entry and at
+the end, where ``is_normal`` also stands for the absence of cuts.
+
+The accept step walks the replaced subtree once, for its open assumptions,
+and reads its labels off the kept index.  It walks the rewritten subtree
+twice, for the check walk and for its index, whose node list serves the
+witness search, the label count and the splice into the kept index: the
+numbers after the subtree and the ancestors' subtree ends shift, and cuts
+are scanned only from the introductions inside it.  The kept cuts give
+both the rank recorded in the trace and the step log and the next round's
+selection; a scan climbs segments only from introductions.  Selection
+tests a cut's duplication zones as two ranges of pre-order numbers against
+a prefix count of the candidates' occurrences.  Paths are built only for
+what leaves the module: the public ``segments``, ``cuts`` and ``rank``, the
+selected segment and the step log.  Every walk here is iterative.
 
 A round therefore costs the sizes of the replaced and the rewritten subtree
 for the contraction, its guard, its index and its cut scan; the redex's
@@ -78,7 +83,6 @@ from .kernel import (
     _label_occurrences,
     _path_of,
     _preorder,
-    _rebuild,
     _rebuilt,
     _relabel_binders,
     _scope_slot,
@@ -176,25 +180,15 @@ class Cut:
 
 
 def subtree_at(d: Derivation, path: Occurrence) -> Derivation:
-    """The subderivation whose root is reached by the premise indices in ``path``."""
+    """The subderivation whose root is reached by the premise indices in
+    ``path``; :class:`IndexError` if an index is negative or past the last
+    premise."""
     node = d
     for i in path:
+        if i < 0:
+            raise IndexError(f"negative premise index {i}")
         node = node.premises[i]
     return node
-
-
-def _replace_at(d: Derivation, path: Occurrence, new: Derivation) -> Derivation:
-    """``d`` with the subtree at ``path`` replaced by ``new``, which must
-    conclude what that subtree concludes.  Each node above it gets one new
-    premise and keeps its conclusion, which that premise leaves unchanged
-    (see :func:`_accepted`); every other subtree is kept as is."""
-    above = [d]
-    for i in path[:-1]:
-        above.append(above[-1].premises[i])
-    for node, i in zip(reversed(above), reversed(path)):
-        prems = node.premises
-        new = _with_premises(node, prems[:i] + (new,) + prems[i + 1 :])
-    return new
 
 
 # --- segments, cuts, rank --------------------------------------------------
@@ -392,48 +386,71 @@ def _open_pairs(old: Derivation) -> set:
 
 
 class _Kept:
-    """What a normalization keeps of its current tree across contractions:
-    the label ``census`` (each label's number of occurrences), the
-    pre-order index ``ix`` of :func:`kernel._preorder` and the cut list
-    ``cs`` of :func:`_cuts`, always equal to what they would be if computed
-    afresh from the tree."""
+    """The state of a normalization, through which every contraction runs:
+    the current tree ``d``, which checks in ``system`` (``t_strict`` is
+    ``t_strict_empty_beta``) and whose witnesses have distinct tokens, and
+    what is kept of it across contractions: the label ``census`` (each
+    label's number of occurrences), the pre-order index ``ix`` of
+    :func:`kernel._preorder` and the cut list ``cs`` of :func:`_cuts`,
+    always equal to what they would be if computed afresh from ``d``."""
 
-    def __init__(self, d: Derivation) -> None:
-        self.census = Counter(_label_occurrences(d))
+    def __init__(self, d: Derivation, system: System, t_strict: bool) -> None:
+        self.system, self.t_strict = system, t_strict
         self.index(d)
+        self.census = Counter(_label_occurrences(self.ix[0]))
 
     def index(self, d: Derivation) -> None:
-        """Index ``d`` and scan it for cuts from scratch."""
+        """Make ``d`` the current tree, indexed and scanned for cuts from
+        scratch."""
+        self.d = d
         self.ix = _preorder(d)
         self.cs = _cuts(self.ix)
 
-    def splice(self, out: Derivation, at: Occurrence, new: Derivation) -> None:
-        """Move the index and the cuts to ``out``, the kept tree with the
-        subtree at ``at`` replaced by ``new`` and each node above it by one
-        with the same rule and data (:func:`_replace_at`).
-
-        Only ``new`` is indexed.  If the old subtree took the numbers
-        ``[a, b)``, numbers before ``a`` keep their nodes, except that the
-        nodes above ``at`` take their new objects and shift the end of
-        their subtree and their post-order number by the change in size;
-        numbers from ``b`` on shift by it, and so do parents among them.  A
-        cut whose start lies outside ``[a, b)`` keeps its segment, which
-        runs through the same rules and slots, shifted the same way.  A
-        cut's segment lies above its start, so only the cuts that start in
-        ``new`` are scanned again; they may climb above ``a``.
-        """
-        nodes, parent, slot, end, post = self.ix
-        above = []
-        a, n = 0, out
+    def find(self, at: Occurrence) -> tuple[list[int], int]:
+        """The numbers of the nodes above ``at``, root first, and of the
+        node at it."""
+        end = self.ix[3]
+        above, a = [], 0
         for k in at:
-            nodes[a] = n
             above.append(a)
-            n = n.premises[k]
             a += 1
             for _ in range(k):
                 a = end[a]
+        return above, a
+
+    def replace(self, above: list[int], at: Occurrence, new: Derivation):
+        """The current tree with the subtree at ``at`` replaced by ``new``,
+        which must conclude what that subtree concludes.  Each node above
+        it, numbered ``above``, gets one new premise and keeps its
+        conclusion, which that premise leaves unchanged (see
+        :func:`_accepted`), and takes its old number in the index; every
+        other subtree is kept as is."""
+        nodes = self.ix[0]
+        for i, k in zip(reversed(above), reversed(at)):
+            prems = nodes[i].premises
+            new = _with_premises(nodes[i], prems[:k] + (new,) + prems[k + 1 :])
+            nodes[i] = new
+        return new
+
+    def splice(self, out: Derivation, above: list[int], a: int, sub) -> None:
+        """Make ``out``, the result of :meth:`replace`, the current tree:
+        the subtree numbered ``a`` is replaced by the one that ``sub``
+        indexes, and the nodes above it, numbered ``above``, hold their new
+        objects already.
+
+        Only the new subtree is indexed.  If the old subtree took the
+        numbers ``[a, b)``, numbers before ``a`` keep their nodes, and the
+        nodes above ``a`` shift the end of their subtree and their
+        post-order number by the change in size; numbers from ``b`` on
+        shift by it, and so do parents among them.  A cut whose start lies
+        outside ``[a, b)`` keeps its segment, which runs through the same
+        rules and slots, shifted the same way.  A cut's segment lies above
+        its start, so only the cuts that start in the new subtree are
+        scanned again; they may climb above ``a``.
+        """
+        nodes, parent, slot, end, post = self.ix
         b = end[a]
-        sub_nodes, sub_parent, sub_slot, sub_end, sub_post = _preorder(new)
+        sub_nodes, sub_parent, sub_slot, sub_end, sub_post = sub
         delta = len(sub_nodes) - (b - a)
         low = post[a] - (b - a) + 1  # the old subtree's first post-order number
         cs = self.cs
@@ -456,6 +473,7 @@ class _Kept:
         end[a:b] = [e + a for e in sub_end]
         post[a:b] = [q + low for q in sub_post]
         cs[lo:] = _cuts(self.ix, a, a + len(sub_nodes)) + rest
+        self.d = out
 
 
 def _start(cut) -> int:
@@ -463,19 +481,21 @@ def _start(cut) -> int:
     return cut[0][0]
 
 
-def _accepted(
-    d: Derivation,
-    at: Occurrence,
-    new: Derivation,
-    system: System,
-    t_strict: bool,
-    kept: _Kept | None,
-    what: str,
-) -> Derivation:
-    """``out``, which is ``d`` with the subtree ``old`` at ``at`` replaced
-    by a contraction's ``new``, once a local guard accepts ``new``, and
-    freshened if a witness repeats (:func:`_freshened`); else
-    :class:`NormalizerError`.  ``d`` must check in ``system``.
+def _entry(d: Derivation, system: System, t_strict: bool, name: str) -> _Kept:
+    """The state of a run of the public entry ``name`` on ``d``, which must
+    check in ``system``: its current tree is ``d`` freshened, which gives
+    every witness its own reserved token."""
+    if not check(d, system, t_strict_empty_beta=t_strict).ok:
+        raise ValueError(f"{name} requires a derivation that checks")
+    return _Kept(freshen(d), system, t_strict)
+
+
+def _accepted(st: _Kept, at: Occurrence, new: Derivation, what: str) -> Derivation:
+    """``out``, which is the current tree ``d`` of ``st`` with the subtree
+    ``old`` at ``at`` replaced by a contraction's ``new``, once a local
+    guard accepts ``new``, and freshened if a witness repeats
+    (:func:`_freshened`); else :class:`NormalizerError`.  The result
+    becomes the current tree of ``st``.
 
     The guard: ``new`` passes the kernel's check walk, concludes what
     ``old`` concluded, is an existence-assumption leaf exactly when ``old``
@@ -493,19 +513,20 @@ def _accepted(
 
     The guard runs before ``out`` is built.  Since ``new`` concludes what
     ``old`` concluded, the conclusion each node above ``at`` would compute
-    from its data and its premises is the one it has, so :func:`_replace_at`
-    keeps it instead of computing it again; a rewrite the guard rejects is
-    never put into a tree, and no node of ``out`` holds a conclusion other
-    than the one it would compute.
+    from its data and its premises is the one it has, so
+    :meth:`_Kept.replace` keeps it instead of computing it again; a rewrite
+    the guard rejects is never put into a tree, and no node of ``out``
+    holds a conclusion other than the one it would compute.
 
-    ``kept``, what a normalization keeps of ``d`` across rounds, is moved
-    to the result: the census by the labels of ``old`` and ``new``, the
-    index and the cuts by :meth:`_Kept.splice`, or from scratch when the
-    whole tree was freshened.
+    ``new`` is indexed once; its node list serves the witness search, the
+    census and :meth:`_Kept.splice`, and the labels of ``old`` are read off
+    the kept index.  A whole-tree freshen indexes the result from scratch.
     """
-    old = subtree_at(d, at)
+    nodes, end = st.ix[0], st.ix[3]
+    above, a = st.find(at)
+    old = nodes[a]
     was_open = _open_pairs(old)
-    violations, opens = _check_walk(new, system, t_strict)
+    violations, opens = _check_walk(new, st.system, st.t_strict)
     problems = [v.message for v in violations]
     if new.conclusion != old.conclusion:
         problems.append("the rewritten subtree changed its conclusion")
@@ -521,15 +542,15 @@ def _accepted(
         raise NormalizerError(
             f"{what} contraction broke the derivation: " + "; ".join(problems[:3])
         )
-    out = _replace_at(d, at, new)
-    got = _freshened(out, new)
-    if kept is not None:
-        _tally(_label_occurrences(old), kept.census, -1)
-        _tally(_label_occurrences(new), kept.census, 1)
-        if got is out:
-            kept.splice(out, at, new)
-        else:
-            kept.index(got)
+    out = st.replace(above, at, new)
+    sub = _preorder(new)
+    got = _freshened(out, sub[0])
+    _tally(_label_occurrences(nodes[a : end[a]]), st.census, -1)
+    _tally(_label_occurrences(sub[0]), st.census, 1)
+    if got is out:
+        st.splice(out, above, a, sub)
+    else:
+        st.index(got)
     return got
 
 
@@ -541,16 +562,14 @@ def _contract_proper_core(
     elim_path: Occurrence,
     system: System,
     t_strict: bool,
-    census: dict[str, int] | None = None,
+    census: dict[str, int],
 ) -> Derivation:
     """The rewrite of the introduction/elimination pair rooted at
-    ``elim_path``, which takes its place in ``d``.
-
-    Fresh discharge labels avoid the labels of ``d``: the keys of its label
-    ``census``, or ``all_labels(d)`` when none is given."""
+    ``elim_path``, which takes its place in ``d``.  Fresh discharge labels
+    avoid the labels of ``d``, the keys of its label ``census``."""
     R = subtree_at(d, elim_path)
     I = R.premises[0]
-    fresh = _fresh_names("l", all_labels(d) if census is None else census)
+    fresh = _fresh_names("l", census)
     r = R.rule
     if r == "and-e1":
         new = I.premises[0]
@@ -605,9 +624,9 @@ def contract_proper(
     """
     occ = cut.segment.occurrences
     _redex_at(d, occ)
-    if not check(d, system, t_strict_empty_beta=t_strict_empty_beta).ok:
-        raise ValueError("contract_proper requires a derivation that checks")
-    return _contract_proper(freshen(d), occ, system, t_strict_empty_beta)
+    return _contract_proper(
+        _entry(d, system, t_strict_empty_beta, "contract_proper"), occ
+    )
 
 
 def _redex_at(d: Derivation, occ: tuple[Occurrence, ...]) -> Occurrence:
@@ -623,30 +642,21 @@ def _redex_at(d: Derivation, occ: tuple[Occurrence, ...]) -> Occurrence:
         raise NotARedex("the cut occurrence does not fill a major premise slot")
     try:
         R = subtree_at(d, o[:-1])
+        I = R.premises[0]
     except IndexError:
         raise NotARedex("the cut occurrence is not a position in this derivation")
-    I = R.premises[0]
     fam = _RULE_TABLE[I.rule].intro
     if fam is None or _RULE_TABLE[R.rule].elim != fam:
         raise NotARedex(f"{I.rule!r} under {R.rule!r} is not a contractible pair")
     return o[:-1]
 
 
-def _contract_proper(
-    d: Derivation,
-    occ: tuple[Occurrence, ...],
-    system: System,
-    t_strict: bool,
-    kept: _Kept | None = None,
-) -> Derivation:
-    """:func:`contract_proper` of the cut segment ``occ`` of a ``d`` that
-    checks in ``system`` and whose witnesses have distinct tokens, with
-    :func:`_accepted`'s result; the input is not checked or freshened.
-    ``kept`` is what a normalization keeps of ``d``, if one runs."""
-    at = _redex_at(d, occ)
-    census = None if kept is None else kept.census
-    new = _contract_proper_core(d, at, system, t_strict, census)
-    return _accepted(d, at, new, system, t_strict, kept, "proper")
+def _contract_proper(st: _Kept, occ: tuple[Occurrence, ...]) -> Derivation:
+    """:func:`contract_proper` of the cut segment ``occ`` of the current
+    tree of ``st``, with :func:`_accepted`'s result."""
+    at = _redex_at(st.d, occ)
+    new = _contract_proper_core(st.d, at, st.system, st.t_strict, st.census)
+    return _accepted(st, at, new, "proper")
 
 
 # --- commutative contraction -----------------------------------------------
@@ -670,8 +680,8 @@ def _commute_node(R: Derivation, forbidden) -> Derivation:
     sides = R.premises[1:]
     prems = list(J.premises)
     for s in _RULE_TABLE[J.rule].minors:
-        prems[s] = _relabel_binders(_rebuild(R, (J.premises[s],) + sides), fresh())
-    return _rebuild(J, tuple(prems))
+        prems[s] = _relabel_binders(_rebuilt(R, (J.premises[s],) + sides), fresh())
+    return _rebuilt(J, prems)
 
 
 def contract_commutative(
@@ -690,9 +700,9 @@ def contract_commutative(
     discharge labels are renamed fresh to stay unique).
     """
     _require_commutable(d, at)
-    if not check(d, system, t_strict_empty_beta=t_strict_empty_beta).ok:
-        raise ValueError("contract_commutative requires a derivation that checks")
-    return _contract_commutative(freshen(d), at, system, t_strict_empty_beta)
+    return _contract_commutative(
+        _entry(d, system, t_strict_empty_beta, "contract_commutative"), at
+    )
 
 
 def _require_commutable(d: Derivation, at: Occurrence) -> None:
@@ -709,21 +719,12 @@ def _require_commutable(d: Derivation, at: Occurrence) -> None:
         )
 
 
-def _contract_commutative(
-    d: Derivation,
-    at: Occurrence,
-    system: System,
-    t_strict: bool,
-    kept: _Kept | None = None,
-) -> Derivation:
-    """:func:`contract_commutative` on a ``d`` that checks in ``system`` and
-    whose witnesses have distinct tokens, with :func:`_accepted`'s result;
-    the input is not checked or freshened.  ``kept`` is what a
-    normalization keeps of ``d``, if one runs."""
-    _require_commutable(d, at)
-    forbidden = all_labels(d) if kept is None else kept.census
-    new = _commute_node(subtree_at(d, at), forbidden)
-    return _accepted(d, at, new, system, t_strict, kept, "commutative")
+def _contract_commutative(st: _Kept, at: Occurrence) -> Derivation:
+    """:func:`contract_commutative` at ``at`` of the current tree of ``st``,
+    with :func:`_accepted`'s result."""
+    _require_commutable(st.d, at)
+    new = _commute_node(subtree_at(st.d, at), st.census)
+    return _accepted(st, at, new, "commutative")
 
 
 # --- normalization ---------------------------------------------------------
@@ -793,33 +794,26 @@ def normalize_steps(
 ) -> tuple[Derivation, list[Rank], list[tuple[int, str, Occurrence, Rank]]]:
     """Like :func:`normalize`, also returning one log entry per applied
     contraction: (round number, kind, elimination path, rank afterwards)."""
-    if system.flavor != "intuitionistic":
-        raise FlavorUnsupported(
-            "normalization is defined for the intuitionistic flavor only"
-        )
-    t = t_strict_empty_beta
-    if not check(d, system, t_strict_empty_beta=t).ok:
-        raise ValueError("normalize requires a derivation that checks")
-    cur = freshen(d)
-    kept = _Kept(cur)
-    trace: list[Rank] = [_rank(kept.cs)]
+    _require_intuitionistic(system)
+    st = _entry(d, system, t_strict_empty_beta, "normalize")
+    trace: list[Rank] = [_rank(st.cs)]
     steps: list[tuple[int, str, Occurrence, Rank]] = []
     rounds = 0
-    while kept.cs:
+    while st.cs:
         rounds += 1
         prev = trace[-1]
-        seg = list(_occurrences(_select(kept.cs, kept.ix), kept.ix))
+        seg = list(_occurrences(_select(st.cs, st.ix), st.ix))
         while len(seg) > 1:
             end = seg[-1]
             e = end[:-1]
             mslot = seg[-2][len(e) + 1]
-            cur = _contract_commutative(cur, e, system, t, kept)
-            steps.append((rounds, "commutative", e, _rank(kept.cs)))
+            _contract_commutative(st, e)
+            steps.append((rounds, "commutative", e, _rank(st.cs)))
             old_prefix = e + (0, mslot)
             new_prefix = e + (mslot, 0)
             seg = [new_prefix + o[len(old_prefix):] for o in seg[:-1]]
-        cur = _contract_proper(cur, (seg[0],), system, t, kept)
-        rk = _rank(kept.cs)
+        _contract_proper(st, (seg[0],))
+        rk = _rank(st.cs)
         steps.append((rounds, "proper", seg[0][:-1], rk))
         trace.append(rk)
         if not rk < prev:
@@ -827,19 +821,21 @@ def normalize_steps(
                 f"round {rounds} went from rank {prev} to {rk}"
             )
     cleanup: list[tuple[str, Occurrence]] = []
-    cur = _resolve_joins(cur, cleanup)
+    cur = _resolve_joins(st.d, cleanup)
     if cleanup:
         cur = _freshened(cur)
         for kind, path in cleanup:
             rounds += 1
             steps.append((rounds, kind, path, (0, 0)))
-    rep = check(cur, system, t_strict_empty_beta=t)
+    rep = check(cur, system, t_strict_empty_beta=t_strict_empty_beta)
     if not rep.ok:
         raise NormalizerError(
             "normalization broke the derivation: "
             + "; ".join(v.message for v in rep.violations[:3])
         )
-    if _cuts(_preorder(cur)) or not is_normal(cur):
+    # A cut's top is the major premise of an elimination over an
+    # introduction or a case split, so a normal derivation has no cut.
+    if not is_normal(cur):
         raise NormalizerError("normalization finished on a non-normal derivation")
     if cur.conclusion != d.conclusion:
         raise NormalizerError("normalization changed the conclusion")
@@ -874,20 +870,13 @@ def reduce_once(
 ) -> Derivation | None:
     """Apply one contraction step of the normalization strategy, or ``None``
     when the derivation is already normal."""
-    if system.flavor != "intuitionistic":
-        raise FlavorUnsupported(
-            "normalization is defined for the intuitionistic flavor only"
-        )
-    t = t_strict_empty_beta
-    if not check(d, system, t_strict_empty_beta=t).ok:
-        raise ValueError("reduce_once requires a derivation that checks")
-    ix = _preorder(d)
-    nodes, parent, slot, end, post = ix
-    cs = _cuts(ix)
-    if cs:
-        seg = _select(cs, ix)
+    _require_intuitionistic(system)
+    st = _entry(d, system, t_strict_empty_beta, "reduce_once")
+    nodes, parent, slot, end, post = st.ix
+    if st.cs:
+        seg = _select(st.cs, st.ix)
         if len(seg) == 1:
-            return _contract_proper(freshen(d), _occurrences(seg, ix), system, t)
+            return _contract_proper(st, _occurrences(seg, st.ix))
         at = parent[seg[-1]]
     else:
         cands = [i for i, n in enumerate(nodes) if _splits(n)]
@@ -896,7 +885,14 @@ def reduce_once(
         # The deepest split (a node's depth is end - 1 - post), then the first
         # in pre-order, which is the order of paths.
         at = min(cands, key=lambda i: (post[i] - end[i], i))
-    return _contract_commutative(freshen(d), _path_of(at, parent, slot), system, t)
+    return _contract_commutative(st, _path_of(at, parent, slot))
+
+
+def _require_intuitionistic(system: System) -> None:
+    if system.flavor != "intuitionistic":
+        raise FlavorUnsupported(
+            "normalization is defined for the intuitionistic flavor only"
+        )
 
 
 # --- spines ----------------------------------------------------------------

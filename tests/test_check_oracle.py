@@ -189,7 +189,7 @@ def _mutate(rng: random.Random, d: K.Derivation) -> K.Derivation:
             over["e_discharges"] = frozenset(rng.sample(_LABELS, rng.randrange(3)))
         if prems == n.premises and not over:
             return n
-        return K._rebuild(n, prems, **over)
+        return K._rebuilt(n, prems, **over)
 
     return go(d)
 

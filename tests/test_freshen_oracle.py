@@ -78,7 +78,7 @@ def reference_map_positions(d, fn):
         new_proper = fn(old_proper)
         if new_proper:
             over["token"] = new_proper[-1]
-    return K._rebuild(d, prems, **over)
+    return K._rebuilt(d, prems, **over)
 
 
 _FRESH_RE = re.compile(re.escape(RESERVED_TOKEN_PREFIX) + r"([0-9]+)$")
@@ -107,7 +107,7 @@ def reference_freshen(d):
 
     def go(n):
         prems = tuple(go(p) for p in n.premises)
-        node = K._rebuild(n, prems)
+        node = K._rebuilt(n, prems)
         if node.rule == "box-i" and node.token is not None:
             prem_pos = K._pf(node.premises[0]).position
             if prem_pos:
@@ -117,7 +117,7 @@ def reference_freshen(d):
                 scoped = reference_map_positions(
                     node.premises[0], lambda p: prefix_replace(p, old, new)
                 )
-                node = K._rebuild(node, (scoped,), token=new[-1])
+                node = K._rebuilt(node, (scoped,), token=new[-1])
         elif node.rule == "dia-e" and node.token is not None:
             major_pos = K._pf(node.premises[0]).position
             old = major_pos + (node.token,)
@@ -125,7 +125,7 @@ def reference_freshen(d):
             scoped = reference_map_positions(
                 node.premises[1], lambda p: prefix_replace(p, old, new)
             )
-            node = K._rebuild(node, (node.premises[0], scoped), token=new[-1])
+            node = K._rebuilt(node, (node.premises[0], scoped), token=new[-1])
         return node
 
     return go(d)

@@ -19,9 +19,9 @@ accepted tree, the kept index ``_preorder`` of it and the kept cuts
 over the whole tree.  Deliberately broken contraction cores must be
 rejected by both the guard and ``check``.  A normalization of a detour or
 a ``box`` chain makes exactly two whole-tree check walks and indexes the
-whole tree only on entry and at the end, searches and indexes only the
-rewritten subtrees otherwise, builds no node above a redex with ``_mk``,
-and calls no ``all_labels`` or ``rank``.
+whole tree only on entry, searches and indexes only the rewritten subtrees
+otherwise, each once, builds no node above a redex with ``_mk``, and calls
+no ``all_labels`` or ``rank``.
 """
 
 from __future__ import annotations
@@ -60,13 +60,14 @@ def _spy_on_acceptance(monkeypatch):
     seen = []
     kept_trees = []
 
-    def spy(d, at, new, system, t_strict, kept, what):
+    def spy(st, at, new, what):
+        d, system, t_strict = st.d, st.system, st.t_strict
         old = subtree_at(d, at)
         out = reference_replace_at(d, at, new)
         opens = check(old, system, t_strict_empty_beta=t_strict).open_assumptions
         assert N._open_pairs(old) == {(a.label, a.content) for a in opens}
         try:
-            got = real(d, at, new, system, t_strict, kept, what)
+            got = real(st, at, new, what)
         except NormalizerError:
             assert not check(out, system, t_strict_empty_beta=t_strict).ok
             raise
@@ -75,15 +76,15 @@ def _spy_on_acceptance(monkeypatch):
         freshened = _repeats(N._witness_tokens(out))
         assert _repeats(N._witness_tokens(new)) == freshened
         assert (got == out) != freshened
-        if kept is not None:
-            assert kept.census == Counter(K._label_occurrences(got))
-            assert set(kept.census) == K.all_labels(got)
-            ix = K._preorder(got)
-            assert len(kept.ix[0]) == len(ix[0])
-            assert all(map(operator.is_, kept.ix[0], ix[0]))
-            assert kept.ix[1:] == ix[1:]
-            assert kept.cs == N._cuts(ix)
-            kept_trees.append((got, freshened))
+        assert st.d is got
+        assert st.census == Counter(K._label_occurrences(got))
+        assert set(st.census) == K.all_labels(got)
+        ix = K._preorder(got)
+        assert len(st.ix[0]) == len(ix[0])
+        assert all(map(operator.is_, st.ix[0], ix[0]))
+        assert st.ix[1:] == ix[1:]
+        assert st.cs == N._cuts(ix)
+        kept_trees.append((got, freshened))
         seen.append(what)
         return got
 
@@ -119,6 +120,7 @@ def test_guard_agrees_with_the_whole_tree_check(monkeypatch):
         for (_, _, _, rk), (got, _) in zip(steps, kept_trees):
             assert rk == rank(got)
         logged += len(kept_trees)
+        normalized = list(kept_trees)
         N.reduce_once(d, system)
     assert ranked == []
     assert len(seen) > 1500
@@ -126,7 +128,7 @@ def test_guard_agrees_with_the_whole_tree_check(monkeypatch):
     assert logged > 1000
     # The last tree freshens the whole tree in its first round, and the
     # normalization goes on from an index made afresh.
-    assert [freshened for _, freshened in kept_trees] == [True, False]
+    assert [freshened for _, freshened in normalized] == [True, False]
 
 
 def test_public_contractions_use_the_guard(monkeypatch):
@@ -246,10 +248,9 @@ def test_broken_cores_are_rejected_by_guard_and_check(case, system, fault, monke
     assert not check(out, system).ok
     # The guard reports exactly the fault the core was built with.
     message = f"proper contraction broke the derivation: {fault}"
-    for kept in (None, N._Kept(d)):
-        with pytest.raises(NormalizerError) as err:
-            N._accepted(d, at, new, system, False, kept, "proper")
-        assert str(err.value) == message
+    with pytest.raises(NormalizerError) as err:
+        N._accepted(N._Kept(d, system, False), at, new, "proper")
+    assert str(err.value) == message
     monkeypatch.setattr(N, "_contract_proper_core", core)
     (cut,) = N.cuts(base)
     for run in (N.normalize, N.reduce_once, lambda d, s: N.contract_proper(d, cut, s)):
@@ -308,8 +309,9 @@ def test_a_round_walks_only_what_it_rewrote(chain, monkeypatch):
     accepted = []  # (input, redex path, rewrite, the redex's ancestors in the result)
     real_accepted = N._accepted
 
-    def spy(d, at, new, *args):
-        got = real_accepted(d, at, new, *args)
+    def spy(st, at, new, what):
+        d = st.d
+        got = real_accepted(st, at, new, what)
         above, node = [], got
         for i in at:
             above.append(node)
@@ -332,11 +334,11 @@ def test_a_round_walks_only_what_it_rewrote(chain, monkeypatch):
     guarded = iter(walked[1:-1])
     assert all(any(t is new for t in guarded) for new in news)
     assert all(sum(1 for _ in t) == size for t in walked[1:-1])
-    # The index, too, is made of the whole tree only on entry and for the
-    # final cut scan; in between only each rewritten subtree is indexed.
-    assert len(indexed) == 2 + len(steps)
-    assert indexed[0] is accepted[0][0] and indexed[-1] is out
-    assert all(map(operator.is_, indexed[1:-1], news))
+    # The index, too, is made of the whole tree only on entry; after that
+    # only each rewritten subtree is indexed, once.
+    assert len(indexed) == 1 + len(steps)
+    assert indexed[0] is accepted[0][0]
+    assert all(map(operator.is_, indexed[1:], news))
     # The witness search looks at the rewritten subtrees only.
     assert len(searched) == len(steps) * size
     assert labelled == [] and ranked == []
@@ -344,3 +346,19 @@ def test_a_round_walks_only_what_it_rewrote(chain, monkeypatch):
     made_ids = {id(n) for n in made}
     assert sum(len(above) for *_, above in accepted) > 300
     assert not any(id(n) in made_ids for *_, above in accepted for n in above)
+
+
+def test_a_normal_derivation_has_no_cut():
+    # A cut's top is the major premise of an elimination over an
+    # introduction or a case split, so ``normalize_steps`` tests its result
+    # with ``is_normal`` alone.
+    normal = with_cuts = 0
+    for d, system in corpus():
+        cur = d
+        while cur is not None:
+            if N.is_normal(cur):
+                assert N.cuts(cur) == ()
+                normal += 1
+            with_cuts += bool(N.cuts(cur))
+            cur = N.reduce_once(cur, system)
+    assert normal > 200 and with_cuts > 200

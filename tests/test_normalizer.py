@@ -293,6 +293,22 @@ class TestContractProper:
         with pytest.raises(N.NotARedex):
             N.contract_proper(d, fake, S4i)
 
+    def test_occurrence_under_a_leaf_is_not_a_redex(self):
+        d = K.imp_e(K.hyp("f", Imp(p, q), ()), K.hyp("u", p, ()))
+        fake = N.Cut(N.Segment(((0, 0),)), "imp", 2)
+        with pytest.raises(N.NotARedex):
+            N.contract_proper(d, fake, S4i)
+
+    def test_negative_address_is_not_a_redex(self):
+        d = K.and_i(K.hyp("w", q, ()), fix_imp())
+        (cut,) = N.cuts(d)
+        assert cut.segment.occurrences == ((1, 0),)
+        with pytest.raises(IndexError):
+            N.subtree_at(d, (-1,))
+        fake = N.Cut(N.Segment(((-1, 0),)), "imp", 2)
+        with pytest.raises(N.NotARedex):
+            N.contract_proper(d, fake, S4i)
+
     def test_requires_checking_derivation(self):
         bad = K.box_e(K.box_i("x", frozenset(), K.hyp("u", p, ("x",))), ("y", "z"))
         (cut,) = N.cuts(bad)
@@ -364,6 +380,18 @@ class TestContractCommutative:
         d = K.hyp("u", p, ())
         with pytest.raises(N.NotApplicable):
             N.contract_commutative(d, (), S4i)
+
+    def test_not_applicable_at_a_negative_address(self):
+        split = K.or_e(
+            K.hyp("m", Or(Imp(p, q), Imp(p, q)), ()),
+            frozenset({"a"}), K.hyp("a", Imp(p, q), ()),
+            frozenset({"b"}), K.hyp("b", Imp(p, q), ()),
+        )
+        d = K.and_i(K.hyp("w", p, ()), K.imp_e(split, K.hyp("u", p, ())))
+        assert K.check(d, S4i).ok
+        assert N.contract_commutative(d, (1,), S4i).rule == "and-i"
+        with pytest.raises(N.NotApplicable):
+            N.contract_commutative(d, (-1,), S4i)
 
 
 # --- normalize -------------------------------------------------------------

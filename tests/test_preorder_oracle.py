@@ -166,14 +166,14 @@ def reference_replace_at(d, path, new):
     for node, i in zip(reversed(above), reversed(path)):
         prems = list(node.premises)
         prems[i] = new
-        new = K._rebuild(node, tuple(prems))
+        new = K._rebuilt(node, tuple(prems))
     return new
 
 
 def reference_contract_proper(d, occ, system, t_strict):
     at = _redex_at(d, occ)
     base = freshen(d)
-    new = _contract_proper_core(base, at, system, t_strict)
+    new = _contract_proper_core(base, at, system, t_strict, all_labels(base))
     out = freshen(reference_replace_at(base, at, new))
     rep = check(out, system, t_strict_empty_beta=t_strict)
     if not rep.ok:

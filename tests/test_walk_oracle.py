@@ -87,7 +87,7 @@ def reference_plug(d, labels, replacement, kind="p"):
         )
         if prems == n.premises:
             return n
-        return K._rebuild(n, prems)
+        return K._rebuilt(n, prems)
 
     return walk(d, frozenset(labels))
 
@@ -139,14 +139,14 @@ def reference_relabel_binders(d, forbidden):
             pe.update(renames.get((i, "p"), {}))
             ee.update(renames.get((i, "e"), {}))
             prems.append(go(p, pe, ee))
-        return K._rebuild(n, tuple(prems), **over)
+        return K._rebuilt(n, tuple(prems), **over)
 
     return go(d, {}, {})
 
 
 def reference_drop_trivial_reposition(d):
     prems = tuple(reference_drop_trivial_reposition(p) for p in d.premises)
-    node = K._rebuild(d, prems)
+    node = K._rebuilt(d, prems)
     if (
         node.rule == "bot-i"
         and node.target is not None
@@ -165,12 +165,12 @@ def reference_resolve_joins(d, log):
             prems = list(node.premises)
             for s in K._RULE_TABLE[node.rule].minors:
                 prems[s] = resolve(prems[s], path + (s,))
-            node = K._rebuild(node, tuple(prems))
+            node = K._rebuilt(node, tuple(prems))
         return node
 
     def walk(node, path):
         prems = tuple(walk(p, path + (i,)) for i, p in enumerate(node.premises))
-        return resolve(K._rebuild(node, prems), path)
+        return resolve(K._rebuilt(node, prems), path)
 
     return walk(d, ())
 

@@ -352,7 +352,7 @@ def test_contraction_keeps_untouched_subtrees(monkeypatch):
                 continue
             occ = cut.segment.occurrences
             before = len(calls)
-            out = N._contract_proper(f, occ, system, False)
+            out = N._contract_proper(N._Kept(f, system, False), occ)
             if len(calls) > before:
                 continue
             kept += 1
@@ -395,9 +395,10 @@ def test_contractions_without_a_repeat_keep_their_input_tokens(monkeypatch):
     kept = []
 
     def keeping(real):
-        def contract(d, *args):
+        def contract(st, *args):
+            d = st.d
             before = len(calls)
-            out = real(d, *args)
+            out = real(st, *args)
             if len(calls) == before:
                 tokens = set(N._witness_tokens(out))
                 assert tokens <= set(N._witness_tokens(d))
