@@ -203,6 +203,35 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
 
 
+_DONE = object()
+
+
+def brief(value: object, limit: int = 40) -> str:
+    """A value as an error message shows it: an atom as its ``repr``, a
+    list as its s-expression text cut to ``limit`` characters and ``...``.
+    The list is read on an explicit stack, only as far as it is shown, so
+    any nesting depth is shown in bounded time and space."""
+    if not isinstance(value, list):
+        return repr(value)
+    pieces, size, first = ["("], 1, True
+    stack = [iter(value)]
+    while stack and size <= limit:
+        x = next(stack[-1], _DONE)
+        if x is _DONE:
+            stack.pop()
+            piece, first = ")", False
+        else:
+            nested = isinstance(x, list)
+            piece = ("" if first else " ") + ("(" if nested else dump(x))
+            first = nested
+            if nested:
+                stack.append(iter(x))
+        pieces.append(piece)
+        size += len(piece)
+    text = "".join(pieces)
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def dump(value: object) -> str:
     """Render a nested list/str/int value as a canonical s-expression."""
     if type(value) is str:

@@ -60,7 +60,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import _sexpr
-from ._sexpr import ParseError, QStr
+from ._sexpr import ParseError, QStr, brief
 from .syntax import (
     Atom,
     Bottom,
@@ -1549,18 +1549,25 @@ def substitute(
     t = t_strict_empty_beta
     if not check(d, system, t_strict_empty_beta=t).ok:
         raise ValueError("substitute requires a derivation that checks")
-    return _substitute(freshen(d), tuple(beta), tuple(gamma), system, t)
+    out = _substitute(freshen(d), tuple(beta), tuple(gamma))
+    post = check(out, system, t_strict_empty_beta=t)
+    if not post.ok:
+        raise SubstitutionUnsound(
+            f"replacing prefix {print_position(beta)} by "
+            f"{print_position(gamma)} broke the derivation: "
+            + "; ".join(v.message for v in post.violations[:3]),
+            post.violations,
+        )
+    return out
 
 
-def _substitute(
-    d: Derivation, beta: Position, gamma: Position, system: System, t_strict: bool
-) -> Derivation:
-    """:func:`substitute` without its freshen, for a ``d`` whose witnesses
-    have tokens of their own, used in no position outside their scopes (as
-    after a :func:`freshen` of a tree that holds ``d``): the replacement
-    then cannot capture them."""
-    if not check(d, system, t_strict_empty_beta=t_strict).ok:
-        raise ValueError("substitute requires a derivation that checks")
+def _substitute(d: Derivation, beta: Position, gamma: Position) -> Derivation:
+    """:func:`substitute` without its freshen and its checks, for a ``d``
+    that checks and whose witnesses have tokens of their own, used in no
+    position outside their scopes (as after a :func:`freshen` of a tree
+    that holds ``d``): the replacement then cannot capture them.  A rewrite
+    that cuts through a recorded step still raises ``SubstitutionUnsound``;
+    the caller checks the result."""
     mapped = map_positions(d, lambda p: prefix_replace(p, beta, gamma))
     for orig, new in zip(d, mapped):
         oc, nc = orig.conclusion, new.conclusion
@@ -1576,16 +1583,7 @@ def _substitute(
                 f"position {print_position(oc.position)}",
                 (),
             )
-    cleaned = _drop_trivial_reposition(mapped)
-    post = check(cleaned, system, t_strict_empty_beta=t_strict)
-    if not post.ok:
-        raise SubstitutionUnsound(
-            f"replacing prefix {print_position(beta)} by "
-            f"{print_position(gamma)} broke the derivation: "
-            + "; ".join(v.message for v in post.violations[:3]),
-            post.violations,
-        )
-    return cleaned
+    return _drop_trivial_reposition(mapped)
 
 
 def lift(
@@ -1845,9 +1843,9 @@ def _proof_from_forms(forms: list[object], locs) -> tuple[Derivation, System]:
     logic = kv[":system"]
     flavor = kv[":flavor"]
     if logic not in LOGICS:
-        raise ParseError(f"unknown logic {logic!r}", line, col)
+        raise ParseError(f"unknown logic {brief(logic)}", line, col)
     if flavor not in FLAVORS:
-        raise ParseError(f"unknown flavor {flavor!r}", line, col)
+        raise ParseError(f"unknown flavor {brief(flavor)}", line, col)
     if len(rest) != 1:
         raise ParseError("proof form needs exactly one root node", line, col)
     node = _read_node(rest[0], locs)
@@ -1869,7 +1867,7 @@ def _parse_labels(form: object, locs, ctx: object) -> frozenset[str]:
     labels = []
     for item in form:
         if not _valid_label(item):
-            raise ParseError(f"invalid label {item!r}", *_loc(locs, form))
+            raise ParseError(f"invalid label {brief(item)}", *_loc(locs, form))
         labels.append(str(item))
     if len(set(labels)) != len(labels):
         raise ParseError("duplicate label in label list", *_loc(locs, form))
@@ -1907,7 +1905,7 @@ def _open_node(form: object, locs) -> tuple:
     for i in spec.tokens:
         tok = args[i]
         if not valid_user_token(str(tok) if not isinstance(tok, list) else ""):
-            raise ParseError(f"invalid token {tok!r}", *_loc(locs, form))
+            raise ParseError(f"invalid token {brief(tok)}", *_loc(locs, form))
     return form, head, spec, zip(spec.args, args), [], {}
 
 
@@ -1936,7 +1934,7 @@ def _read_node(root: object, locs) -> Derivation:
                     fields[fld] = pos if fld == "beta" else EFormula(pos)
             elif kind == "label":
                 if not _valid_label(x):
-                    raise ParseError(f"invalid label {x!r}", *_loc(locs, form))
+                    raise ParseError(f"invalid label {brief(x)}", *_loc(locs, form))
                 fields["label"] = str(x)
             elif kind == "labels":
                 labels = _parse_labels(x, locs, form)

@@ -10,12 +10,13 @@ the formula running along it.
 
 The *rank* of a derivation is ``(0, 0)`` when it has no cuts, and otherwise
 ``(d, n)`` where ``d`` is the highest cut degree and ``n`` the total length
-of all cuts of that degree.  Normalization repeatedly picks a highest-degree
-cut whose duplication zones contain no other highest-degree cut, shrinks its
-segment to length one with commutative contractions, and removes it with the
+of all cuts of that degree.  Normalization makes one contraction per step
+(``_step``).  While cuts remain, it picks a highest-degree cut whose
+duplication zones contain no other highest-degree cut, shrinks its segment
+to length one with commutative contractions, and removes it with the
 matching proper contraction; each such round strictly decreases the rank.
-A final, rank-preserving phase pushes any remaining eliminations through
-case-split conclusions so that no contraction applies to the result.
+Then each step commutes the first elimination over a case-split conclusion
+in post-order, keeping the rank ``(0, 0)``, until no contraction applies.
 
 Every contraction runs through one state (``_Kept``), made by each public
 entry (``normalize``, ``reduce_once``, ``contract_proper``,
@@ -23,8 +24,8 @@ entry (``normalize``, ``reduce_once``, ``contract_proper``,
 which gives every witness its own reserved token, and the state holds the
 current tree with three things kept of it across contractions: a count of
 its labels, outside which copies draw fresh discharge labels; the kernel's
-pre-order index (``_preorder``); and its cuts.  The entries select from the
-kept index and cuts and contract through it.
+pre-order index (``_preorder``); and its cuts.  ``normalize`` and
+``reduce_once`` contract only through ``_step``, which selects from them.
 
 A contraction rewrites one subtree and is accepted by a local guard
 (``_accepted``) instead of a check of the whole result: by subject
@@ -55,13 +56,14 @@ a prefix count of the candidates' occurrences.  Paths are built only for
 what leaves the module: the public ``segments``, ``cuts`` and ``rank``, the
 selected segment and the step log.  Every walk here is iterative.
 
-A round therefore costs the sizes of the replaced and the rewritten subtree
+A step therefore costs the sizes of the replaced and the rewritten subtree
 for the contraction, its guard, its index and its cut scan; the redex's
 depth for rebuilding the path above it and for updating the ancestors'
-numbers; and integer work linear in the tree's size for selection's prefix
-count and for splicing the index's lists and shifting the cuts after the
-rewritten subtree.  So ``n`` nested detours still take time quadratic in
-``n``, with a small constant.
+numbers; and work linear in the tree's size for selecting (the prefix count
+over the cuts, or the scan for the first split once none is left) and for
+splicing the index's lists and shifting the cuts after the rewritten
+subtree.  So ``n`` nested detours, or ``n`` commutations after the last
+cut, still take time quadratic in ``n``, with a small constant.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ from .kernel import (
     check,
     freshen,
     plug,
-    all_labels,
     _check_walk,
     _fresh_names,
     _label_occurrences,
@@ -333,17 +334,17 @@ def _witness_tokens(d: Derivation):
     return (n.token for n in d if _scope_slot(n) is not None)
 
 
-def _freshened(d: Derivation, new: Derivation | None = None) -> Derivation:
-    """``d`` as it is when the witnesses of ``new``, all of ``d`` by
-    default, have distinct tokens, else ``freshen(d)``.  The walk stops at
-    the first repeat.
+def _freshened(d: Derivation, new) -> Derivation:
+    """``d`` as it is when the witnesses in ``new`` have distinct tokens,
+    else ``freshen(d)``.  The walk stops at the first repeat.
 
-    ``new`` is the subtree a contraction rewrote.  Before the contraction
-    every witness had its own token, and ``new`` is built from the material
-    of the subtree it replaces, so a token can repeat only inside ``new``.
+    ``new`` is the subtree a contraction rewrote, or its node list.  Before
+    the contraction every witness had its own token, and ``new`` is built
+    from the material of the subtree it replaces, so a token can repeat only
+    inside ``new``.
     """
     seen: set[str] = set()
-    for tok in _witness_tokens(d if new is None else new):
+    for tok in _witness_tokens(new):
         if tok in seen:
             return freshen(d)
         seen.add(tok)
@@ -558,11 +559,7 @@ def _accepted(st: _Kept, at: Occurrence, new: Derivation, what: str) -> Derivati
 
 
 def _contract_proper_core(
-    d: Derivation,
-    elim_path: Occurrence,
-    system: System,
-    t_strict: bool,
-    census: dict[str, int],
+    d: Derivation, elim_path: Occurrence, census: dict[str, int]
 ) -> Derivation:
     """The rewrite of the introduction/elimination pair rooted at
     ``elim_path``, which takes its place in ``d``.  Fresh discharge labels
@@ -588,17 +585,13 @@ def _contract_proper_core(
     elif r == "box-e":
         alpha = I.conclusion.position
         witness = alpha + (I.token,)
-        new = _substitute(
-            I.premises[0], witness, alpha + tuple(R.beta or ()), system, t_strict
-        )
+        new = _substitute(I.premises[0], witness, alpha + tuple(R.beta or ()))
         if I.e_discharges:
             new = plug(new, I.e_discharges, R.premises[1], "e")
     elif r == "dia-e":
         alpha = I.conclusion.position
         witness = alpha + (R.token,)
-        mapped = _substitute(
-            R.premises[1], witness, alpha + tuple(I.beta or ()), system, t_strict
-        )
+        mapped = _substitute(R.premises[1], witness, alpha + tuple(I.beta or ()))
         skel = _relabel_binders(mapped, fresh)
         if R.e_discharges:
             skel = plug(skel, R.e_discharges, I.premises[1], "e")
@@ -622,10 +615,9 @@ def contract_proper(
     input must check; the result checks with the same conclusion (open
     assumptions may gain duplicates where subderivations are copied).
     """
-    occ = cut.segment.occurrences
-    _redex_at(d, occ)
+    at = _redex_at(d, cut.segment.occurrences)
     return _contract_proper(
-        _entry(d, system, t_strict_empty_beta, "contract_proper"), occ
+        _entry(d, system, t_strict_empty_beta, "contract_proper"), at
     )
 
 
@@ -651,11 +643,10 @@ def _redex_at(d: Derivation, occ: tuple[Occurrence, ...]) -> Occurrence:
     return o[:-1]
 
 
-def _contract_proper(st: _Kept, occ: tuple[Occurrence, ...]) -> Derivation:
-    """:func:`contract_proper` of the cut segment ``occ`` of the current
-    tree of ``st``, with :func:`_accepted`'s result."""
-    at = _redex_at(st.d, occ)
-    new = _contract_proper_core(st.d, at, st.system, st.t_strict, st.census)
+def _contract_proper(st: _Kept, at: Occurrence) -> Derivation:
+    """:func:`contract_proper` of the redex whose elimination is at ``at``
+    in the current tree of ``st``, with :func:`_accepted`'s result."""
+    new = _contract_proper_core(st.d, at, st.census)
     return _accepted(st, at, new, "proper")
 
 
@@ -666,13 +657,12 @@ def _commute_node(R: Derivation, forbidden) -> Derivation:
     """Push the elimination ``R`` into the minors of its case-split major.
 
     The major's binders and then each copy of ``R`` are relabelled with
-    fresh names outside ``forbidden``, the labels of ``R`` and the names
-    drawn before them."""
-    own = all_labels(R)
+    fresh names outside ``forbidden``, which must hold the labels of ``R``,
+    and outside the names drawn before them."""
     drawn: set[str] = set()
 
     def fresh():
-        for name in _fresh_names("l", forbidden, own, drawn):
+        for name in _fresh_names("l", forbidden, drawn):
             drawn.add(name)
             yield name
 
@@ -700,9 +690,8 @@ def contract_commutative(
     discharge labels are renamed fresh to stay unique).
     """
     _require_commutable(d, at)
-    return _contract_commutative(
-        _entry(d, system, t_strict_empty_beta, "contract_commutative"), at
-    )
+    st = _entry(d, system, t_strict_empty_beta, "contract_commutative")
+    return _contract_commutative(st, at, st.census)
 
 
 def _require_commutable(d: Derivation, at: Occurrence) -> None:
@@ -719,11 +708,11 @@ def _require_commutable(d: Derivation, at: Occurrence) -> None:
         )
 
 
-def _contract_commutative(st: _Kept, at: Occurrence) -> Derivation:
+def _contract_commutative(st: _Kept, at: Occurrence, forbidden) -> Derivation:
     """:func:`contract_commutative` at ``at`` of the current tree of ``st``,
+    drawing fresh labels outside ``forbidden`` (see :func:`_commute_node`),
     with :func:`_accepted`'s result."""
-    _require_commutable(st.d, at)
-    new = _commute_node(subtree_at(st.d, at), st.census)
+    new = _commute_node(subtree_at(st.d, at), forbidden)
     return _accepted(st, at, new, "commutative")
 
 
@@ -745,45 +734,45 @@ def _splits(n: Derivation) -> bool:
     return n.rule in ELIM_RULES and n.premises[0].rule in JOIN_RULES
 
 
-def _path(at) -> Occurrence:
-    """The path of a walk's ``(parent's, premise index)`` link."""
-    out = []
-    while at is not None:
-        at, i = at
-        out.append(i)
-    return tuple(reversed(out))
+def _step(st: _Kept) -> tuple[str, Occurrence] | None:
+    """Make the strategy's next contraction on ``st`` and return its kind
+    and elimination path, or ``None`` when no contraction applies.
 
+    With cuts, the step takes the cut :func:`_select` picks: its proper
+    contraction if the segment has length one, else the commutation at the
+    segment's end.  Selecting again then picks the same cut, shortened by
+    one.  The commutation keeps every cut's start, shortens only the
+    segments through the split, and copies side premises that hold no
+    highest cut, the selected one being free.  A zone holds an occurrence
+    of a cut exactly when it holds its start, so every cut stays blocked
+    or free.  The new end, the elimination's copy in the cut's minor, comes
+    in post-order before the ends of the free cuts that lost to the old
+    one: they ended later, or there through a later minor, since one
+    through an earlier minor would have won on its start.
 
-def _resolve_joins(
-    d: Derivation, log: list[tuple[str, Occurrence]]
-) -> Derivation:
-    """Commute every elimination off a case-split conclusion, cut-free phase.
-
-    Post-order, so a node's premises are resolved when it is reached; a
-    commutation then leaves a resolved split on top, and only the copies of
-    the elimination over its minors, with strictly smaller majors, can need
-    commuting again: they are walked on, logged in pre-order.  In a cut-free
-    derivation no commutation can create a cut, so the rank stays ``(0, 0)``.
+    In a cut-free tree, the step commutes the first split in post-order.
+    Its fresh labels avoid only the labels of the elimination, read off the
+    kept index.  A commutation captures an assumption only if a binder it
+    renames binds it, and only the elimination's material moves under
+    those binders.  No cut appears, so no proper contraction follows to
+    plug a subtree under a binder that reuses a name from elsewhere.
     """
-
-    def push(n: Derivation, at):
-        if not _splits(n):
-            return (), None
-        log.append(("commutative", _path(at)))
-        c = _commute_node(n, frozenset())
-        return [(p, (at, i)) for i, p in enumerate(c.premises)], c
-
-    def pushed(n: Derivation, prems, c) -> Derivation:
-        return n if c is None else _rebuilt(c, prems)
-
-    def enter(n: Derivation, at):
-        return [(p, (at, i)) for i, p in enumerate(n.premises)], at
-
-    def leave(n: Derivation, prems, at) -> Derivation:
-        node = _rebuilt(n, prems)
-        return _walk(node, push, pushed, at) if _splits(node) else node
-
-    return _walk(d, enter, leave)
+    nodes, parent, slot, end, post = st.ix
+    if st.cs:
+        seg = _select(st.cs, st.ix)
+        at = _path_of(parent[seg[-1]], parent, slot)
+        if len(seg) == 1:
+            _contract_proper(st, at)
+            return "proper", at
+        _contract_commutative(st, at, st.census)
+        return "commutative", at
+    splits = [i for i, n in enumerate(nodes) if _splits(n)]
+    if not splits:
+        return None
+    a = min(splits, key=post.__getitem__)
+    at = _path_of(a, parent, slot)
+    _contract_commutative(st, at, set(_label_occurrences(nodes[a : end[a]])))
+    return "commutative", at
 
 
 def normalize_steps(
@@ -793,40 +782,27 @@ def normalize_steps(
     t_strict_empty_beta: bool = False,
 ) -> tuple[Derivation, list[Rank], list[tuple[int, str, Occurrence, Rank]]]:
     """Like :func:`normalize`, also returning one log entry per applied
-    contraction: (round number, kind, elimination path, rank afterwards)."""
+    contraction: (round number, kind, elimination path, rank afterwards).
+    Each commutation after the last cut is a round of its own."""
     _require_intuitionistic(system)
     st = _entry(d, system, t_strict_empty_beta, "normalize")
     trace: list[Rank] = [_rank(st.cs)]
     steps: list[tuple[int, str, Occurrence, Rank]] = []
-    rounds = 0
-    while st.cs:
-        rounds += 1
-        prev = trace[-1]
-        seg = list(_occurrences(_select(st.cs, st.ix), st.ix))
-        while len(seg) > 1:
-            end = seg[-1]
-            e = end[:-1]
-            mslot = seg[-2][len(e) + 1]
-            _contract_commutative(st, e)
-            steps.append((rounds, "commutative", e, _rank(st.cs)))
-            old_prefix = e + (0, mslot)
-            new_prefix = e + (mslot, 0)
-            seg = [new_prefix + o[len(old_prefix):] for o in seg[:-1]]
-        _contract_proper(st, (seg[0],))
+    rounds, in_round = 0, False
+    while (step := _step(st)) is not None:
+        kind, at = step
         rk = _rank(st.cs)
-        steps.append((rounds, "proper", seg[0][:-1], rk))
-        trace.append(rk)
-        if not rk < prev:
-            raise RankIncreased(
-                f"round {rounds} went from rank {prev} to {rk}"
-            )
-    cleanup: list[tuple[str, Occurrence]] = []
-    cur = _resolve_joins(st.d, cleanup)
-    if cleanup:
-        cur = _freshened(cur)
-        for kind, path in cleanup:
-            rounds += 1
-            steps.append((rounds, kind, path, (0, 0)))
+        rounds += not in_round
+        steps.append((rounds, kind, at, rk))
+        # A commutation that leaves a cut has shortened the selected one.
+        in_round = kind == "commutative" and rk != (0, 0)
+        if kind == "proper":
+            if not rk < trace[-1]:
+                raise RankIncreased(
+                    f"round {rounds} went from rank {trace[-1]} to {rk}"
+                )
+            trace.append(rk)
+    cur = st.d
     rep = check(cur, system, t_strict_empty_beta=t_strict_empty_beta)
     if not rep.ok:
         raise NormalizerError(
@@ -854,7 +830,7 @@ def normalize(
     followed by the rank after each round (a round = the commutative
     contractions that shrink the selected cut to length one, then its proper
     contraction).  The trace is strictly decreasing and ends at ``(0, 0)``;
-    the cut-free cleanup commutations that follow do not add entries.
+    the commutations that follow the last cut do not add entries.
     """
     out, trace, _ = normalize_steps(
         d, system, t_strict_empty_beta=t_strict_empty_beta
@@ -868,24 +844,11 @@ def reduce_once(
     *,
     t_strict_empty_beta: bool = False,
 ) -> Derivation | None:
-    """Apply one contraction step of the normalization strategy, or ``None``
-    when the derivation is already normal."""
+    """Apply the first contraction step of :func:`normalize_steps`, or
+    return ``None`` when the derivation is already normal."""
     _require_intuitionistic(system)
     st = _entry(d, system, t_strict_empty_beta, "reduce_once")
-    nodes, parent, slot, end, post = st.ix
-    if st.cs:
-        seg = _select(st.cs, st.ix)
-        if len(seg) == 1:
-            return _contract_proper(st, _occurrences(seg, st.ix))
-        at = parent[seg[-1]]
-    else:
-        cands = [i for i, n in enumerate(nodes) if _splits(n)]
-        if not cands:
-            return None
-        # The deepest split (a node's depth is end - 1 - post), then the first
-        # in pre-order, which is the order of paths.
-        at = min(cands, key=lambda i: (post[i] - end[i], i))
-    return _contract_commutative(st, _path_of(at, parent, slot))
+    return None if _step(st) is None else st.d
 
 
 def _require_intuitionistic(system: System) -> None:

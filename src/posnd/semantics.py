@@ -22,7 +22,7 @@ import itertools
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from ._sexpr import ParseError, parse_all
+from ._sexpr import ParseError, brief, parse_all
 from .kernel import LOGICS, PARTIAL_LOGICS, Derivation, System, check
 from .syntax import (
     And,
@@ -823,7 +823,7 @@ def parse_model(text: str) -> tuple[str, TreeModel]:
             raise fail("world indices must be naturals", item)
         world = tuple(item[1])
         if world in nodes:
-            raise fail(f"duplicate world {world!r}", item)
+            raise fail(f"duplicate world {brief(item[1])}", item)
         atoms = []
         for a in item[3]:
             if not isinstance(a, str):

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 
 from . import _sexpr
-from ._sexpr import ParseError
+from ._sexpr import ParseError, brief
 
 __all__ = [
     "Token",
@@ -221,7 +221,7 @@ def _formula_from_sexpr(form: object) -> Formula:
             ctor = {"box": Box, "dia": Dia}[head]
             return ctor(_formula_from_sexpr(form[1]))
         raise ParseError(f"unknown formula head {head!r}", 1, 1)
-    raise ParseError(f"not a formula: {form!r}", 1, 1)
+    raise ParseError(f"not a formula: {brief(form)}", 1, 1)
 
 
 def _formula_to_sexpr(f: Formula) -> object:
@@ -253,13 +253,15 @@ def print_formula(f: Formula) -> str:
     return _sexpr.dump(_formula_to_sexpr(f))
 
 
-def _position_from_sexpr(form: object, *, allow_reserved: bool = False) -> Position:
+def _position_from_sexpr(form: object) -> Position:
     if not isinstance(form, list):
         raise ParseError(f"not a position: {form!r}", 1, 1)
     toks: list[str] = []
     for item in form:
+        if isinstance(item, list):
+            raise ParseError(f"invalid position token {brief(item)}", 1, 1)
         tok = str(item)
-        if not allow_reserved and not valid_user_token(tok):
+        if not valid_user_token(tok):
             raise ParseError(f"invalid position token {tok!r}", 1, 1)
         toks.append(tok)
     return tuple(toks)

@@ -261,6 +261,30 @@ class TestExportLabelled:
         assert ":ok false" in err
 
 
+class TestDeepArguments:
+    # Every argument kind nested 5,000 lists deep: the message shows the
+    # list cut short, so it stays one short line.
+    DEEP = "(" * 5000 + "x" + ")" * 5000
+    NODES = {
+        "label": f"(hyp {DEEP} p ())",
+        "label list": f"(imp-i ({DEEP}) (hyp u p ()))",
+        "token": f"(box-i {DEEP} () (hyp u p (a)))",
+        "position": f"(hyp u p ({DEEP}))",
+        "formula": f"(hyp u {DEEP} ())",
+    }
+    HEADERS = {":system": (DEEP, "intuitionistic"), ":flavor": ("s4", DEEP)}
+
+    @pytest.mark.parametrize("kind", [*NODES, *HEADERS])
+    def test_is_a_parse_error_in_one_short_line(self, kind):
+        logic, flavor = self.HEADERS.get(kind, ("s4", "intuitionistic"))
+        node = self.NODES.get(kind, "(hyp u p ())")
+        text = f"(proof :system {logic} :flavor {flavor}\n  {node})\n"
+        code, out, err = run(["check", "-"], stdin=text)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and len(err) < 120, err[:200]
+        assert re.match(r"parse error: line [12], column \d+: .*\(\(\(\.\.\.$", err)
+
+
 class TestInternalErrors:
     def test_formula_too_deep_exits_3_in_one_line(self):
         nested = "(box " * 1500 + "p" + ")" * 1500

@@ -499,6 +499,28 @@ class TestReduceOnce:
         assert one is not None and one.rule == "or-e"
         assert N.reduce_once(one, S4i) is None
 
+    def test_is_the_first_step_of_normalization(self):
+        # Two cut-free splits: ``S`` at (0,) and ``S'`` at (1, 0, 0), deeper
+        # but later in post-order.  Both commute the first split in
+        # post-order.
+        def split(m):
+            pq = And(p, q)
+            return K.and_e1(K.or_e(
+                K.hyp(m, Or(p, q), ()),
+                frozenset({"a"}), K.hyp("s", pq, ()),
+                frozenset({"b"}), K.hyp("t", pq, ()),
+            ))
+
+        d = K.and_i(
+            split("m1"),
+            K.and_i(K.and_i(split("m2"), K.hyp("w", p, ())), K.hyp("v", q, ())),
+        )
+        _, trace, steps = N.normalize_steps(d, S4i)
+        assert trace == [(0, 0)]
+        assert [at for _, _, at, _ in steps] == [(0,), (1, 0, 0)]
+        first = N.contract_commutative(d, (0,), S4i)
+        assert N.reduce_once(d, S4i) == first
+
     def test_flavor_guard(self):
         d, system = K.builtin("t", "t")
         with pytest.raises(N.FlavorUnsupported):

@@ -9,7 +9,10 @@ pre-order with ``kernel._preorder``, answers a zone as a pre-order range and
 freshens an input once, at the public entries.  Both must select the same
 cut, report the same cuts, segments and rank, log the same normalization
 steps, print the same normal form and contract to the same tree in
-``reduce_once``.  The references also freshen every contraction's result,
+``reduce_once``.  The reference's commutations after the last cut are the
+former cleanup walk (``test_walk_oracle.reference_resolve_joins``), and its
+``reduce_once`` commutes the first split in post-order in a cut-free tree,
+as the strategy does.  The references also freshen every contraction's result,
 which today's code does only when a witness repeats, so ``reduce_once``'s
 trees are compared up to a bijective renaming of reserved tokens.  The
 position condition is pinned the same way, on random trees and on mutants
@@ -34,7 +37,6 @@ from posnd.normalizer import (
     _contract_proper_core,
     _redex_at,
     _require_commutable,
-    _resolve_joins,
     _splits,
     is_normal,
     subtree_at,
@@ -49,6 +51,7 @@ from test_freshen_oracle import (
 )
 from test_kernel import box_chain, detour_chain, or_chain
 from test_normalizer import FIXTURES, INTUITIONISTIC, random_corpus
+from test_walk_oracle import reference_resolve_joins
 
 P, Q = Atom("p"), Atom("q")
 S4I = K.System("s4", "intuitionistic")
@@ -173,7 +176,7 @@ def reference_replace_at(d, path, new):
 def reference_contract_proper(d, occ, system, t_strict):
     at = _redex_at(d, occ)
     base = freshen(d)
-    new = _contract_proper_core(base, at, system, t_strict, all_labels(base))
+    new = _contract_proper_core(base, at, all_labels(base))
     out = freshen(reference_replace_at(base, at, new))
     rep = check(out, system, t_strict_empty_beta=t_strict)
     if not rep.ok:
@@ -224,7 +227,7 @@ def reference_normalize_steps(d, system, t=False):
         if not rk < prev:
             raise RankIncreased(f"round {rounds} went from rank {prev} to {rk}")
     cleanup = []
-    cur = _resolve_joins(cur, cleanup)
+    cur = reference_resolve_joins(cur, cleanup)
     if cleanup:
         cur = freshen(cur)
         for kind, path in cleanup:
@@ -248,7 +251,8 @@ def reference_reduce_once(d, system, t=False):
     cands = [p for p, n in ix[0].items() if _splits(n)]
     if not cands:
         return None
-    at = min(cands, key=lambda p: (-len(p), p))
+    # The first split in post-order.
+    at = min(cands, key=ix[1].__getitem__)
     return reference_contract_commutative(d, at, system, t)
 
 
@@ -351,8 +355,8 @@ def split_tie():
 
 def nested_splits():
     """A cut-free tree with two eliminations over ``or-e`` conclusions, one
-    in a minor of the other's split: ``reduce_once`` commutes the deeper one
-    first."""
+    in a minor of the other's split: ``reduce_once`` commutes the one in the
+    minor first, which comes first in post-order."""
     pq = And(P, Q)
     inner = K.and_e1(K.or_e(
         K.hyp("m2", Or(P, Q), ()),

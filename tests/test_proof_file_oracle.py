@@ -48,14 +48,14 @@ def _parse_node(form: object, locs) -> K.Derivation:
     if head == "hyp":
         need(3, "label, formula, position")
         if not K._valid_label(args[0]):
-            raise ParseError(f"invalid label {args[0]!r}", line, col)
+            raise ParseError(f"invalid label {_sexpr.brief(args[0])}", line, col)
         f = K._parse_formula_form(args[1], locs, form)
         p = K._parse_pos(args[2], locs, form)
         return K.hyp(str(args[0]), f, p)
     if head == "ehyp":
         need(2, "label, position")
         if not K._valid_label(args[0]):
-            raise ParseError(f"invalid label {args[0]!r}", line, col)
+            raise ParseError(f"invalid label {_sexpr.brief(args[0])}", line, col)
         p = K._parse_pos(args[1], locs, form)
         return K.ehyp(str(args[0]), p)
     if head == "and-i":
@@ -123,7 +123,7 @@ def _parse_node(form: object, locs) -> K.Derivation:
     if head == "box-i":
         need(3, "token, e-labels, premise")
         if not valid_user_token(str(args[0]) if not isinstance(args[0], list) else ""):
-            raise ParseError(f"invalid token {args[0]!r}", line, col)
+            raise ParseError(f"invalid token {_sexpr.brief(args[0])}", line, col)
         return K.box_i(
             str(args[0]),
             K._parse_labels(args[1], locs, form),
@@ -156,7 +156,7 @@ def _parse_node(form: object, locs) -> K.Derivation:
     if head == "dia-e":
         need(5, "major, token, labels, e-labels, minor")
         if not valid_user_token(str(args[1]) if not isinstance(args[1], list) else ""):
-            raise ParseError(f"invalid token {args[1]!r}", line, col)
+            raise ParseError(f"invalid token {_sexpr.brief(args[1])}", line, col)
         return K.dia_e(
             _parse_node(args[0], locs),
             str(args[1]),

@@ -32,7 +32,6 @@ from posnd.normalizer import (
     _rank,
     _redex_at,
     _require_commutable,
-    _resolve_joins,
     _select,
     is_normal,
     rank,
@@ -42,6 +41,7 @@ from posnd.syntax import Atom, Box, Dia, Imp, Or, Bottom
 
 from test_freshen_oracle import reserved_canon
 from test_preorder_oracle import chains, corpus, reference_replace_at
+from test_walk_oracle import reference_resolve_joins
 
 P, Q = Atom("p"), Atom("q")
 S4I = K.System("s4", "intuitionistic")
@@ -171,7 +171,7 @@ def reference_normalize_steps(d, system, *, t_strict_empty_beta=False, trail=Non
                 f"round {rounds} went from rank {prev} to {rk}"
             )
     cleanup = []
-    cur = _resolve_joins(cur, cleanup)
+    cur = reference_resolve_joins(cur, cleanup)
     if cleanup:
         cur = freshen(cur)
         trail.append(cur)
@@ -332,9 +332,16 @@ def test_normalization_matches_the_always_freshening_reference(monkeypatch):
         assert trace == ref_trace
         assert steps == ref_steps
         assert K.print_proof(out, system) == K.print_proof(ref, system)
-        assert len(trail) == len(ref_trail)
-        for got, want in zip(trail, ref_trail):
+        # One entry per contraction, each commutation after the last cut
+        # included; the reference has one for its cleanup as a whole.
+        assert len(trail) == len(steps)
+        in_round = sum(rk != (0, 0) or kind == "proper" for _, kind, _, rk in steps)
+        assert len(ref_trail) == in_round + (in_round < len(steps))
+        for got, want in zip(trail[:in_round], ref_trail):
             assert reserved_canon(got) == reserved_canon(want)
+        if in_round < len(steps):
+            assert reserved_canon(trail[-1]) == reserved_canon(ref_trail[-1])
+        for got in trail:
             assert K.check_position_condition(got) == ()
         assert reserved_canon(out) == reserved_canon(ref)
         trees += len(trail)
@@ -352,7 +359,7 @@ def test_contraction_keeps_untouched_subtrees(monkeypatch):
                 continue
             occ = cut.segment.occurrences
             before = len(calls)
-            out = N._contract_proper(N._Kept(f, system, False), occ)
+            out = N._contract_proper(N._Kept(f, system, False), _redex_at(f, occ))
             if len(calls) > before:
                 continue
             kept += 1
