@@ -204,18 +204,19 @@ def _quote(s: str) -> str:
 
 
 _DONE = object()
+_BRIEF = 40  # characters of a list that an error message shows
 
 
-def brief(value: object, limit: int = 40) -> str:
+def brief(value: object) -> str:
     """A value as an error message shows it: an atom as its ``repr``, a
-    list as its s-expression text cut to ``limit`` characters and ``...``.
+    list as its s-expression text cut to ``_BRIEF`` characters and ``...``.
     The list is read on an explicit stack, only as far as it is shown, so
     any nesting depth is shown in bounded time and space."""
     if not isinstance(value, list):
         return repr(value)
     pieces, size, first = ["("], 1, True
     stack = [iter(value)]
-    while stack and size <= limit:
+    while stack and size <= _BRIEF:
         x = next(stack[-1], _DONE)
         if x is _DONE:
             stack.pop()
@@ -229,7 +230,7 @@ def brief(value: object, limit: int = 40) -> str:
         pieces.append(piece)
         size += len(piece)
     text = "".join(pieces)
-    return text if len(text) <= limit else text[:limit] + "..."
+    return text if len(text) <= _BRIEF else text[:_BRIEF] + "..."
 
 
 def dump(value: object) -> str:

@@ -43,27 +43,21 @@ scanned again.  Otherwise every subtree a contraction does not rewrite is
 kept as the same object.  The whole tree is checked only on entry and at
 the end, where ``is_normal`` also stands for the absence of cuts.
 
-The accept step walks the replaced subtree once, for its open assumptions,
-and reads its labels off the kept index.  It walks the rewritten subtree
-twice, for the check walk and for its index, whose node list serves the
-witness search, the label count and the splice into the kept index: the
-numbers after the subtree and the ancestors' subtree ends shift, and cuts
-are scanned only from the introductions inside it.  The kept cuts give
-both the rank recorded in the trace and the step log and the next round's
-selection; a scan climbs segments only from introductions.  Selection
-tests a cut's duplication zones as two ranges of pre-order numbers against
-a prefix count of the candidates' occurrences.  Paths are built only for
-what leaves the module: the public ``segments``, ``cuts`` and ``rank``, the
-selected segment and the step log.  Every walk here is iterative.
+The accept step walks the replaced subtree once, for its open
+assumptions, and the rewritten one twice, for the check walk and for its
+index.  That node list serves the witness search, the label count and the
+splice into the kept index, which shifts the numbers after the subtree and
+the ancestors' subtree ends and scans for cuts and splits only inside it.
+The kept cuts give the rank in the trace and the step log and the next
+selection, which tests the elimination's duplication zone as a range of
+pre-order numbers against a prefix count of the candidates' occurrences.
+Paths are built only for what leaves the module.  Every walk is iterative.
 
-A step therefore costs the sizes of the replaced and the rewritten subtree
-for the contraction, its guard, its index and its cut scan; the redex's
-depth for rebuilding the path above it and for updating the ancestors'
-numbers; and work linear in the tree's size for selecting (the prefix count
-over the cuts, or the scan for the first split once none is left) and for
-splicing the index's lists and shifting the cuts after the rewritten
-subtree.  So ``n`` nested detours, or ``n`` commutations after the last
-cut, still take time quadratic in ``n``, with a small constant.
+A step costs the sizes of the replaced and the rewritten subtree; the
+redex's depth, for the path above it; and time linear in the tree, with a
+small constant, for selecting a cut and for splicing the index's lists.
+So ``n`` nested detours take time quadratic in ``n``, and so do ``n``
+commutations after the last cut, each a step of its own.
 """
 
 from __future__ import annotations
@@ -392,8 +386,9 @@ class _Kept:
     ``t_strict_empty_beta``) and whose witnesses have distinct tokens, and
     what is kept of it across contractions: the label ``census`` (each
     label's number of occurrences), the pre-order index ``ix`` of
-    :func:`kernel._preorder` and the cut list ``cs`` of :func:`_cuts`,
-    always equal to what they would be if computed afresh from ``d``."""
+    :func:`kernel._preorder`, the cut list ``cs`` of :func:`_cuts` and the
+    numbers ``sp`` of the splits (:func:`_splits`) in pre-order, always
+    equal to what they would be if computed afresh from ``d``."""
 
     def __init__(self, d: Derivation, system: System, t_strict: bool) -> None:
         self.system, self.t_strict = system, t_strict
@@ -406,6 +401,7 @@ class _Kept:
         self.d = d
         self.ix = _preorder(d)
         self.cs = _cuts(self.ix)
+        self.sp = [i for i, n in enumerate(self.ix[0]) if _splits(n)]
 
     def find(self, at: Occurrence) -> tuple[list[int], int]:
         """The numbers of the nodes above ``at``, root first, and of the
@@ -447,7 +443,9 @@ class _Kept:
         outside ``[a, b)`` keeps its segment, which runs through the same
         rules and slots, shifted the same way.  A cut's segment lies above
         its start, so only the cuts that start in the new subtree are
-        scanned again; they may climb above ``a``.
+        scanned again; they may climb above ``a``.  Splits are scanned in
+        the new subtree and at ``a - 1``, which is ``a``'s parent if ``a``
+        fills its major slot and is otherwise unchanged.
         """
         nodes, parent, slot, end, post = self.ix
         b = end[a]
@@ -457,6 +455,8 @@ class _Kept:
         cs = self.cs
         lo = bisect_left(cs, a, key=_start)
         rest = cs[bisect_left(cs, b, key=_start) :]
+        sp, lo_sp = self.sp, max(a - 1, 0)
+        after = sp[bisect_left(sp, b) :]
         if delta:
             for i in above:
                 end[i] += delta
@@ -468,12 +468,16 @@ class _Kept:
                 ([o + delta if o >= b else o for o in seg], fam, deg)
                 for seg, fam, deg in rest
             ]
+            after = [i + delta for i in after]
         nodes[a:b] = sub_nodes
         parent[a:b] = [parent[a]] + [p + a for p in sub_parent[1:]]
         slot[a:b] = [slot[a]] + sub_slot[1:]
         end[a:b] = [e + a for e in sub_end]
         post[a:b] = [q + low for q in sub_post]
         cs[lo:] = _cuts(self.ix, a, a + len(sub_nodes)) + rest
+        sp[bisect_left(sp, lo_sp) :] = [
+            i for i in range(lo_sp, a + len(sub_nodes)) if _splits(nodes[i])
+        ] + after
         self.d = out
 
 
@@ -750,14 +754,15 @@ def _step(st: _Kept) -> tuple[str, Occurrence] | None:
     one: they ended later, or there through a later minor, since one
     through an earlier minor would have won on its start.
 
-    In a cut-free tree, the step commutes the first split in post-order.
-    Its fresh labels avoid only the labels of the elimination, read off the
-    kept index.  A commutation captures an assumption only if a binder it
+    In a cut-free tree, the step commutes the first split in post-order:
+    the last kept split, in pre-order, of the leading run in which each lies
+    in the subtree of the one before.  Its fresh labels avoid only the
+    labels of the elimination, read off the kept index.  A commutation captures an assumption only if a binder it
     renames binds it, and only the elimination's material moves under
     those binders.  No cut appears, so no proper contraction follows to
     plug a subtree under a binder that reuses a name from elsewhere.
     """
-    nodes, parent, slot, end, post = st.ix
+    nodes, parent, slot, end, _ = st.ix
     if st.cs:
         seg = _select(st.cs, st.ix)
         at = _path_of(parent[seg[-1]], parent, slot)
@@ -766,10 +771,13 @@ def _step(st: _Kept) -> tuple[str, Occurrence] | None:
             return "proper", at
         _contract_commutative(st, at, st.census)
         return "commutative", at
-    splits = [i for i, n in enumerate(nodes) if _splits(n)]
-    if not splits:
+    sp = st.sp
+    if not sp:
         return None
-    a = min(splits, key=post.__getitem__)
+    k = 0
+    while k + 1 < len(sp) and sp[k + 1] < end[sp[k]]:
+        k += 1
+    a = sp[k]
     at = _path_of(a, parent, slot)
     _contract_commutative(st, at, set(_label_occurrences(nodes[a : end[a]])))
     return "commutative", at
@@ -862,15 +870,11 @@ def _require_intuitionistic(system: System) -> None:
 
 
 def _spine_options(n: Derivation) -> tuple[int, ...]:
+    """The premises a spine continues through: the major of an elimination,
+    both premises of ``and-i``, else the one proof premise, none at a leaf."""
     if n.rule in ("hyp", "ehyp"):
         return ()
-    if n.rule in ELIM_RULES:
-        return (0,)
-    if n.rule in ("bot-i", "bot-c"):
-        return (0,)
-    if n.rule == "and-i":
-        return (0, 1)
-    return (0,)  # remaining introductions have one proof premise
+    return (0, 1) if n.rule == "and-i" else (0,)
 
 
 def spine(d: Derivation) -> tuple[Occurrence, ...]:
@@ -928,18 +932,13 @@ def spine_decompose(
     if not is_normal(d):
         raise NotNormal("spine decomposition needs a normal derivation")
     s = spine(d)
-    phases = []
-    for occ in s:
-        r = subtree_at(d, occ).rule
-        if r in ("bot-i", "bot-c"):
-            phases.append(1)
-        elif r in INTRO_RULES:
-            phases.append(2)
-        else:
-            phases.append(0)
+    phases = [
+        1 if r in ("bot-i", "bot-c") else 2 if r in INTRO_RULES else 0
+        for r in (subtree_at(d, occ).rule for occ in s)
+    ]
     if any(a > b for a, b in zip(phases, phases[1:])):
         raise NotNormal("spine phases out of order; derivation is not normal")
-    elim = tuple(o for o, p in zip(s, phases) if p == 0)
-    minimum = tuple(o for o, p in zip(s, phases) if p == 1)
-    intro = tuple(o for o, p in zip(s, phases) if p == 2)
+    elim, minimum, intro = (
+        tuple(o for o, p in zip(s, phases) if p == k) for k in range(3)
+    )
     return elim, minimum, intro

@@ -36,7 +36,7 @@ from posnd import kernel as K
 from posnd import normalizer as N
 from posnd.kernel import check, freshen
 from posnd.normalizer import NormalizerError, subtree_at
-from posnd.syntax import Atom, Bottom, Box, Imp, PFormula
+from posnd.syntax import And, Atom, Bottom, Box, Imp, Or, PFormula
 
 from test_kernel import box_chain, detour_chain
 from test_preorder_oracle import chains, corpus, reference_replace_at
@@ -85,6 +85,7 @@ def _spy_on_acceptance(monkeypatch):
         assert all(map(operator.is_, st.ix[0], ix[0]))
         assert st.ix[1:] == ix[1:]
         assert st.cs == N._cuts(ix)
+        assert st.sp == [i for i, n in enumerate(ix[0]) if N._splits(n)]
         kept_trees.append((got, freshened))
         seen.append(what)
         return got
@@ -104,12 +105,29 @@ def copied_witness_mid_run():
     return K.and_e1(K.imp_e(major, minor))
 
 
+def side_by_side_splits():
+    """Three cut-free ``and-e1`` splits under ``and-i`` nodes: each
+    commutation grows the tree before the splits that follow it in
+    pre-order, whose kept numbers shift."""
+    pq = And(P, Q)
+
+    def split(m):
+        return K.and_e1(K.or_e(
+            K.hyp(m, Or(P, Q), ()),
+            frozenset({"a"}), K.hyp("s", pq, ()),
+            frozenset({"b"}), K.hyp("t", pq, ()),
+        ))
+
+    return K.and_i(split("m1"), K.and_i(split("m2"), split("m3")))
+
+
 def test_guard_agrees_with_the_whole_tree_check(monkeypatch):
     seen, kept_trees = _spy_on_acceptance(monkeypatch)
     rank = N.rank
     ranked = []
     monkeypatch.setattr(N, "rank", lambda t: ranked.append(t) or rank(t))
     trees = corpus() + list(chains()) + deep_chains()
+    trees.append((side_by_side_splits(), S4I))
     trees.append((copied_witness_mid_run(), S4I))
     logged = 0
     for d, system in trees:

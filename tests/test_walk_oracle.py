@@ -23,6 +23,7 @@ import random
 import pytest
 
 import proofgen
+from test_freshen_oracle import reserved_canon
 from posnd import kernel as K
 from posnd import normalizer as N
 from posnd import translate as T
@@ -431,6 +432,19 @@ def test_drop_trivial_reposition_matches_reference():
             )
 
 
+def untokened(d):
+    """:func:`reserved_canon` of ``d`` with every reserved token alike."""
+
+    def blur(x):
+        if type(x) is tuple:
+            if len(x) == 2 and x[0] == "reserved" and type(x[1]) is int:
+                return "reserved"
+            return tuple(map(blur, x))
+        return x
+
+    return blur(tuple(reserved_canon(d)))
+
+
 def test_cut_free_commutations_match_the_former_cleanup():
     # The labels of ``d`` repeat across the cases of ``joined(d)``, so each
     # commutation's fresh labels must avoid those of its elimination.
@@ -445,11 +459,12 @@ def test_cut_free_commutations_match_the_former_cleanup():
         want = reference_resolve_joins(K.freshen(tree), log)
         assert trace == [(0, 0)]
         assert [(kind, at) for _, kind, at, _ in steps] == log
-        # The same labels in the same places.  Witness tokens may differ: a
-        # commutation that copies a witness now freshens the tree at once,
-        # the cleanup did so once, at its end.
-        assert K._label_occurrences(out) == K._label_occurrences(want)
-        assert [n.rule for n in out] == [n.rule for n in want]
+        # The same nodes, conclusions and positions included, up to which
+        # reserved token each witness has: a commutation that copies a
+        # witness now freshens the tree at once, the cleanup did so once, at
+        # its end, and ``freshen`` can merge unused ``dia-e`` tokens, so the
+        # two need not rename each other bijectively.
+        assert untokened(out) == untokened(want)
         commuted += len(log)
     assert commuted > 40
 
