@@ -57,7 +57,7 @@ import itertools
 import operator
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from . import _sexpr
 from ._sexpr import ParseError, QStr, brief
@@ -286,7 +286,7 @@ class UnsupportedPair(KernelError):
     """Requested a built-in derivation outside its supported logics."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Derivation:
     """One rule application; premises are complete subderivations.
 
@@ -295,7 +295,8 @@ class Derivation:
     ``rule``/``premises``/``conclusion`` are used only by the rules that
     need them and stay at their defaults elsewhere.  Two derivations are
     equal when their trees hold equal node data in the same shape; equality
-    and hashing take trees of any depth.
+    and hashing take trees of any depth.  The package builds its nodes with
+    :func:`_node`; the keyword constructor is the public one.
     """
 
     rule: str
@@ -332,12 +333,64 @@ class Derivation:
         return _walk(self, _premises, lambda n, hs, _: hash((_node_data(n), *hs)))
 
 
-#: The node fields beyond ``rule``, ``premises`` and ``conclusion``.
+# ``slots=True`` makes a new class, and the frozen ``__setattr__`` and
+# ``__delattr__`` it generates test ``type(self)`` against the class before
+# it, so on Python 3.11 they raise ``TypeError`` for a name that is not a
+# field.  These raise ``FrozenInstanceError`` for every name, as a frozen
+# dataclass without slots does.
+def _refuse_assignment(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+Derivation.__setattr__ = _refuse_assignment  # type: ignore[method-assign]
+Derivation.__delattr__ = _refuse_deletion  # type: ignore[method-assign]
+
+#: The node fields beyond ``rule``, ``premises`` and ``conclusion``, in
+#: declaration order, each one's index in that order and their defaults.
 _FIELDS = (
     "label", "content", "ante", "other", "target", "discharges", "e_discharges",
     "beta", "token",
 )
+_SLOT = {f: i for i, f in enumerate(_FIELDS)}
+_DEFAULTS = tuple(Derivation.__dataclass_fields__[f].default for f in _FIELDS)
 _node_data = operator.attrgetter("rule", "conclusion", *_FIELDS)
+
+
+class _node:
+    """``_node(rule, premises, conclusion, *fields)``, the fields in
+    ``_FIELDS`` order, is a new :class:`Derivation` holding exactly these
+    values, as the keyword constructor would make it.
+
+    The frozen dataclass ``__init__`` sets each field through
+    ``object.__setattr__``; this class has the same slots and no frozen
+    ``__setattr__``, so its ``__init__`` stores them directly and then
+    hands the filled object over to ``Derivation``, which the identical
+    layout permits.  No object of this class outlives its ``__init__``.
+    """
+
+    __slots__ = Derivation.__slots__
+
+    def __init__(
+        self, rule, premises, conclusion, label, content, ante, other, target,
+        discharges, e_discharges, beta, token,
+    ) -> None:
+        self.rule = rule
+        self.premises = premises
+        self.conclusion = conclusion
+        self.label = label
+        self.content = content
+        self.ante = ante
+        self.other = other
+        self.target = target
+        self.discharges = discharges
+        self.e_discharges = e_discharges
+        self.beta = beta
+        self.token = token
+        self.__class__ = Derivation
 
 
 def _walk(root, enter, leave, env=None):
@@ -420,7 +473,6 @@ def _pf(d: Derivation) -> PFormula:
 def _mk(
     rule: str,
     premises: tuple[Derivation, ...],
-    *,
     label: str | None = None,
     content: PFormula | EFormula | None = None,
     ante: PFormula | None = None,
@@ -431,7 +483,8 @@ def _mk(
     beta: Position | None = None,
     token: str | None = None,
 ) -> Derivation:
-    """Build a node, computing its best-effort conclusion."""
+    """Build a node, computing its best-effort conclusion; the fields after
+    ``premises`` follow ``_FIELDS``, so they can be passed by position."""
     if rule == "hyp" or rule == "ehyp":
         concl: PFormula | EFormula = content  # type: ignore[assignment]
     elif rule == "and-i":
@@ -483,19 +536,9 @@ def _mk(
         concl = _pf(premises[1])
     else:
         raise ValueError(f"unknown rule {rule!r}")
-    return Derivation(
-        rule=rule,
-        premises=premises,
-        conclusion=concl,
-        label=label,
-        content=content,
-        ante=ante,
-        other=other,
-        target=target,
-        discharges=discharges,
-        e_discharges=e_discharges,
-        beta=beta,
-        token=token,
+    return _node(
+        rule, premises, concl, label, content, ante, other, target, discharges,
+        e_discharges, beta, token,
     )
 
 
@@ -732,7 +775,7 @@ def _with_premises(n: Derivation, premises: tuple[Derivation, ...]) -> Derivatio
     nothing is computed, so the caller vouches that ``premises`` leave the
     conclusion unchanged."""
     rule, conclusion, *data = _node_data(n)
-    return Derivation(rule, premises, conclusion, *data)
+    return _node(rule, premises, conclusion, *data)
 
 
 def _rebuilt(n: Derivation, prems, **over) -> Derivation:
@@ -741,9 +784,10 @@ def _rebuilt(n: Derivation, prems, **over) -> Derivation:
     every premise came back as is."""
     if not over and all(map(operator.is_, prems, n.premises)):
         return n
-    data = {f: getattr(n, f) for f in _FIELDS}
-    data.update(over)
-    return _mk(n.rule, tuple(prems), **data)
+    rule, _conclusion, *data = _node_data(n)
+    for f, v in over.items():
+        data[_SLOT[f]] = v
+    return _mk(rule, tuple(prems), *data)
 
 
 def _fresh_names(prefix: str, *used):
@@ -1303,20 +1347,19 @@ class _Renaming:
     Calling it passes a position through ``prefix_replace(p, old, new)`` of
     this scope, then of each enclosing one.  A renaming keeps the length of
     its prefix and changes only the prefix's last token, to a fresh one.  No
-    ``old`` prefix contains a fresh token (``stops``) unless a ``dia-e`` token
-    that occurs in no position happens to equal one; so once the token at
-    index ``i`` has been renamed, no prefix longer than ``i`` matches any
-    more, and the walk outward ends when no enclosing prefix is that short
-    (``reach`` is the shortest prefix length from here outward).
+    ``old`` prefix contains a fresh token, since fresh numbers start above
+    every reserved token in a position or a witness token; so once the
+    token at index ``i`` has been renamed, no prefix longer than ``i``
+    matches any more, and the walk outward ends when no enclosing prefix is
+    that short (``reach`` is the shortest prefix length from here outward).
     """
 
-    __slots__ = ("old", "new", "outer", "reach", "stops")
+    __slots__ = ("old", "new", "outer", "reach")
 
-    def __init__(self, old: Position, new: Position, outer, stops: bool) -> None:
+    def __init__(self, old: Position, new: Position, outer) -> None:
         self.old = old
         self.new = new
         self.outer = outer
-        self.stops = stops
         self.reach = len(old) if outer is None else min(len(old), outer.reach)
 
     def __call__(self, p: Position) -> Position:
@@ -1327,8 +1370,7 @@ class _Renaming:
             n = len(old)
             if n <= bound and p[:n] == old:
                 p = r.new + p[n:]
-                if r.stops:
-                    bound = n - 1
+                bound = n - 1
             r = r.outer
         return p
 
@@ -1343,7 +1385,7 @@ def _remap(d: Derivation, fn, witnesses=None) -> Derivation:
     its scope premise, numbered in post-order.  A subtree with no map in
     force and no witness is kept as it is.
     """
-    counts, start, stops = witnesses or ({}, 0, True)
+    counts, start = witnesses or ({}, 0)
     done: list[Derivation] = []
     stack: list[tuple] = [(d, fn, None, False)]
     finished = 0  # witnesses whose subtree is rebuilt, for post-order numbers
@@ -1370,7 +1412,7 @@ def _remap(d: Derivation, fn, witnesses=None) -> Derivation:
             if slot:
                 old += (n.token,)
             name = f"{RESERVED_TOKEN_PREFIX}{start + finished + counts[id(n)] - 1}"
-            scope = _Renaming(old, old[:-1] + (name,), f, stops)
+            scope = _Renaming(old, old[:-1] + (name,), f)
         stack.append((n, f, scope, True))
         for i in range(len(n.premises) - 1, -1, -1):
             stack.append((n.premises[i], scope if i == slot else f, None, False))
@@ -1455,33 +1497,30 @@ def _scope_slot(n: Derivation) -> int | None:
     return None
 
 
-def _witness_census(d: Derivation) -> tuple[dict[int, int], int, bool]:
+def _witness_census(d: Derivation) -> tuple[dict[int, int], int]:
     """What :func:`freshen` numbers its witnesses from, in one pass.
 
-    Returns the number of witness nodes in each subtree (keyed by ``id``),
-    the first free reserved index (1 + the highest ``_N`` in any position),
-    and whether every fresh token differs from every ``dia-e`` token (a
-    token that occurs in no position can be any ``_N``), which
-    :class:`_Renaming` needs to stop early.
+    Returns the number of witness nodes in each subtree (keyed by ``id``)
+    and the first free reserved index: 1 + the highest ``_N`` in any
+    position or ``box-i``/``dia-e`` token.  A ``dia-e`` token can occur in
+    no position, and a fresh number equal to it would let an enclosing
+    renaming map that witness again, onto another one's token.
     """
     counts: dict[int, int] = {}
     start = 0
-    token_top = 0
     for n in reversed(list(d)):  # premises before the nodes above them
         for c in (n.conclusion, n.content, n.ante, n.target):
             if c is not None:
                 for tok in c.position:
                     if tok.startswith(RESERVED_TOKEN_PREFIX):
                         start = max(start, _reserved_index(tok))
-        own = 0
-        if _scope_slot(n) is not None:
-            own = 1
-            if n.rule == "dia-e":
-                token_top = max(token_top, _reserved_index(n.token))
+        if n.token is not None:
+            start = max(start, _reserved_index(n.token))
+        own = 0 if _scope_slot(n) is None else 1
         for p in n.premises:
             own += counts[id(p)]
         counts[id(n)] = own
-    return counts, start, token_top <= start
+    return counts, start
 
 
 def freshen(d: Derivation) -> Derivation:
@@ -1490,7 +1529,8 @@ def freshen(d: Derivation) -> Derivation:
     The witnesses are the ``box-i`` nodes with a token over a premise at a
     non-empty position and the ``dia-e`` nodes with a token.  They are
     numbered in post-order, starting at 1 + the highest ``_N`` index found in
-    any position of ``d`` (at 0 when there is none); the witness position of
+    any position or witness token of ``d`` (at 0 when there is none), so no
+    two witnesses end up with one token; the witness position of
     each (``alpha.x`` of a ``box-i`` concluding at ``alpha``, ``alpha.x`` of a
     ``dia-e`` whose major concludes at ``alpha``) is renamed to ``alpha._N``
     throughout its scope premise, inner scopes before outer ones.  The result
@@ -1886,9 +1926,17 @@ def _parse_formula_form(form: object, locs, ctx: object) -> Formula:
         raise ParseError(exc.message, *where) from None
 
 
+#: Where the reader's field list keeps the fields it fills by name.
+_LABEL, _ANTE, _DISCHARGES, _E_DISCHARGES, _TOKEN = (
+    _SLOT[f] for f in ("label", "ante", "discharges", "e_discharges", "token")
+)
+
+
 def _open_node(form: object, locs) -> tuple:
     """A reader frame for the rule application ``form``: its rule, argument
-    count and witness tokens are validated here, before any argument."""
+    count and witness tokens are validated here, before any argument.  The
+    node's fields are read into a list in ``_FIELDS`` order, from their
+    defaults, and passed to ``_mk`` by position."""
     if not (isinstance(form, list) and form and isinstance(form[0], str)):
         raise ParseError("expected a rule application (rule ...)", *_loc(locs, form))
     head = str(form[0])
@@ -1906,7 +1954,7 @@ def _open_node(form: object, locs) -> tuple:
         tok = args[i]
         if not valid_user_token(str(tok) if not isinstance(tok, list) else ""):
             raise ParseError(f"invalid token {brief(tok)}", *_loc(locs, form))
-    return form, head, spec, zip(spec.args, args), [], {}
+    return form, head, spec, zip(spec.args, args), [], list(_DEFAULTS)
 
 
 def _read_node(root: object, locs) -> Derivation:
@@ -1925,35 +1973,36 @@ def _read_node(root: object, locs) -> Derivation:
                 frame = _open_node(x, locs)
                 break
             if kind == "formula":
-                fields[fld] = _parse_formula_form(x, locs, form)
+                fields[_SLOT[fld]] = _parse_formula_form(x, locs, form)
             elif kind == "position":
                 pos = _parse_pos(x, locs, form)
-                if fld in fields:  # after its formula
-                    fields[fld] = PFormula(fields[fld], pos)
+                i = _SLOT[fld]
+                if fields[i] is not None:  # after its formula
+                    fields[i] = PFormula(fields[i], pos)
                 else:
-                    fields[fld] = pos if fld == "beta" else EFormula(pos)
+                    fields[i] = pos if fld == "beta" else EFormula(pos)
             elif kind == "label":
                 if not _valid_label(x):
                     raise ParseError(f"invalid label {brief(x)}", *_loc(locs, form))
-                fields["label"] = str(x)
+                fields[_LABEL] = str(x)
             elif kind == "labels":
                 labels = _parse_labels(x, locs, form)
                 if fld[1] == "p":
-                    fields["discharges"] = fields.get("discharges", ()) + (labels,)
+                    fields[_DISCHARGES] += (labels,)
                 else:
-                    fields["e_discharges"] = labels
+                    fields[_E_DISCHARGES] = labels
             else:
-                fields["token"] = str(x)
+                fields[_TOKEN] = str(x)
         else:
-            if head == "imp-i" and "ante" not in fields:
-                fields["ante"] = _first_bound(prems[0], fields["discharges"][0])
-                if fields["ante"] is None:
+            if head == "imp-i" and fields[_ANTE] is None:
+                fields[_ANTE] = _first_bound(prems[0], fields[_DISCHARGES][0])
+                if fields[_ANTE] is None:
                     raise ParseError(
                         "imp-i discharges no open assumption; give the antecedent "
                         "formula and position explicitly",
                         *_loc(locs, form),
                     )
-            node = _mk(head, tuple(prems), **fields)
+            node = _mk(head, tuple(prems), *fields)
             if not stack:
                 return node
             frame = stack.pop()

@@ -94,6 +94,8 @@ def reference_fresh_token_start(d):
             poss.append(n.ante.position)
         if n.target is not None:
             poss.append(n.target.position)
+        if n.rule in ("box-i", "dia-e") and n.token is not None:
+            poss.append((n.token,))
         for pos in poss:
             for tok in pos:
                 m = _FRESH_RE.fullmatch(tok)
@@ -394,10 +396,14 @@ def test_check_position_condition_matches_reference():
 
 
 def test_fresh_token_equal_to_an_enclosing_dia_e_token():
-    # "_0" occurs in no position, so the inner box-i is renamed to it and
-    # the enclosing dia-e, whose witness is (_0), renames that again.
+    # "_0" occurs in no position, but it is the dia-e's token, so numbering
+    # starts at 1: the inner box-i gets "_1" and the dia-e "_2".  Had the
+    # box-i got "_0", the renaming of the dia-e's witness (_0) would map it
+    # again, onto the dia-e's own new token.
     inner = K.box_i("x", frozenset(), K.box_e(K.hyp("u", Box(P), ()), ("x",)))
     d = K.dia_e(K.hyp("m", Dia(P), ()), "_0", frozenset({"a"}), frozenset(), inner)
     f = K.freshen(d)
     assert f == reference_freshen(d)
     assert f.premises[1].premises[0].conclusion.position == ("_1",)
+    assert [n.token for n in f if n.token] == ["_2", "_1"]
+    assert K.check_position_condition(f) == ()

@@ -1,5 +1,8 @@
 """Tests for derivation checking, transforms, builtins, and proof files."""
 
+import copy
+import dataclasses
+import pickle
 import random
 import sys
 import tracemalloc
@@ -80,6 +83,87 @@ def test_rule_sets():
     assert K.INTRO_RULES == {"and-i", "or-i1", "or-i2", "imp-i", "box-i", "dia-i"}
     assert K.ELIM_RULES == {"and-e1", "and-e2", "or-e", "imp-e", "box-e", "dia-e"}
     assert K.JOIN_RULES == {"or-e", "dia-e"}
+
+
+# --- node construction -----------------------------------------------------
+
+
+def keyword_built(n):
+    """``n`` made again by the public keyword constructor, over the same
+    premises."""
+    return K.Derivation(
+        **{f.name: getattr(n, f.name) for f in dataclasses.fields(K.Derivation)}
+    )
+
+
+def built_trees():
+    """Trees whose nodes come from every internal builder: the constructors
+    and ``_mk``, the proof-file reader, ``_rebuilt`` (freshening, binder
+    renaming) and the normalizer's path rebuild (``_with_premises``)."""
+    for system in SYSTEMS:
+        rng = random.Random(f"nodes-{system.logic}-{system.flavor}")
+        for _ in range(6):
+            d = proofgen.random_derivation(rng, system, steps=14)
+            yield d
+            yield K.parse_proof(K.print_proof(d, system))[0]
+            yield K.freshen(d)
+            yield K.relabel_binders(d, frozenset({"h1"}))
+    for axiom, logic in K.BUILTIN_PAIRS:
+        d, system = K.builtin(axiom, logic)
+        yield K.parse_proof(K.print_proof(d, system))[0]
+    for d in (imp_and_chain(30), box_chain(20), or_chain(20)):
+        yield N.normalize(d, K.System("s4", "intuitionistic"))[0]
+        yield N.normalize_steps(d, K.System("s4", "intuitionistic"))[0]
+        yield N.reduce_once(d, K.System("s4", "intuitionistic")) or d
+
+
+def test_nodes_equal_their_keyword_built_copies():
+    nodes = 0
+    for d in built_trees():
+        for n in d:
+            kw = keyword_built(n)
+            assert type(n) is K.Derivation
+            assert K._node_data(n) == K._node_data(kw)
+            assert n.premises is kw.premises
+            assert n == kw and kw == n and hash(n) == hash(kw)
+            assert repr(n) == repr(kw)
+            nodes += 1
+    assert nodes > 1500
+
+
+def test_node_takes_the_fields_in_declaration_order():
+    names = [f.name for f in dataclasses.fields(K.Derivation)]
+    assert names[:3] == ["rule", "premises", "conclusion"]
+    assert K._FIELDS == tuple(names[3:])
+    leaf = K.hyp("u", P, ("a",))
+    values = (
+        "box-e", (leaf,), PFormula(P, ("b",)), "l", leaf.conclusion, None, Q,
+        None, (frozenset({"v"}),), frozenset({"e"}), ("b",), "x",
+    )
+    n = K._node(*values)
+    assert type(n) is K.Derivation
+    assert K._node_data(n) == K._node_data(K.Derivation(*values))
+    assert tuple(getattr(n, f) for f in names) == values
+
+
+def test_nodes_are_frozen_slotted_and_copy():
+    d, system = K.builtin("four", "s4")
+    read = K.parse_proof(K.print_proof(d, system))[0]
+    for tree in (d, read, K.freshen(read)):
+        for n in tree:
+            assert not hasattr(n, "__dict__")
+        for name in ("rule", "premises", "token", "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(tree, name, None)
+        for name in ("rule", "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(tree, name)
+        for other in (
+            pickle.loads(pickle.dumps(tree)), copy.copy(tree), copy.deepcopy(tree)
+        ):
+            assert type(other) is K.Derivation
+            assert other == tree and hash(other) == hash(tree)
+            assert [K._node_data(n) for n in other] == [K._node_data(n) for n in tree]
 
 
 # --- builtins --------------------------------------------------------------

@@ -462,11 +462,29 @@ def test_cut_free_commutations_match_the_former_cleanup():
         # The same nodes, conclusions and positions included, up to which
         # reserved token each witness has: a commutation that copies a
         # witness now freshens the tree at once, the cleanup did so once, at
-        # its end, and ``freshen`` can merge unused ``dia-e`` tokens, so the
-        # two need not rename each other bijectively.
+        # its end, and this reference not at all, so the two need not rename
+        # each other bijectively.
         assert untokened(out) == untokened(want)
         commuted += len(log)
     assert commuted > 40
+
+
+def test_normalized_joined_trees_keep_the_position_condition():
+    # ``joined(d)`` copies ``d``, so a ``dia-e`` of ``d`` can keep a token
+    # that occurs in no position once the copies are freshened; the fresh
+    # numbers must start above it, or an enclosing renaming maps another
+    # witness onto it.
+    normalized = 0
+    for d, system in corpus():
+        tree = joined(d)
+        system = K.System(system.logic, "intuitionistic")
+        if tree is None or not K.check(tree, system).ok:
+            continue
+        out = N.normalize(tree, system)[0]
+        assert K.check_position_condition(out) == ()
+        assert K.check(out, system).ok
+        normalized += 1
+    assert normalized > 50
 
 
 def test_all_spines_match_reference():
