@@ -6,13 +6,11 @@ sets, a recorded step suffix, a witness token, ...).  Conclusions are computed
 bottom-up on a best-effort basis, so ill-shaped trees are representable; the
 checker reports every violation instead of refusing to build the tree.
 
-The structure of each rule is written once, in ``_RULE_TABLE``: its
-proof-file arguments in file order and the node field each one fills, its
-discharge scopes (premise slot and assumption kind), its intro/elim
-connective family and the minor slots of a case split.  The proof-file
-reader and writer, the scope walks (``_scopes``, ``relabel_binders``, ...),
-the public rule sets (``RULES``, ``INTRO_RULES``, ...) and the normalizer all
-read it; what a rule concludes and requires stays in ``_mk`` and the checker.
+What each rule is, is written once, in ``_RULE_TABLE`` (see ``_Rule``): its
+file arguments, premise counts, conclusion, shape conditions, discharges,
+witness and step.  Node building and validation, the checker, the proof-file
+reader and writer, the scope walks, ``freshen`` and the normalizer read it;
+only what a rule *does* (contractions, translations) is written per rule.
 
 The checker validates, in one post-order pass over the tree:
 
@@ -56,7 +54,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import FrozenInstanceError, dataclass
 
 from . import _sexpr
@@ -93,11 +91,11 @@ PARTIAL_LOGICS = frozenset({"k", "k4"})
 # --- the rule table --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Rule:
-    """The structure of one rule, as the proof-file reader and writer, the
-    discharge-scope walks and the normalizer's rule families read it.  What a
-    rule concludes and requires is in ``_mk`` and the checker."""
+    """Everything one rule is.  Its functions take the node and ``c``, the
+    p-formula its first premise concludes (see :func:`_pf`; ``None`` at a
+    leaf)."""
 
     #: The proof-file arguments in order, each ``(kind, what it fills)``: a
     #: ``premise`` its slot; a ``label`` or ``token`` the field of that name;
@@ -119,19 +117,41 @@ class _Rule:
     scopes: tuple[tuple[int, str, int | None], ...]
     #: Argument indices of witness tokens.
     tokens: tuple[int, ...]
+    #: The node fields the arguments fill; the others keep their defaults.
+    fields: frozenset[str]
+    #: The numbers of premises the rule takes, and the slot of the optional
+    #: existence premise of a step rule.
+    counts: tuple[int, ...]
+    e_slot: int | None
+    #: ``conclude(n, c)``: the conclusion, computed on a best-effort basis.
+    conclude: Callable
+    #: The shape conditions as ``(violated(n, c), message)``, the connective
+    #: the major premise must conclude first.
+    checks: tuple[tuple[Callable, str], ...]
+    #: Each discharge scope with ``expect(n, c)``, the content it removes:
+    #: ``(premise slot, kind, index, expect)``.
+    discharge: tuple[tuple[int, str, int | None, Callable], ...]
+    #: A witness rule's scope premise slot.  Over its premise (0, ``box-i``)
+    #: the witness is where that premise concludes, its own position
+    #: extended by the token; over a minor (``dia-e``) it extends the major
+    #: premise's position by the token.
+    witness: int | None
+    #: Where a step rule's recorded step starts: at its ``premise``
+    #: (``box-e``, which concludes at the other end) or its ``conclusion``
+    #: (``dia-i``).  An existence premise assumes the other end.
+    step_from: str | None
+    #: ``(holds(system), message)`` for a rule that some systems lack.
+    system: tuple[Callable, str] | None
 
 
 def _rule(
-    signature: str,
-    arity: str,
-    *,
-    intro: str | None = None,
-    elim: str | None = None,
-    minors: tuple[int, ...] = (),
+    signature: str, arity: str, conclude: Callable, *checks, intro=None, elim=None,
+    minors=(), discharge=(), witness=None, step_from=None, system=None,
 ) -> _Rule:
     """A table entry from a signature: file arguments ``kind[:field]``,
     optional ones in brackets; a label list's field is its scope kind and
-    premise slot, as in ``labels:p1``."""
+    premise slot, as in ``labels:p1``.  An optional premise is an existence
+    premise."""
     required, _, optional = signature.partition("[")
     args: list[tuple[str, object]] = []
     scopes: list[tuple[int, str, int | None]] = []
@@ -145,65 +165,203 @@ def _rule(
             args.append((kind, scopes[-1]))
         else:
             args.append((kind, fld or kind))
+    k = sum(kind == "premise" for kind, _f in args)
+    e_slot = k - 1 if "premise" in optional else None
+    tokens = tuple(i for i, (kind, _f) in enumerate(args) if kind == "token")
+    fields = frozenset(
+        ("discharges" if f[1] == "p" else "e_discharges") if kind == "labels" else f
+        for kind, f in args
+        if kind != "premise"
+    )
     return _Rule(
-        args=tuple(args),
-        arity=arity,
-        optional=len(optional.split()),
-        intro=intro,
-        elim=elim,
-        minors=minors,
-        scopes=tuple(scopes),
-        tokens=tuple(i for i, (k, _f) in enumerate(args) if k == "token"),
+        tuple(args), arity, len(optional.split()), intro, elim, minors,
+        tuple(scopes), tokens, fields, (k,) if e_slot is None else (k - 1, k),
+        e_slot, conclude, checks,
+        tuple(scope + (f,) for scope, f in zip(scopes, discharge)),
+        witness, step_from, system,
     )
 
 
+def _prem(n, i: int) -> PFormula:
+    """The p-formula premise ``i`` of ``n`` concludes (see :func:`_pf`)."""
+    return _pf(n.premises[i])
+
+
+def _major(cls: type, message: str) -> tuple[Callable, str]:
+    """The condition that the major premise concludes a ``cls`` formula."""
+    return (lambda n, c: not isinstance(c.formula, cls)), message
+
+
+def _part(c: PFormula, cls: type, side: str) -> PFormula:
+    """The ``side`` of ``c``'s formula at its position if it is a ``cls``."""
+    if isinstance(c.formula, cls):
+        return PFormula(getattr(c.formula, side), c.position)
+    return c
+
+
+def _ends_with(pos: Position, beta: Position) -> bool:
+    return pos[len(pos) - len(beta) :] == tuple(beta)
+
+
+def _step_start(pos: Position, beta: Position) -> Position:
+    """``pos`` less its suffix ``beta``; ``pos`` itself if it does not end
+    with ``beta``."""
+    return pos[: len(pos) - len(beta)] if _ends_with(pos, beta) else pos
+
+
+_LABELLED = (lambda n, c: not n.label, "assumption leaves need a non-empty label")
+_CONJUNCTION = _major(And, "premise must conclude a conjunction")
+_ABSURD = _major(Bottom, "premise must conclude absurdity")
+_TARGETED = (lambda n, c: n.target is None, "missing conclusion data")
+_STEPPED = (lambda n, c: n.beta is None, "missing recorded step suffix")
+_OTHER = (lambda n, c: n.other is None, "missing the other disjunct")
+_SAME_POSITION = "both premises must sit at the same position"
+
 _RULE_TABLE: dict[str, _Rule] = {
     "hyp": _rule(
-        "label formula:content position:content", "label, formula, position"
+        "label formula:content position:content", "label, formula, position",
+        lambda n, c: n.content, _LABELLED,
     ),
-    "ehyp": _rule("label position:content", "label, position"),
-    "and-i": _rule("premise premise", "two premises", intro="and"),
-    "and-e1": _rule("premise", "one premise", elim="and"),
-    "and-e2": _rule("premise", "one premise", elim="and"),
-    "or-i1": _rule("formula:other premise", "other disjunct, premise", intro="or"),
-    "or-i2": _rule("formula:other premise", "other disjunct, premise", intro="or"),
+    "ehyp": _rule(
+        "label position:content", "label, position", lambda n, c: n.content,
+        _LABELLED,
+        system=(lambda s: s.partial, "existence assumptions require a partial system"),
+    ),
+    "and-i": _rule(
+        "premise premise", "two premises",
+        lambda n, c: PFormula(And(c.formula, _prem(n, 1).formula), c.position),
+        (lambda n, c: _prem(n, 1).position != c.position, _SAME_POSITION),
+        intro="and",
+    ),
+    "and-e1": _rule(
+        "premise", "one premise", lambda n, c: _part(c, And, "left"),
+        _CONJUNCTION, elim="and",
+    ),
+    "and-e2": _rule(
+        "premise", "one premise", lambda n, c: _part(c, And, "right"),
+        _CONJUNCTION, elim="and",
+    ),
+    "or-i1": _rule(
+        "formula:other premise", "other disjunct, premise",
+        lambda n, c: PFormula(Or(c.formula, n.other), c.position), _OTHER,
+        intro="or",
+    ),
+    "or-i2": _rule(
+        "formula:other premise", "other disjunct, premise",
+        lambda n, c: PFormula(Or(n.other, c.formula), c.position), _OTHER,
+        intro="or",
+    ),
     "or-e": _rule(
         "premise labels:p1 premise labels:p2 premise",
-        "major, labels, minor, labels, minor",
-        elim="or",
-        minors=(1, 2),
+        "major, labels, minor, labels, minor", lambda n, c: _prem(n, 1),
+        _major(Or, "major premise must conclude a disjunction"),
+        (
+            lambda n, c: _prem(n, 1) != _prem(n, 2),
+            "both case premises must conclude the same p-formula",
+        ),
+        elim="or", minors=(1, 2),
+        discharge=(
+            lambda n, c: PFormula(c.formula.left, c.position),
+            lambda n, c: PFormula(c.formula.right, c.position),
+        ),
     ),
     # An omitted antecedent is read off the bound leaves.
     "imp-i": _rule(
         "labels:p0 premise [formula:ante position:ante]",
         "labels and premise, optionally followed by an explicit antecedent "
         "formula and position",
-        intro="imp",
+        lambda n, c: PFormula(
+            Imp(Bottom() if n.ante is None else n.ante.formula, c.formula),
+            c.position,
+        ),
+        (lambda n, c: n.ante is None, "missing antecedent"),
+        (
+            lambda n, c: n.ante is not None and n.ante.position != c.position,
+            "the discharged antecedent must sit at the premise position",
+        ),
+        intro="imp", discharge=(lambda n, c: n.ante,),
     ),
-    "imp-e": _rule("premise premise", "major, minor", elim="imp"),
+    "imp-e": _rule(
+        "premise premise", "major, minor", lambda n, c: _part(c, Imp, "right"),
+        _major(Imp, "major premise must conclude an implication"),
+        (
+            lambda n, c: isinstance(c.formula, Imp)
+            and _prem(n, 1).formula != c.formula.left,
+            "minor premise must conclude the antecedent",
+        ),
+        (
+            lambda n, c: isinstance(c.formula, Imp)
+            and _prem(n, 1).position != c.position,
+            _SAME_POSITION,
+        ),
+        elim="imp",
+    ),
     "bot-c": _rule(
         "labels:p0 premise formula:target position:target",
         "labels, premise, formula, position",
+        lambda n, c: n.target, _ABSURD, _TARGETED,
+        discharge=(lambda n, c: PFormula(neg(n.target.formula), n.target.position),),
+        system=(
+            lambda s: s.flavor == "classical",
+            "bot-c is available only in the classical flavor",
+        ),
     ),
     "bot-i": _rule(
-        "premise formula:target position:target", "premise, formula, position"
+        "premise formula:target position:target", "premise, formula, position",
+        lambda n, c: n.target, _ABSURD, _TARGETED,
+        (
+            lambda n, c: n.target is not None
+            and not isinstance(n.target.formula, (Atom, Bottom)),
+            "conclusion must be atomic",
+        ),
+        (
+            lambda n, c: n.target is not None
+            and isinstance(n.target.formula, Bottom)
+            and n.target.position == c.position,
+            "repositioning absurdity requires a different position",
+        ),
     ),
-    "box-i": _rule("token labels:e0 premise", "token, e-labels, premise", intro="box"),
+    "box-i": _rule(
+        "token labels:e0 premise", "token, e-labels, premise",
+        lambda n, c: PFormula(Box(c.formula), c.position[:-1]),
+        (lambda n, c: not c.position, "premise position must be non-empty"),
+        (
+            lambda n, c: c.position and c.position[-1] != n.token,
+            "witness token must be the last token of the premise position",
+        ),
+        intro="box", discharge=(lambda n, c: EFormula(c.position),), witness=0,
+    ),
     "box-e": _rule(
         "premise position:beta [premise]",
         "major and step suffix, optionally an existence premise",
-        elim="box",
+        lambda n, c: PFormula(
+            c.formula.body if isinstance(c.formula, Box) else c.formula,
+            concat(c.position, n.beta or ()),
+        ),
+        _major(Box, "major premise must conclude a necessity formula"), _STEPPED,
+        elim="box", step_from="premise",
     ),
     "dia-i": _rule(
         "position:beta premise [premise]",
         "step suffix and premise, optionally an existence premise",
-        intro="dia",
+        lambda n, c: PFormula(Dia(c.formula), _step_start(c.position, n.beta or ())),
+        _STEPPED,
+        (
+            lambda n, c: n.beta is not None and not _ends_with(c.position, n.beta),
+            "premise position must end with the recorded step suffix",
+        ),
+        intro="dia", step_from="conclusion",
     ),
     "dia-e": _rule(
         "premise token labels:p1 labels:e1 premise",
-        "major, token, labels, e-labels, minor",
-        elim="dia",
-        minors=(1,),
+        "major, token, labels, e-labels, minor", lambda n, c: _prem(n, 1),
+        _major(Dia, "major premise must conclude a possibility formula"),
+        (lambda n, c: n.token is None, "missing witness token"),
+        elim="dia", minors=(1,), witness=1,
+        discharge=(
+            lambda n, c: PFormula(c.formula.body, c.position + (n.token,)),
+            lambda n, c: EFormula(c.position + (n.token,)),
+        ),
     ),
 }
 
@@ -290,13 +448,18 @@ class UnsupportedPair(KernelError):
 class Derivation:
     """One rule application; premises are complete subderivations.
 
-    ``conclusion`` is always the best-effort result computed from the rule,
-    the premises, and the node data — never trusted input.  Fields beyond
+    ``conclusion`` is computed from the rule, the premises and the node data
+    on a best-effort basis, and the checker trusts it.  Fields beyond
     ``rule``/``premises``/``conclusion`` are used only by the rules that
-    need them and stay at their defaults elsewhere.  Two derivations are
-    equal when their trees hold equal node data in the same shape; equality
-    and hashing take trees of any depth.  The package builds its nodes with
-    :func:`_node`; the keyword constructor is the public one.
+    need them.  So the public keyword constructor (and
+    ``dataclasses.replace``) raises ``ValueError`` for an unknown rule, a
+    premise count the rule does not take, a field the rule uses left
+    ``None`` or one it does not use off its default, a discharge label set
+    too many or too few, or a ``conclusion`` other than the computed one,
+    which must be an existence formula for ``ehyp`` and a p-formula
+    elsewhere.  :func:`_node`, unpickling and ``copy`` validate nothing.
+    Two derivations are equal when their trees hold equal node data in the
+    same shape; equality and hashing take trees of any depth.
     """
 
     rule: str
@@ -311,6 +474,11 @@ class Derivation:
     e_discharges: frozenset[str] = frozenset()
     beta: Position | None = None
     token: str | None = None
+
+    def __post_init__(self) -> None:
+        fault = _malformed(self)
+        if fault:
+            raise ValueError(f"ill-formed {self.rule!r} node: {fault}")
 
     def __iter__(self):
         """Every node of the tree, in pre-order."""
@@ -363,7 +531,8 @@ _node_data = operator.attrgetter("rule", "conclusion", *_FIELDS)
 class _node:
     """``_node(rule, premises, conclusion, *fields)``, the fields in
     ``_FIELDS`` order, is a new :class:`Derivation` holding exactly these
-    values, as the keyword constructor would make it.
+    values, as the keyword constructor would make it; a ``conclusion`` of
+    ``None`` is computed by the rule's entry in ``_RULE_TABLE``.
 
     The frozen dataclass ``__init__`` sets each field through
     ``object.__setattr__``; this class has the same slots and no frozen
@@ -380,7 +549,6 @@ class _node:
     ) -> None:
         self.rule = rule
         self.premises = premises
-        self.conclusion = conclusion
         self.label = label
         self.content = content
         self.ante = ante
@@ -390,6 +558,10 @@ class _node:
         self.e_discharges = e_discharges
         self.beta = beta
         self.token = token
+        if conclusion is None:
+            c = _pf(premises[0]) if premises else None
+            conclusion = _RULE_TABLE[rule].conclude(self, c)
+        self.conclusion = conclusion
         self.__class__ = Derivation
 
 
@@ -485,61 +657,48 @@ def _mk(
 ) -> Derivation:
     """Build a node, computing its best-effort conclusion; the fields after
     ``premises`` follow ``_FIELDS``, so they can be passed by position."""
-    if rule == "hyp" or rule == "ehyp":
-        concl: PFormula | EFormula = content  # type: ignore[assignment]
-    elif rule == "and-i":
-        l, r = _pf(premises[0]), _pf(premises[1])
-        concl = PFormula(And(l.formula, r.formula), l.position)
-    elif rule == "and-e1":
-        c = _pf(premises[0])
-        concl = (
-            PFormula(c.formula.left, c.position) if isinstance(c.formula, And) else c
-        )
-    elif rule == "and-e2":
-        c = _pf(premises[0])
-        concl = (
-            PFormula(c.formula.right, c.position) if isinstance(c.formula, And) else c
-        )
-    elif rule == "or-i1":
-        c = _pf(premises[0])
-        concl = PFormula(Or(c.formula, other), c.position)
-    elif rule == "or-i2":
-        c = _pf(premises[0])
-        concl = PFormula(Or(other, c.formula), c.position)
-    elif rule == "or-e":
-        concl = _pf(premises[1])
-    elif rule == "imp-i":
-        c = _pf(premises[0])
-        a = ante if ante is not None else PFormula(Bottom(), c.position)
-        concl = PFormula(Imp(a.formula, c.formula), c.position)
-    elif rule == "imp-e":
-        c = _pf(premises[0])
-        concl = (
-            PFormula(c.formula.right, c.position) if isinstance(c.formula, Imp) else c
-        )
-    elif rule in ("bot-c", "bot-i"):
-        concl = target  # type: ignore[assignment]
-    elif rule == "box-i":
-        c = _pf(premises[0])
-        concl = PFormula(Box(c.formula), c.position[:-1] if c.position else ())
-    elif rule == "box-e":
-        c = _pf(premises[0])
-        body = c.formula.body if isinstance(c.formula, Box) else c.formula
-        concl = PFormula(body, concat(c.position, beta or ()))
-    elif rule == "dia-i":
-        c = _pf(premises[0])
-        b = beta or ()
-        pos = c.position
-        base = pos[: len(pos) - len(b)] if pos[len(pos) - len(b) :] == b else pos
-        concl = PFormula(Dia(c.formula), base)
-    elif rule == "dia-e":
-        concl = _pf(premises[1])
-    else:
+    if rule not in _RULE_TABLE:
         raise ValueError(f"unknown rule {rule!r}")
     return _node(
-        rule, premises, concl, label, content, ante, other, target, discharges,
+        rule, premises, None, label, content, ante, other, target, discharges,
         e_discharges, beta, token,
     )
+
+
+def _arity_fault(spec: _Rule | None, k: int) -> str:
+    """What is wrong with a node of a rule ``spec`` over ``k`` premises."""
+    if spec is None:
+        return "unknown rule"
+    counts = spec.counts
+    s = "" if counts == (1,) else "s"
+    return f"expects {' or '.join(map(str, counts))} premise{s}, got {k}"
+
+
+def _malformed(n: Derivation) -> str | None:
+    """Why the keyword constructor refuses ``n``, or ``None``."""
+    spec = _RULE_TABLE.get(n.rule)
+    k = len(n.premises)
+    if spec is None or k not in spec.counts:
+        return _arity_fault(spec, k)
+    for f, default in zip(_FIELDS, _DEFAULTS):
+        value = getattr(n, f)
+        if f not in spec.fields and value != default:
+            return f"{f} is not a field of the rule"
+        if f in spec.fields and value is None:
+            return f"missing {f}"
+    sets = sum(kind == "p" for _s, kind, _j in spec.scopes)
+    if len(n.discharges) != sets:
+        s = "" if sets == 1 else "s"
+        return f"expects {sets} discharge label set{s}, got {len(n.discharges)}"
+    want = spec.conclude(n, _pf(n.premises[0]) if k else None)
+    kind = EFormula if n.rule == "ehyp" else PFormula
+    if not isinstance(want, kind):
+        return "it concludes " + (
+            "an existence formula" if kind is EFormula else "a p-formula"
+        )
+    if want != n.conclusion:
+        return f"the stored conclusion is not the computed {_content_str(want)}"
+    return None
 
 
 # --- constructors ----------------------------------------------------------
@@ -862,7 +1021,9 @@ _BETA_LENGTH = {
 def check(
     d: Derivation, system: System, *, t_strict_empty_beta: bool = False
 ) -> CheckReport:
-    """Check ``d`` against ``system``; never raises on a bad tree.
+    """Check ``d`` against ``system``; never raises on a tree of nodes the
+    keyword constructor accepts, nor on a node over a number of premises
+    its rule does not take, which is a violation.
 
     Returns every violation found together with the open-assumption
     multiset; ``ok`` holds exactly when there are no violations.
@@ -915,88 +1076,58 @@ def _check_walk(
             continue
         stack.pop()
         rule = n.rule
-
-        # Premise slots that must conclude a p-formula.
-        e_slot = 1 if rule in ("box-e", "dia-i") and len(n.premises) == 2 else None
-        for i, p in enumerate(n.premises):
-            if i == e_slot:
-                if p.rule != "ehyp":
-                    bad(
-                        path,
-                        rule,
-                        "the existence premise must be an existence assumption leaf",
-                    )
-            elif p.rule == "ehyp" or isinstance(p.conclusion, EFormula):
-                bad(
-                    path,
-                    rule,
-                    "an existence assumption may stand only as the existence "
-                    "premise of box-e or dia-i",
-                )
-
-        shape_ok = _check_shape(n, path, system, bad)
-        if rule in ("box-e", "dia-i"):
-            _check_beta(n, path, system, t_strict, bad)
-            _check_e_discipline(n, path, system, bad)
-        if rule == "ehyp" and not system.partial:
-            bad(path, rule, "existence assumptions require a partial system")
+        spec = _RULE_TABLE.get(rule)
+        if spec is None or len(n.premises) not in spec.counts:
+            bad(path, rule, _arity_fault(spec, len(n.premises)))
+        else:
+            # Premise slots that must conclude a p-formula.
+            for i, q in enumerate(n.premises):
+                if i == spec.e_slot:
+                    if q.rule != "ehyp":
+                        bad(path, rule, "the existence premise must be an "
+                            "existence assumption leaf")
+                elif q.rule == "ehyp" or isinstance(q.conclusion, EFormula):
+                    bad(path, rule, "an existence assumption may stand only as "
+                        "the existence premise of box-e or dia-i")
+            c = _pf(n.premises[0]) if n.premises else None
+            shape_ok = True  # the tests after the shape need a sensible one
+            for violated, message in spec.checks:
+                if violated(n, c):
+                    bad(path, rule, message)
+                    shape_ok = False
+            if spec.step_from:
+                _check_step(n, c, spec, path, system, t_strict, bad)
+            if spec.system and not spec.system[0](system):
+                bad(path, rule, spec.system[1])
+            # Discharge: pop the labels in scope.
+            for idx, kind, j, expect in spec.discharge:
+                opens = prem_opens[idx]
+                for lab in n.discharges[j] if kind == "p" else n.e_discharges:
+                    contents = opens.pop(lab, None)
+                    if contents is None or not shape_ok:
+                        continue
+                    expected = expect(n, c)
+                    want_kind = EFormula if kind == "e" else PFormula
+                    for content in contents:
+                        if not isinstance(content, want_kind) or content != expected:
+                            bad(path, rule, f"discharged assumption {lab!r} has "
+                                f"content {_content_str(content)} but the rule "
+                                f"requires {_content_str(expected)}")
+            # Freshness of a witness, against the post-discharge opens.
+            scope = spec.witness
+            if shape_ok and scope is not None:
+                proper = (c if scope else n.conclusion).position + (n.token,)
+                gamma = n.conclusion.position
+                if gamma[: len(proper)] == proper or _opens_below(
+                    prem_opens[scope], proper
+                ):
+                    what = "the conclusion and " if scope else "the "
+                    bad(path, rule, f"witness position {print_position(proper)} "
+                        f"must be fresh for {what}remaining open assumptions")
+            if not n.premises:  # an assumption leaf
+                prem_opens.append({n.label: {n.conclusion: 1}})
         if n.e_discharges and not system.partial:
-            bad(
-                path,
-                rule,
-                "existence discharge requires a partial system",
-            )
-        if rule == "bot-c" and system.flavor != "classical":
-            bad(
-                path,
-                rule,
-                "bot-c is available only in the classical flavor",
-            )
-
-        # Discharge: pop the labels in scope.
-        for scope_pos, (idx, labels, kind) in enumerate(_scopes(n)):
-            opens = prem_opens[idx]
-            for lab in labels:
-                contents = opens.pop(lab, None)
-                if contents is None:
-                    continue
-                expected = _expected_discharge(n, idx, kind, scope_pos, shape_ok)
-                if expected is None:
-                    continue
-                want_kind = EFormula if kind == "e" else PFormula
-                for content in contents:
-                    if not isinstance(content, want_kind) or content != expected:
-                        bad(
-                            path,
-                            rule,
-                            f"discharged assumption {lab!r} has content "
-                            f"{_content_str(content)} but the rule requires "
-                            f"{_content_str(expected)}",
-                        )
-
-        # Freshness (needs sensible shapes and the post-discharge opens).
-        if shape_ok and rule == "box-i":
-            proper = n.conclusion.position + (n.token,)
-            if _opens_below(prem_opens[0], proper):
-                bad(
-                    path,
-                    rule,
-                    f"witness position {print_position(proper)} must be fresh "
-                    "for the remaining open assumptions",
-                )
-        if shape_ok and rule == "dia-e":
-            proper = _pf(n.premises[0]).position + (n.token,)
-            gamma = n.conclusion.position if isinstance(n.conclusion, PFormula) else ()
-            if gamma[: len(proper)] == proper or _opens_below(prem_opens[1], proper):
-                bad(
-                    path,
-                    rule,
-                    f"witness position {print_position(proper)} must be fresh "
-                    "for the conclusion and remaining open assumptions",
-                )
-
-        if rule == "hyp" or rule == "ehyp":
-            prem_opens.append({n.label: {n.conclusion: 1}})
+            bad(path, rule, "existence discharge requires a partial system")
         if len(prem_opens) == 1:
             merged = prem_opens[0]
         elif prem_opens:
@@ -1053,216 +1184,31 @@ def _merge_opens(maps: list[dict], path, rule: str, bad) -> dict:
     return big
 
 
-def _expected_discharge(
-    n: Derivation, idx: int, kind: str, scope_pos: int, shape_ok: bool
-) -> PFormula | EFormula | None:
-    """The content a discharge at this scope must remove, if determinable."""
-    if not shape_ok:
-        return None
-    if n.rule == "imp-i":
-        return n.ante
-    if n.rule == "bot-c":
-        return PFormula(neg(n.target.formula), n.target.position)
-    if n.rule == "or-e":
-        major = _pf(n.premises[0])
-        lf = major.formula.left if scope_pos == 0 else major.formula.right
-        return PFormula(lf, major.position)
-    if n.rule == "dia-e":
-        major = _pf(n.premises[0])
-        witness = major.position + (n.token,)
-        if kind == "p":
-            return PFormula(major.formula.body, witness)
-        return EFormula(witness)
-    if n.rule == "box-i":
-        prem = _pf(n.premises[0])
-        return EFormula(prem.position)
-    return None
-
-
-def _check_shape(n: Derivation, path, system: System, bad) -> bool:
-    """Rule-shape clause; returns False when follow-up checks should skip."""
-    ok = True
-    r = n.rule
-    if r == "hyp":
-        if not n.label:
-            bad(path, r, "assumption leaves need a non-empty label")
-            ok = False
-    elif r == "ehyp":
-        if not n.label:
-            bad(path, r, "assumption leaves need a non-empty label")
-            ok = False
-    elif r == "and-i":
-        l, rr = _pf(n.premises[0]), _pf(n.premises[1])
-        if l.position != rr.position:
-            bad(path, r, "both premises must sit at the same position")
-            ok = False
-    elif r in ("and-e1", "and-e2"):
-        c = _pf(n.premises[0])
-        if not isinstance(c.formula, And):
-            bad(path, r, "premise must conclude a conjunction")
-            ok = False
-    elif r in ("or-i1", "or-i2"):
-        if n.other is None:
-            bad(path, r, "missing the other disjunct")
-            ok = False
-    elif r == "or-e":
-        major = _pf(n.premises[0])
-        m1, m2 = _pf(n.premises[1]), _pf(n.premises[2])
-        if not isinstance(major.formula, Or):
-            bad(path, r, "major premise must conclude a disjunction")
-            ok = False
-        if m1 != m2:
-            bad(path, r, "both case premises must conclude the same p-formula")
-            ok = False
-    elif r == "imp-i":
-        c = _pf(n.premises[0])
-        if n.ante is None:
-            bad(path, r, "missing antecedent")
-            ok = False
-        elif n.ante.position != c.position:
-            bad(
-                path,
-                r,
-                "the discharged antecedent must sit at the premise position",
-            )
-            ok = False
-    elif r == "imp-e":
-        major, minor = _pf(n.premises[0]), _pf(n.premises[1])
-        if not isinstance(major.formula, Imp):
-            bad(path, r, "major premise must conclude an implication")
-            ok = False
-        else:
-            if minor.formula != major.formula.left:
-                bad(path, r, "minor premise must conclude the antecedent")
-                ok = False
-            if minor.position != major.position:
-                bad(path, r, "both premises must sit at the same position")
-                ok = False
-    elif r == "bot-c":
-        c = _pf(n.premises[0])
-        if not isinstance(c.formula, Bottom):
-            bad(path, r, "premise must conclude absurdity")
-            ok = False
-        if n.target is None:
-            bad(path, r, "missing conclusion data")
-            ok = False
-    elif r == "bot-i":
-        c = _pf(n.premises[0])
-        if not isinstance(c.formula, Bottom):
-            bad(path, r, "premise must conclude absurdity")
-            ok = False
-        if n.target is None:
-            bad(path, r, "missing conclusion data")
-            ok = False
-        else:
-            if not isinstance(n.target.formula, (Atom, Bottom)):
-                bad(path, r, "conclusion must be atomic")
-                ok = False
-            elif (
-                isinstance(n.target.formula, Bottom)
-                and n.target.position == c.position
-            ):
-                bad(
-                    path,
-                    r,
-                    "repositioning absurdity requires a different position",
-                )
-                ok = False
-    elif r == "box-i":
-        c = _pf(n.premises[0])
-        if not c.position:
-            bad(path, r, "premise position must be non-empty")
-            ok = False
-        elif n.token is None or c.position[-1] != n.token:
-            bad(
-                path,
-                r,
-                "witness token must be the last token of the premise position",
-            )
-            ok = False
-    elif r == "box-e":
-        c = _pf(n.premises[0])
-        if not isinstance(c.formula, Box):
-            bad(path, r, "major premise must conclude a necessity formula")
-            ok = False
-        if n.beta is None:
-            bad(path, r, "missing recorded step suffix")
-            ok = False
-    elif r == "dia-i":
-        c = _pf(n.premises[0])
-        if n.beta is None:
-            bad(path, r, "missing recorded step suffix")
-            ok = False
-        else:
-            b = tuple(n.beta)
-            if c.position[len(c.position) - len(b) :] != b:
-                bad(
-                    path,
-                    r,
-                    "premise position must end with the recorded step suffix",
-                )
-                ok = False
-    elif r == "dia-e":
-        major = _pf(n.premises[0])
-        if not isinstance(major.formula, Dia):
-            bad(path, r, "major premise must conclude a possibility formula")
-            ok = False
-        if n.token is None:
-            bad(path, r, "missing witness token")
-            ok = False
-    return ok
-
-
-def _check_beta(n, path, system: System, t_strict: bool, bad) -> None:
-    if n.beta is None:
-        return
-    length = len(n.beta)
-    rule = n.rule
-    pred, desc = _BETA_LENGTH[system.logic]
-    if system.logic == "t" and t_strict:
-        pred, desc = (lambda k: k == 1), "exactly one token"
-    if not pred(length):
-        bad(
-            path,
-            rule,
-            f"step constraint for logic {system.logic}: {rule} must record "
-            f"{desc}, got {length}",
-        )
-
-
-def _check_e_discipline(n, path, system: System, bad) -> None:
-    if system.partial:
-        if len(n.premises) < 2:
-            bad(
-                path,
-                n.rule,
-                f"step constraint for logic {system.logic}: {n.rule} requires "
-                "an existence premise in a partial system",
-            )
-            return
-        eprem = n.premises[1]
-        if eprem.rule != "ehyp":
-            return  # already flagged as a slot violation
-        if n.beta is None:
-            return
-        if n.rule == "box-e":
-            want = concat(_pf(n.premises[0]).position, n.beta)
-        else:
-            want = _pf(n.premises[0]).position
-        if eprem.conclusion.position != want:
-            bad(
-                path,
-                n.rule,
-                f"existence premise must assume position {print_position(want)}, "
-                f"got {print_position(eprem.conclusion.position)}",
-            )
-    else:
-        if len(n.premises) > 1:
-            bad(
-                path,
-                n.rule,
-                "existence premises are forbidden in total systems",
-            )
+def _check_step(n, c, spec: _Rule, path, system: System, t_strict: bool, bad) -> None:
+    """The logic's conditions on a step rule: the length of its recorded
+    step, and its existence premise, which a partial system requires (it
+    must assume the far end of the step) and a total one forbids."""
+    rule, logic, e = n.rule, system.logic, spec.e_slot
+    if n.beta is not None:
+        # Strict ``t`` records one token, as ``k`` does.
+        pred, desc = _BETA_LENGTH["k" if t_strict and logic == "t" else logic]
+        if not pred(len(n.beta)):
+            bad(path, rule, f"step constraint for logic {logic}: {rule} must record "
+                f"{desc}, got {len(n.beta)}")
+    if not system.partial:
+        if len(n.premises) > e:
+            bad(path, rule, "existence premises are forbidden in total systems")
+    elif len(n.premises) <= e:
+        bad(path, rule, f"step constraint for logic {logic}: {rule} requires "
+            "an existence premise in a partial system")
+    # Another premise is flagged as a slot violation.
+    elif n.premises[e].rule == "ehyp" and n.beta is not None:
+        start = c.position
+        want = concat(start, n.beta) if spec.step_from == "premise" else start
+        got = n.premises[e].conclusion.position
+        if got != want:
+            bad(path, rule, "existence premise must assume position "
+                f"{print_position(want)}, got {print_position(got)}")
 
 
 def open_assumptions(
@@ -1296,12 +1242,13 @@ def check_position_condition(d: Derivation) -> tuple[Violation, ...]:
     nodes, parent, slot, end, _ = _preorder(d)
     instances: list[tuple[int, str, Position, int]] = []
     for i, n in enumerate(nodes):
-        c = n.conclusion
-        if n.rule == "box-i" and n.token is not None and isinstance(c, PFormula):
-            instances.append((i, "box-i", c.position + (n.token,), i + 1))
-        if n.rule == "dia-e" and n.token is not None:
-            major = _pf(n.premises[0])
-            instances.append((i, "dia-e", major.position + (n.token,), end[i + 1]))
+        scope = _RULE_TABLE[n.rule].witness
+        if scope is not None and n.token is not None:
+            alpha = (_pf(n.premises[0]) if scope else n.conclusion).position
+            start = i + 1  # the pre-order number of the scope premise
+            for _ in range(scope):
+                start = end[start]
+            instances.append((i, n.rule, alpha + (n.token,), start))
     # For each witness length, the nodes whose position has each prefix of
     # that length, in pre-order.
     holders: dict[Position, list[int]] = {}
@@ -1406,11 +1353,10 @@ def _remap(d: Derivation, fn, witnesses=None) -> Derivation:
         if not n.premises:
             done.append(_remapped(n, (), f, None))
             continue
-        slot = _scope_slot(n) if witnesses else None
-        if slot is not None:
-            old = n.premises[0].conclusion.position
-            if slot:
-                old += (n.token,)
+        witness = _witness(n) if witnesses else None
+        slot = None
+        if witness is not None:
+            old, slot = witness
             name = f"{RESERVED_TOKEN_PREFIX}{start + finished + counts[id(n)] - 1}"
             scope = _Renaming(old, old[:-1] + (name,), f)
         stack.append((n, f, scope, True))
@@ -1432,43 +1378,30 @@ def _remapped(n: Derivation, prems: tuple[Derivation, ...], f, scope) -> Derivat
         if scope is not None:
             over["token"] = scope.new[-1]
     else:
-        c = n.content
-        if c is not None:
-            q = f(c.position)
-            if q != c.position:
-                over["content"] = (
-                    EFormula(q) if isinstance(c, EFormula) else PFormula(c.formula, q)
-                )
-        c = n.ante
-        if c is not None:
-            q = f(c.position)
-            if q != c.position:
-                over["ante"] = PFormula(c.formula, q)
-        c = n.target
-        if c is not None:
-            q = f(c.position)
-            if q != c.position:
-                over["target"] = PFormula(c.formula, q)
-        rule = n.rule
-        if rule == "box-e" and n.beta is not None:
-            base = _pf(prems[0]).position
-            tgt = f(concat(_pf(n.premises[0]).position, n.beta))
+        for fld in ("content", "ante", "target"):
+            c = getattr(n, fld)
+            if c is not None:
+                q = f(c.position)
+                if q != c.position:
+                    is_e = isinstance(c, EFormula)
+                    over[fld] = EFormula(q) if is_e else PFormula(c.formula, q)
+        spec = _RULE_TABLE[n.rule]
+        if spec.step_from and n.beta is not None:
+            old, new = _pf(n.premises[0]).position, _pf(prems[0]).position
+            if spec.step_from == "premise":
+                base, tgt = new, f(concat(old, n.beta))
+            else:
+                base, tgt = f(old[: len(old) - len(n.beta)]), new
             beta = tgt[len(base) :] if tgt[: len(base)] == base else tgt
             if beta != n.beta:
                 over["beta"] = beta
-        elif rule == "dia-i" and n.beta is not None:
-            old_prem = _pf(n.premises[0]).position
-            base = f(old_prem[: len(old_prem) - len(n.beta)])
-            tgt = _pf(prems[0]).position
-            beta = tgt[len(base) :] if tgt[: len(base)] == base else tgt
-            if beta != n.beta:
-                over["beta"] = beta
-        elif rule == "box-i" and n.token is not None:
-            prem_pos = _pf(prems[0]).position
-            if prem_pos and prem_pos[-1] != n.token:
-                over["token"] = prem_pos[-1]
-        elif rule == "dia-e" and n.token is not None:
-            proper = (scope or f)(_pf(n.premises[0]).position + (n.token,))
+        elif spec.witness is not None and n.token is not None:
+            # Over its premise the witness is where the rebuilt premise
+            # concludes, else the mapped extension of the major's position.
+            if spec.witness:
+                proper = (scope or f)(_pf(n.premises[0]).position + (n.token,))
+            else:
+                proper = _pf(prems[0]).position
             if proper and proper[-1] != n.token:
                 over["token"] = proper[-1]
     return _rebuilt(n, prems, **over)
@@ -1483,18 +1416,19 @@ def _reserved_index(tok: str) -> int:
     return int(m.group(1)) + 1 if m else 0
 
 
-def _scope_slot(n: Derivation) -> int | None:
-    """The premise over which ``n`` scopes a witness, else ``None``: 0 for a
-    ``box-i`` with a token over a premise at a non-empty position, 1 for a
-    ``dia-e`` with a token.  These are the witnesses :func:`freshen`
-    renames."""
+def _witness(n: Derivation) -> tuple[Position, int] | None:
+    """The witness position ``n`` scopes and its scope premise slot, for a
+    ``box-i`` with a token over a premise at a non-empty position and a
+    ``dia-e`` with a token (see ``_Rule.witness``), else ``None``."""
     if n.token is None:
         return None
-    if n.rule == "dia-e":
-        return 1
-    if n.rule == "box-i" and n.premises[0].conclusion.position:
-        return 0
-    return None
+    scope = _RULE_TABLE[n.rule].witness
+    if scope is None:
+        return None
+    pos = n.premises[0].conclusion.position
+    if scope:
+        pos += (n.token,)
+    return (pos, scope) if pos else None
 
 
 def _witness_census(d: Derivation) -> tuple[dict[int, int], int]:
@@ -1516,7 +1450,7 @@ def _witness_census(d: Derivation) -> tuple[dict[int, int], int]:
                         start = max(start, _reserved_index(tok))
         if n.token is not None:
             start = max(start, _reserved_index(n.token))
-        own = 0 if _scope_slot(n) is None else 1
+        own = 0 if _witness(n) is None else 1
         for p in n.premises:
             own += counts[id(p)]
         counts[id(n)] = own

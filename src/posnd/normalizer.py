@@ -80,9 +80,9 @@ from .kernel import (
     _preorder,
     _rebuilt,
     _relabel_binders,
-    _scope_slot,
     _substitute,
     _walk,
+    _witness,
     _with_premises,
     _RULE_TABLE,
     INTRO_RULES,
@@ -324,8 +324,8 @@ def _select(cs, ix) -> list[int]:
 
 def _witness_tokens(d: Derivation):
     """The tokens of the witnesses of ``d``, in pre-order (see
-    ``kernel._scope_slot``)."""
-    return (n.token for n in d if _scope_slot(n) is not None)
+    ``kernel._witness``)."""
+    return (n.token for n in d if _witness(n) is not None)
 
 
 def _freshened(d: Derivation, new) -> Derivation:

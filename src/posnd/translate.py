@@ -599,9 +599,10 @@ def derivation_to_labelled(d: Derivation, system: System) -> LabelledProofSketch
 
     def enter(n: Derivation, shown: bool):
         prems = [(p, shown) for p in n.premises]
-        if mode == "partial" and n.rule in ("box-e", "dia-i") and len(prems) == 2:
+        e = K._RULE_TABLE[n.rule].e_slot
+        if mode == "partial" and e is not None and len(prems) > e:
             # existence premises feed the context, not the tree
-            prems[1] = (n.premises[1], False)
+            prems[e] = (n.premises[e], False)
         return prems, shown
 
     def leave(n: Derivation, below: list, shown: bool):
@@ -613,10 +614,11 @@ def derivation_to_labelled(d: Derivation, system: System) -> LabelledProofSketch
             raise ValueError("existence conclusions have no labelled image")
         jud = judgment_to_labelled([c for _lab, c in opens], concl, mode)
         children = tuple(step for step, _o in below if step is not None)
-        r = n.rule
-        rule = _LABELLED_RULE.get(r, r)
-        if mode == "total" and r in ("box-e", "dia-i"):
-            alpha = tuple((n.premises[0] if r == "box-e" else n).conclusion.position)
+        rule = _LABELLED_RULE.get(n.rule, n.rule)
+        step_from = K._RULE_TABLE[n.rule].step_from
+        if mode == "total" and step_from:
+            start = n.premises[0] if step_from == "premise" else n
+            alpha = tuple(start.conclusion.position)
             return _mediate(rule, children, jud, alpha, tuple(n.beta)), opens
         return LabelledStep(rule, children, jud), opens
 

@@ -3,9 +3,11 @@
 The reference keeps the open assumptions of every node as one ``Counter`` of
 ``(label, content)`` pairs, scans the whole multiset at every discharge,
 recomputes label conflicts over every premise and over the merged multiset,
-and tests witness freshness with ``init_set``.  It shares the per-rule shape
-checks with the kernel; what it pins is the assumption bookkeeping, the
-freshness test and the report's order.  Both must give equal ``CheckReport``
+and tests witness freshness with ``init_set``.  Its per-rule clauses (shape,
+step constraints, existence premises, discharged contents) are frozen copies
+of the kernel's from before ``kernel._RULE_TABLE`` held them, one ``if``
+branch per rule.  It pins the assumption bookkeeping, the freshness test,
+the report's order and every message.  Both must give equal ``CheckReport``
 values on every tree below.
 """
 
@@ -19,19 +21,257 @@ import pytest
 import proofgen
 from posnd import kernel as K
 from posnd.syntax import (
+    And,
     Atom,
     Bottom,
     Box,
     Dia,
     EFormula,
     Imp,
+    Or,
     PFormula,
+    concat,
     init_set,
+    neg,
     print_position,
 )
 
 P, Q = Atom("p"), Atom("q")
 SYSTEMS = [K.System(lg, fl) for lg in K.LOGICS for fl in K.FLAVORS]
+
+
+# --- frozen per-rule clauses -----------------------------------------------
+
+REF_BETA_LENGTH = {
+    # logic -> predicate on len(beta), described for messages
+    "k": (lambda n: n == 1, "exactly one token"),
+    "d": (lambda n: n == 1, "exactly one token"),
+    "t": (lambda n: n <= 1, "at most one token"),
+    "k4": (lambda n: n >= 1, "at least one token"),
+    "d4": (lambda n: n >= 1, "at least one token"),
+    "s4": (lambda n: True, "any number of tokens"),
+}
+
+
+def ref_pf(d: K.Derivation) -> PFormula:
+    """The premise's p-formula conclusion, with a harmless stand-in when the
+    premise concludes an existence assumption (the checker flags that)."""
+    c = d.conclusion
+    if isinstance(c, PFormula):
+        return c
+    return PFormula(Bottom(), c.position)
+
+
+def ref_expected_discharge(
+    n: K.Derivation, idx: int, kind: str, scope_pos: int, shape_ok: bool
+) -> PFormula | EFormula | None:
+    """The content a discharge at this scope must remove, if determinable."""
+    if not shape_ok:
+        return None
+    if n.rule == "imp-i":
+        return n.ante
+    if n.rule == "bot-c":
+        return PFormula(neg(n.target.formula), n.target.position)
+    if n.rule == "or-e":
+        major = ref_pf(n.premises[0])
+        lf = major.formula.left if scope_pos == 0 else major.formula.right
+        return PFormula(lf, major.position)
+    if n.rule == "dia-e":
+        major = ref_pf(n.premises[0])
+        witness = major.position + (n.token,)
+        if kind == "p":
+            return PFormula(major.formula.body, witness)
+        return EFormula(witness)
+    if n.rule == "box-i":
+        prem = ref_pf(n.premises[0])
+        return EFormula(prem.position)
+    return None
+
+
+def ref_check_shape(n: K.Derivation, path, system: K.System, bad) -> bool:
+    """Rule-shape clause; returns False when follow-up checks should skip."""
+    ok = True
+    r = n.rule
+    if r == "hyp":
+        if not n.label:
+            bad(path, r, "assumption leaves need a non-empty label")
+            ok = False
+    elif r == "ehyp":
+        if not n.label:
+            bad(path, r, "assumption leaves need a non-empty label")
+            ok = False
+    elif r == "and-i":
+        l, rr = ref_pf(n.premises[0]), ref_pf(n.premises[1])
+        if l.position != rr.position:
+            bad(path, r, "both premises must sit at the same position")
+            ok = False
+    elif r in ("and-e1", "and-e2"):
+        c = ref_pf(n.premises[0])
+        if not isinstance(c.formula, And):
+            bad(path, r, "premise must conclude a conjunction")
+            ok = False
+    elif r in ("or-i1", "or-i2"):
+        if n.other is None:
+            bad(path, r, "missing the other disjunct")
+            ok = False
+    elif r == "or-e":
+        major = ref_pf(n.premises[0])
+        m1, m2 = ref_pf(n.premises[1]), ref_pf(n.premises[2])
+        if not isinstance(major.formula, Or):
+            bad(path, r, "major premise must conclude a disjunction")
+            ok = False
+        if m1 != m2:
+            bad(path, r, "both case premises must conclude the same p-formula")
+            ok = False
+    elif r == "imp-i":
+        c = ref_pf(n.premises[0])
+        if n.ante is None:
+            bad(path, r, "missing antecedent")
+            ok = False
+        elif n.ante.position != c.position:
+            bad(
+                path,
+                r,
+                "the discharged antecedent must sit at the premise position",
+            )
+            ok = False
+    elif r == "imp-e":
+        major, minor = ref_pf(n.premises[0]), ref_pf(n.premises[1])
+        if not isinstance(major.formula, Imp):
+            bad(path, r, "major premise must conclude an implication")
+            ok = False
+        else:
+            if minor.formula != major.formula.left:
+                bad(path, r, "minor premise must conclude the antecedent")
+                ok = False
+            if minor.position != major.position:
+                bad(path, r, "both premises must sit at the same position")
+                ok = False
+    elif r == "bot-c":
+        c = ref_pf(n.premises[0])
+        if not isinstance(c.formula, Bottom):
+            bad(path, r, "premise must conclude absurdity")
+            ok = False
+        if n.target is None:
+            bad(path, r, "missing conclusion data")
+            ok = False
+    elif r == "bot-i":
+        c = ref_pf(n.premises[0])
+        if not isinstance(c.formula, Bottom):
+            bad(path, r, "premise must conclude absurdity")
+            ok = False
+        if n.target is None:
+            bad(path, r, "missing conclusion data")
+            ok = False
+        else:
+            if not isinstance(n.target.formula, (Atom, Bottom)):
+                bad(path, r, "conclusion must be atomic")
+                ok = False
+            elif (
+                isinstance(n.target.formula, Bottom)
+                and n.target.position == c.position
+            ):
+                bad(
+                    path,
+                    r,
+                    "repositioning absurdity requires a different position",
+                )
+                ok = False
+    elif r == "box-i":
+        c = ref_pf(n.premises[0])
+        if not c.position:
+            bad(path, r, "premise position must be non-empty")
+            ok = False
+        elif n.token is None or c.position[-1] != n.token:
+            bad(
+                path,
+                r,
+                "witness token must be the last token of the premise position",
+            )
+            ok = False
+    elif r == "box-e":
+        c = ref_pf(n.premises[0])
+        if not isinstance(c.formula, Box):
+            bad(path, r, "major premise must conclude a necessity formula")
+            ok = False
+        if n.beta is None:
+            bad(path, r, "missing recorded step suffix")
+            ok = False
+    elif r == "dia-i":
+        c = ref_pf(n.premises[0])
+        if n.beta is None:
+            bad(path, r, "missing recorded step suffix")
+            ok = False
+        else:
+            b = tuple(n.beta)
+            if c.position[len(c.position) - len(b) :] != b:
+                bad(
+                    path,
+                    r,
+                    "premise position must end with the recorded step suffix",
+                )
+                ok = False
+    elif r == "dia-e":
+        major = ref_pf(n.premises[0])
+        if not isinstance(major.formula, Dia):
+            bad(path, r, "major premise must conclude a possibility formula")
+            ok = False
+        if n.token is None:
+            bad(path, r, "missing witness token")
+            ok = False
+    return ok
+
+
+def ref_check_beta(n, path, system: K.System, t_strict: bool, bad) -> None:
+    if n.beta is None:
+        return
+    length = len(n.beta)
+    rule = n.rule
+    pred, desc = REF_BETA_LENGTH[system.logic]
+    if system.logic == "t" and t_strict:
+        pred, desc = (lambda k: k == 1), "exactly one token"
+    if not pred(length):
+        bad(
+            path,
+            rule,
+            f"step constraint for logic {system.logic}: {rule} must record "
+            f"{desc}, got {length}",
+        )
+
+
+def ref_check_e_discipline(n, path, system: K.System, bad) -> None:
+    if system.partial:
+        if len(n.premises) < 2:
+            bad(
+                path,
+                n.rule,
+                f"step constraint for logic {system.logic}: {n.rule} requires "
+                "an existence premise in a partial system",
+            )
+            return
+        eprem = n.premises[1]
+        if eprem.rule != "ehyp":
+            return  # already flagged as a slot violation
+        if n.beta is None:
+            return
+        if n.rule == "box-e":
+            want = concat(ref_pf(n.premises[0]).position, n.beta)
+        else:
+            want = ref_pf(n.premises[0]).position
+        if eprem.conclusion.position != want:
+            bad(
+                path,
+                n.rule,
+                f"existence premise must assume position {print_position(want)}, "
+                f"got {print_position(eprem.conclusion.position)}",
+            )
+    else:
+        if len(n.premises) > 1:
+            bad(
+                path,
+                n.rule,
+                "existence premises are forbidden in total systems",
+            )
 
 
 def reference_check(d, system, *, t_strict_empty_beta=False):
@@ -67,10 +307,10 @@ def reference_check(d, system, *, t_strict_empty_beta=False):
                     "an existence assumption may stand only as the existence "
                     "premise of box-e or dia-i",
                 )
-        shape_ok = K._check_shape(n, path, system, bad)
+        shape_ok = ref_check_shape(n, path, system, bad)
         if n.rule in ("box-e", "dia-i"):
-            K._check_beta(n, path, system, t_strict_empty_beta, bad)
-            K._check_e_discipline(n, path, system, bad)
+            ref_check_beta(n, path, system, t_strict_empty_beta, bad)
+            ref_check_e_discipline(n, path, system, bad)
         if n.rule == "ehyp" and not system.partial:
             bad(path, n.rule, "existence assumptions require a partial system")
         if n.e_discharges and not system.partial:
@@ -79,7 +319,7 @@ def reference_check(d, system, *, t_strict_empty_beta=False):
             bad(path, n.rule, "bot-c is available only in the classical flavor")
 
         for scope_pos, (idx, labels, kind) in enumerate(K._scopes(n)):
-            expected = K._expected_discharge(n, idx, kind, scope_pos, shape_ok)
+            expected = ref_expected_discharge(n, idx, kind, scope_pos, shape_ok)
             opens = prem_opens[idx]
             removed = []
             for (lab, content), cnt in list(opens.items()):
@@ -125,7 +365,7 @@ def reference_check(d, system, *, t_strict_empty_beta=False):
                     "for the remaining open assumptions",
                 )
         if shape_ok and n.rule == "dia-e":
-            proper = K._pf(n.premises[0]).position + (n.token,)
+            proper = ref_pf(n.premises[0]).position + (n.token,)
             gamma = n.conclusion.position if isinstance(n.conclusion, PFormula) else ()
             positions = frozenset(
                 c.position for (_l, c), cnt in prem_opens[1].items() if cnt > 0

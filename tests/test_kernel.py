@@ -75,6 +75,40 @@ def imp_and_chain(depth):
     return d
 
 
+def rule_samples():
+    """One well-formed node per rule, built by its public constructor."""
+    u = K.hyp("u", P, ())
+    return {
+        "hyp": u,
+        "ehyp": K.ehyp("e", ("x",)),
+        "and-i": K.and_i(u, K.hyp("v", Q, ())),
+        "and-e1": K.and_e1(K.hyp("w", And(P, Q), ())),
+        "and-e2": K.and_e2(K.hyp("w", And(P, Q), ())),
+        "or-i1": K.or_i1(Q, u),
+        "or-i2": K.or_i2(Q, u),
+        "or-e": K.or_e(
+            K.hyp("w", Or(P, P), ()), frozenset({"a"}), K.hyp("a", P, ()),
+            frozenset({"b"}), K.hyp("b", P, ()),
+        ),
+        "imp-i": K.imp_i(frozenset({"u"}), u),
+        "imp-e": K.imp_e(K.hyp("f", Imp(P, Q), ()), u),
+        "bot-c": K.bot_c(
+            frozenset({"n"}),
+            K.imp_e(K.hyp("n", Imp(P, Bottom()), ()), u),
+            P,
+            (),
+        ),
+        "bot-i": K.bot_i(K.hyp("z", Bottom(), ()), P, ()),
+        "box-i": K.box_i("x", frozenset(), K.hyp("u", P, ("x",))),
+        "box-e": K.box_e(K.hyp("b", Box(P), ()), ("x",)),
+        "dia-i": K.dia_i(("x",), K.hyp("u", P, ("x",))),
+        "dia-e": K.dia_e(
+            K.hyp("m", Dia(P), ()), "x", frozenset({"a"}), frozenset(),
+            K.bot_i(K.hyp("z", Bottom(), ()), Q, ()),
+        ),
+    }
+
+
 def test_rule_sets():
     assert K.RULES == (
         "hyp", "ehyp", "and-i", "and-e1", "and-e2", "or-i1", "or-i2", "or-e",
@@ -83,6 +117,27 @@ def test_rule_sets():
     assert K.INTRO_RULES == {"and-i", "or-i1", "or-i2", "imp-i", "box-i", "dia-i"}
     assert K.ELIM_RULES == {"and-e1", "and-e2", "or-e", "imp-e", "box-e", "dia-e"}
     assert K.JOIN_RULES == {"or-e", "dia-e"}
+    counts = {r: (s.counts, s.e_slot) for r, s in K._RULE_TABLE.items()}
+    assert counts == {
+        "hyp": ((0,), None), "ehyp": ((0,), None), "and-i": ((2,), None),
+        "and-e1": ((1,), None), "and-e2": ((1,), None), "or-i1": ((1,), None),
+        "or-i2": ((1,), None), "or-e": ((3,), None), "imp-i": ((1,), None),
+        "imp-e": ((2,), None), "bot-c": ((1,), None), "bot-i": ((1,), None),
+        "box-i": ((1,), None), "box-e": ((1, 2), 1), "dia-i": ((1, 2), 1),
+        "dia-e": ((2,), None),
+    }
+    # Every public constructor builds a node that the keyword constructor,
+    # which validates, makes again unchanged.
+    samples = rule_samples()
+    assert [n.rule for n in samples.values()] == list(K.RULES)
+    built = list(samples.values()) + [
+        K.box_e(K.hyp("b", Box(P), ()), ("x",), K.ehyp("e", ("x",))),
+        K.dia_i(("x",), K.hyp("u", P, ("x",)), K.ehyp("e", ("x",))),
+        K.imp_i(frozenset(), K.hyp("u", P, ()), ante=PFormula(Q, ())),
+    ]
+    for n in built:
+        kw = keyword_built(n)
+        assert K._node_data(kw) == K._node_data(n) and kw.premises is n.premises
 
 
 # --- node construction -----------------------------------------------------
@@ -137,13 +192,18 @@ def test_node_takes_the_fields_in_declaration_order():
     assert K._FIELDS == tuple(names[3:])
     leaf = K.hyp("u", P, ("a",))
     values = (
-        "box-e", (leaf,), PFormula(P, ("b",)), "l", leaf.conclusion, None, Q,
+        "box-e", (leaf,), PFormula(P, ("a", "b")), "l", leaf.conclusion, None, Q,
         None, (frozenset({"v"}),), frozenset({"e"}), ("b",), "x",
     )
     n = K._node(*values)
     assert type(n) is K.Derivation
-    assert K._node_data(n) == K._node_data(K.Derivation(*values))
     assert tuple(getattr(n, f) for f in names) == values
+    # The keyword constructor takes the same order; it refuses data in the
+    # fields that box-e does not use.
+    with pytest.raises(ValueError, match="label is not a field of the rule"):
+        K.Derivation(*values)
+    bare = values[:3] + K._DEFAULTS[:-2] + values[-2:-1] + (None,)
+    assert K._node_data(K._node(*bare)) == K._node_data(K.Derivation(*bare))
 
 
 def test_nodes_are_frozen_slotted_and_copy():

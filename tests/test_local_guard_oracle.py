@@ -347,9 +347,7 @@ def test_a_round_walks_only_what_it_rewrote(chain, monkeypatch):
         monkeypatch.setattr(module, "_check_walk", counted)
     monkeypatch.setattr(K, "all_labels", counted_labels)
     searched = []
-    monkeypatch.setattr(
-        N, "_scope_slot", lambda n: searched.append(n) or K._scope_slot(n)
-    )
+    monkeypatch.setattr(N, "_witness", lambda n: searched.append(n) or K._witness(n))
     indexed = []
     monkeypatch.setattr(N, "_preorder", lambda t: indexed.append(t) or K._preorder(t))
     ranked = []
