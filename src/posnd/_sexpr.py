@@ -7,14 +7,17 @@ from ``;`` to end of line.  Parse errors carry 1-based line/column
 information; ``parse_all`` can also record the source location of every
 parsed list for later error reporting.
 
-The reader makes one pass: a single compiled regular expression splits the
-text into parentheses, strings, symbols and comments, and the lists are built
-on an explicit stack, so nesting depth is not bounded by the recursion
-limit.  Character offsets, and the lines and columns computed from them, are
-only looked at where they are reported: list starts when ``locations`` is
-asked for, and errors.  Only ``\\n`` starts a line, except a newline escaped
-by a backslash inside a string, which counts as two columns of the current
-line.
+A single compiled regular expression splits the text into parentheses,
+strings, symbols and comments.  ``parse_all`` builds the lists on an
+explicit stack in one pass, so nesting depth is not bounded by the
+recursion limit.  The proof-file, formula and position readers build their
+values straight from :func:`tokens` instead, in one pass and on explicit
+stacks of their own, through :func:`read_one`: on their first fault they
+stop, and only then are the lists built to place the error.  Character
+offsets, and the lines and columns computed from them, are only looked at
+where they are reported: list starts when ``locations`` is asked for, and
+errors.  Only ``\\n`` starts a line, except a newline escaped by a backslash
+inside a string, which counts as two columns of the current line.
 """
 
 from __future__ import annotations
@@ -85,14 +88,10 @@ def parse_all(
             if not stack:
                 raise _located_error(text)
             items = stack.pop()
-        elif c == '"':
-            if len(tok) == 1:
-                raise _located_error(text)
-            body = tok[1:-1]
-            items.append(QStr(_unescape(body) if "\\" in body else body))
+        elif tok == '"':
+            raise _located_error(text)
         elif c != ";":
-            # ``_reads_as_int``, inlined: this runs once per symbol.
-            items.append(int(tok) if tok.isdigit() and tok.isascii() else tok)
+            items.append(atom(tok))
     if stack:
         raise _located_error(text)
     if opened:
@@ -187,6 +186,90 @@ def _unclosed_string(text: str, quote: int, escaped: list[int]) -> ParseError:
     if end < len(text):
         return _error(text, "unterminated escape", end, escaped)
     return _error(text, "unterminated string", quote, escaped)
+
+
+def tokens(text: str) -> list[str]:
+    """The tokens of ``text`` in order, its comments left out.  A string
+    that never closes is the text's syntax error, raised here."""
+    toks = _TOKEN_RE.findall(text)
+    if '"' in text and '"' in toks:
+        raise _located_error(text)
+    return [t for t in toks if t[0] != ";"] if ";" in text else toks
+
+
+def atom(tok: str) -> object:
+    """The value of a token other than a parenthesis: a ``QStr`` for a
+    string, an ``int`` for ASCII digits, else the symbol itself."""
+    if tok[0] == '"':
+        body = tok[1:-1]
+        return QStr(_unescape(body) if "\\" in body else body)
+    return int(tok) if _reads_as_int(tok) else tok
+
+
+def atom_at(toks: list[str], i: int) -> object:
+    """The value of token ``i``, ``None`` for a parenthesis."""
+    return None if toks[i] in ("(", ")") else atom(toks[i])
+
+
+def skip(toks: list[str], i: int) -> int:
+    """The index after the expression that starts at token ``i``."""
+    depth = 0
+    while True:
+        depth += (toks[i] == "(") - (toks[i] == ")")
+        i += 1
+        if depth <= 0:
+            return i
+
+
+class Fault(Exception):
+    """A token reader's first fault: ``message`` (then the :func:`brief`
+    value of the expression at token ``item``, if given) at the ``(`` that
+    is token ``at`` (-1: line 1, column 1).  ``frames`` hold the checks of
+    the lists it had opened, ``(start, at, check)``: ``check(the list at
+    token start)`` is ``None`` or a message placed at ``at``."""
+
+    def __init__(self, message: str | None, at: int, item: int | None = None):
+        super().__init__(message)
+        self.message, self.at, self.item, self.frames = message, at, item, []
+
+
+def read_one(text: str, read, single=("empty input", "expected a single expression")):
+    """The value of the one expression in ``text``: ``read(tokens)`` gives
+    it with the index after it.  On a :class:`Fault`, or when the tokens run
+    out, the lists are built only to place the error where a reader of
+    ``parse_all``'s lists, which checks a list before its elements, would:
+    the syntax error first, then ``single[0]`` (no expression) or
+    ``single[1]`` (several), then the first message of the fault's frames,
+    outermost first, then the fault itself."""
+    toks = tokens(text)
+    try:
+        value, i = read(toks)
+        if i == len(toks):
+            return value
+        raise Fault(None, -1)
+    except (Fault, IndexError) as exc:
+        fault = exc if isinstance(exc, Fault) else Fault(None, -1)
+    locations: dict[int, tuple[int, int]] = {}
+    forms = parse_all(text, locations)
+    if len(forms) != 1:
+        raise ParseError(single[len(forms) > 1], 1, 1)
+    lists, stack = [], forms
+    while stack:  # the lists in the order of their ``(``
+        x = stack.pop()
+        if isinstance(x, list):
+            lists.append(x)
+            stack += reversed(x)
+    listed = dict(zip((k for k, t in enumerate(toks) if t == "("), lists))
+    message, at = fault.message, fault.at
+    for start, where, check in fault.frames:
+        found = check(listed[start])
+        if found is not None:
+            message, at = found, where
+            break
+    else:
+        if fault.item is not None:
+            message += brief(listed.get(fault.item, atom_at(toks, fault.item)))
+    raise ParseError(message, *(locations[id(listed[at])] if at >= 0 else (1, 1)))
 
 
 def parse_one(text: str) -> object:

@@ -58,7 +58,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import FrozenInstanceError, dataclass
 
 from . import _sexpr
-from ._sexpr import ParseError, QStr, brief
+from ._sexpr import Fault, ParseError, QStr, brief
 from .syntax import (
     Atom,
     Bottom,
@@ -72,9 +72,10 @@ from .syntax import (
     PFormula,
     Position,
     RESERVED_TOKEN_PREFIX,
-    _formula_from_sexpr,
     _formula_to_sexpr,
-    _position_from_sexpr,
+    _read_formula,
+    _read_position,
+    _word,
     concat,
     neg,
     parse_formula,
@@ -371,8 +372,9 @@ ELIM_RULES = frozenset(r for r, s in _RULE_TABLE.items() if s.elim)
 JOIN_RULES = frozenset(r for r, s in _RULE_TABLE.items() if s.minors)
 
 #: A name the s-expression reader reads back as one symbol (unless it is all
-#: ASCII digits, which reads as an integer).
+#: ASCII digits, which reads as an integer), and one it reads back as a label.
 _SYMBOL_RE = re.compile(r'[^\s();"]+')
+_LABEL_RE = re.compile(r'(?![0-9]+\Z)[^\s();"]+')
 
 
 @dataclass(frozen=True)
@@ -690,6 +692,15 @@ def _malformed(n: Derivation) -> str | None:
     if len(n.discharges) != sets:
         s = "" if sets == 1 else "s"
         return f"expects {sets} discharge label set{s}, got {len(n.discharges)}"
+    labels = [*([n.label] if n.label is not None else ()), *n.e_discharges]
+    fault = _label_fault(labels + [x for s in n.discharges for x in s])
+    if fault:
+        return fault
+    t = n.token
+    if t is not None and not (
+        isinstance(t, str) and (valid_user_token(t) or _reserved_index(t))
+    ):
+        return f"token {t!r} cannot be written in a proof file"
     want = spec.conclude(n, _pf(n.premises[0]) if k else None)
     kind = EFormula if n.rule == "ehyp" else PFormula
     if not isinstance(want, kind):
@@ -1776,171 +1787,223 @@ def _builtin_dia_dual(a: Formula, partial: bool) -> Derivation:
 
 
 def _valid_label(s: object) -> bool:
-    return (
-        isinstance(s, str)
-        and not isinstance(s, QStr)
-        and _SYMBOL_RE.fullmatch(s) is not None
-    )
+    """Whether a proof file can carry ``s`` as a label: a symbol that does
+    not read as an integer."""
+    return isinstance(s, str) and _LABEL_RE.fullmatch(s) is not None
 
 
-def _loc(locs: dict, form: object, default=(1, 1)) -> tuple[int, int]:
-    return locs.get(id(form), default)
+def _label_fault(labels) -> str | None:
+    for label in labels:
+        if not _valid_label(label):
+            return f"label {label!r} cannot be written in a proof file"
+    return None
 
 
-def parse_proof(text: str) -> tuple[Derivation, System]:
-    """Parse a proof file: ``(proof :system S :flavor F <node>)``."""
-    try:
-        return _proof_from_forms(_sexpr.parse_all(text), {})
-    except ParseError:
-        # The lists' locations are only needed to place an error: read the
-        # text again with them and fail the same way.
-        locs: dict[int, tuple[int, int]] = {}
-        return _proof_from_forms(_sexpr.parse_all(text, locs), locs)
-
-
-def _proof_from_forms(forms: list[object], locs) -> tuple[Derivation, System]:
-    if len(forms) != 1:
-        raise ParseError("expected exactly one proof form", 1, 1)
-    form = forms[0]
-    line, col = _loc(locs, form)
-    if not (isinstance(form, list) and form and form[0] == "proof"):
-        raise ParseError("expected (proof ...)", line, col)
-    rest = form[1:]
-    kv: dict[str, object] = {}
-    while rest and isinstance(rest[0], str) and str(rest[0]).startswith(":"):
-        if len(rest) < 2:
-            raise ParseError(f"missing value for {rest[0]}", line, col)
-        kv[str(rest[0])] = rest[1]
-        rest = rest[2:]
+def _header(toks: list[str]) -> tuple[System, int, int]:
+    """The system a proof file's header names, the token index of its root
+    node and the root's place among the proof form's elements."""
+    if toks[0] != "(":
+        raise Fault("expected (proof ...)", -1)
+    if _sexpr.atom_at(toks, 1) != "proof":
+        raise Fault("expected (proof ...)", 0)
+    kv: dict[str, int] = {}
+    i, place = 2, 1
+    while isinstance(key := _sexpr.atom_at(toks, i), str) and key.startswith(":"):
+        if toks[i + 1] == ")":
+            raise Fault(f"missing value for {key}", 0)
+        kv[str(key)] = i + 1
+        i, place = _sexpr.skip(toks, i + 1), place + 2
     if ":system" not in kv or ":flavor" not in kv:
-        raise ParseError("proof header needs :system and :flavor", line, col)
-    logic = kv[":system"]
-    flavor = kv[":flavor"]
-    if logic not in LOGICS:
-        raise ParseError(f"unknown logic {brief(logic)}", line, col)
-    if flavor not in FLAVORS:
-        raise ParseError(f"unknown flavor {brief(flavor)}", line, col)
-    if len(rest) != 1:
-        raise ParseError("proof form needs exactly one root node", line, col)
-    node = _read_node(rest[0], locs)
-    return node, System(str(logic), str(flavor))
+        raise Fault("proof header needs :system and :flavor", 0)
+    names = []
+    for key, allowed, what in ((":system", LOGICS, "logic"), (":flavor", FLAVORS, "flavor")):
+        name = _sexpr.atom_at(toks, kv[key])
+        if name not in allowed:
+            raise Fault(f"unknown {what} ", 0, kv[key])
+        names.append(str(name))
+    if toks[i] == ")":
+        raise Fault(_ONE_ROOT, 0)
+    return System(*names), i, place
 
 
-def _parse_pos(form: object, locs, ctx: object) -> Position:
-    if not isinstance(form, list):
-        raise ParseError("expected a position (tok ...)", *_loc(locs, ctx))
-    try:
-        return _position_from_sexpr(form)
-    except ParseError as exc:
-        raise ParseError(exc.message, *_loc(locs, form)) from None
-
-
-def _parse_labels(form: object, locs, ctx: object) -> frozenset[str]:
-    if not isinstance(form, list):
-        raise ParseError("expected a label list (...)", *_loc(locs, ctx))
-    labels = []
-    for item in form:
-        if not _valid_label(item):
-            raise ParseError(f"invalid label {brief(item)}", *_loc(locs, form))
-        labels.append(str(item))
-    if len(set(labels)) != len(labels):
-        raise ParseError("duplicate label in label list", *_loc(locs, form))
-    return frozenset(labels)
-
-
-def _parse_formula_form(form: object, locs, ctx: object) -> Formula:
-    try:
-        if isinstance(form, QStr):
-            # A bare quoted atom is read as formula text: "(and p q)" is a
-            # conjunction, "a b" two expressions.
-            return parse_formula(form)
-        return _formula_from_sexpr(form)
-    except ParseError as exc:
-        where = _loc(locs, form if isinstance(form, list) else ctx)
-        raise ParseError(exc.message, *where) from None
-
-
-#: Where the reader's field list keeps the fields it fills by name.
-_LABEL, _ANTE, _DISCHARGES, _E_DISCHARGES, _TOKEN = (
-    _SLOT[f] for f in ("label", "ante", "discharges", "e_discharges", "token")
-)
-
-
-def _open_node(form: object, locs) -> tuple:
-    """A reader frame for the rule application ``form``: its rule, argument
-    count and witness tokens are validated here, before any argument.  The
-    node's fields are read into a list in ``_FIELDS`` order, from their
-    defaults, and passed to ``_mk`` by position."""
-    if not (isinstance(form, list) and form and isinstance(form[0], str)):
-        raise ParseError("expected a rule application (rule ...)", *_loc(locs, form))
+def _arguments_fault(form: list) -> str | None:
+    """What is wrong with the argument count or the witness tokens of the
+    rule application ``form``, which the reader checks before its arguments."""
     head = str(form[0])
-    spec = _RULE_TABLE.get(head)
-    if spec is None:
-        raise ParseError(f"unknown rule {head!r}", *_loc(locs, form))
-    args = form[1:]
+    spec, args = _RULE_TABLE[head], form[1:]
     n = len(spec.args)
     if len(args) != n and (not spec.optional or len(args) != n - spec.optional):
         message = f"{head} expects {spec.arity}"
         if not spec.optional:
             message += f" ({n} argument{'s' if n != 1 else ''}, got {len(args)})"
-        raise ParseError(message, *_loc(locs, form))
+        return message
     for i in spec.tokens:
         tok = args[i]
         if not valid_user_token(str(tok) if not isinstance(tok, list) else ""):
-            raise ParseError(f"invalid token {brief(tok)}", *_loc(locs, form))
-    return form, head, spec, zip(spec.args, args), [], list(_DEFAULTS)
+            return f"invalid token {brief(tok)}"
+    return None
 
 
-def _read_node(root: object, locs) -> Derivation:
-    """The derivation written as ``root``, read on an explicit stack.
+def _rule_head(toks: list[str], i: int) -> tuple[str, tuple]:
+    """The rule and plan of the rule application at token ``i``."""
+    if toks[i] != "(":
+        raise Fault("expected a rule application (rule ...)", -1)
+    name = _sexpr.atom_at(toks, i + 1)
+    if not isinstance(name, str):
+        raise Fault("expected a rule application (rule ...)", i)
+    head = str(name)
+    if head not in _PLANS:
+        raise Fault(f"unknown rule {head!r}", i)
+    return head, _PLANS[head]
 
-    Arguments are read left to right, a premise where it stands, so the
-    first malformed argument in file order is the one reported.
+
+def _plan(spec: _Rule) -> tuple:
+    """What the reader does with each argument of a rule: ``(kind, slot)``,
+    the slot a field's index in ``_FIELDS`` or a label list's scope kind,
+    with ``("rest", None)`` before the arguments that may be left out."""
+    plan = [(kind, f[1] if kind == "labels" else _SLOT.get(f)) for kind, f in spec.args]
+    if spec.optional:
+        plan.insert(len(plan) - spec.optional, ("rest", None))
+    return tuple(plan)
+
+
+_PLANS = {rule: _plan(spec) for rule, spec in _RULE_TABLE.items()}
+_ANTE, _DISCHARGES, _E_DISCHARGES, _BETA = (
+    _SLOT[f] for f in ("ante", "discharges", "e_discharges", "beta")
+)
+_ONE_FORM = "expected exactly one proof form"
+_ONE_ROOT = "proof form needs exactly one root node"
+
+
+def parse_proof(text: str) -> tuple[Derivation, System]:
+    """Parse a proof file: ``(proof :system S :flavor F <node>)``.
+
+    The tokens are read once, in file order and on an explicit stack, and
+    each node is built by ``_node`` when its ``)`` is read.  Formulas,
+    p-formulas, label sets, labels and tokens that repeat are read once and
+    shared.  On the first fault, ``_sexpr.read_one`` reports what a reader
+    of ``parse_all``'s lists would: a syntax error or a wrong number of
+    forms, then the header's root count and each open node's argument count
+    and witness tokens, outermost first, then the fault.
     """
-    stack: list[tuple] = []
-    frame = _open_node(root, locs)
-    while True:
-        form, head, spec, args, prems, fields = frame
-        for (kind, fld), x in args:
-            if kind == "premise":
-                stack.append(frame)
-                frame = _open_node(x, locs)
-                break
-            if kind == "formula":
-                fields[_SLOT[fld]] = _parse_formula_form(x, locs, form)
-            elif kind == "position":
-                pos = _parse_pos(x, locs, form)
-                i = _SLOT[fld]
-                if fields[i] is not None:  # after its formula
-                    fields[i] = PFormula(fields[i], pos)
-                else:
-                    fields[i] = pos if fld == "beta" else EFormula(pos)
-            elif kind == "label":
-                if not _valid_label(x):
-                    raise ParseError(f"invalid label {brief(x)}", *_loc(locs, form))
-                fields[_LABEL] = str(x)
-            elif kind == "labels":
-                labels = _parse_labels(x, locs, form)
-                if fld[1] == "p":
-                    fields[_DISCHARGES] += (labels,)
-                else:
-                    fields[_E_DISCHARGES] = labels
+    return _sexpr.read_one(text, _read_proof, (_ONE_FORM, _ONE_FORM))
+
+
+def _read_proof(toks: list[str]) -> tuple[tuple[Derivation, System], int]:
+    """The reader ``parse_proof`` hands to ``_sexpr.read_one``."""
+    stack: list[list] = []  # the open nodes above ``frame``
+    frame, frames = None, []
+    try:
+        system, i, place = _header(toks)
+        frames.append((0, 0, lambda form: None if len(form) == place + 1 else _ONE_ROOT))
+        head, plan = _rule_head(toks, i)
+        # a node's frame: its start, rule, arguments to read, premises and
+        # fields in ``_FIELDS`` order, from their defaults
+        frame = [i, head, iter(plan), [], list(_DEFAULTS)]
+        i += 2
+        forms: dict = {}  # token or (constructor, operand ids) -> formula
+        words: dict = {}  # token -> position or witness token
+        labels: dict = {}  # token -> label
+        sets: dict = {}  # tokens -> label set
+        pfs: dict = {}  # (formula id, position) -> p-formula
+        while True:
+            start, head, args, prems, fields = frame
+            for kind, slot in args:
+                tok = toks[i]
+                if kind == "premise":
+                    head = toks[i + 1]
+                    plan = _PLANS.get(head)
+                    if plan is None or tok != "(":
+                        head, plan = _rule_head(toks, i)
+                    stack.append(frame)
+                    frame = [i, head, iter(plan), [], list(_DEFAULTS)]
+                    i += 2
+                    break
+                if kind == "formula":
+                    f = forms.get(tok)
+                    if f is not None:
+                        i += 1
+                    elif tok[0] == '"':  # formula text
+                        try:
+                            f = parse_formula(_sexpr.atom(tok))
+                        except ParseError as exc:
+                            raise Fault(exc.message, start) from None
+                        i += 1
+                    else:
+                        f, i = _read_formula(toks, i, forms, i if tok == "(" else start)
+                    fields[slot] = f
+                elif kind == "position":
+                    if tok != "(":
+                        raise Fault("expected a position (tok ...)", start)
+                    pos, i = _read_position(toks, i, words, i)
+                    f = fields[slot]
+                    if f is None:
+                        fields[slot] = pos if slot == _BETA else EFormula(pos)
+                    else:  # after its formula
+                        pf = pfs.get((id(f), pos))
+                        if pf is None:
+                            pf = pfs[id(f), pos] = PFormula(f, pos)
+                        fields[slot] = pf
+                elif kind == "label":
+                    if tok not in labels:
+                        if not _valid_label(tok):
+                            raise Fault("invalid label ", start, i)
+                        labels[tok] = tok
+                    fields[slot] = labels[tok]
+                    i += 1
+                elif kind == "labels":
+                    if tok != "(":
+                        raise Fault("expected a label list (...)", start)
+                    j = _sexpr.skip(toks, i) - 1
+                    key = tuple(toks[i + 1 : j])
+                    got = sets.get(key)
+                    if got is None:
+                        for k in range(i + 1, j):
+                            if toks[k] not in labels:
+                                if not _valid_label(toks[k]):
+                                    raise Fault("invalid label ", i, k)
+                                labels[toks[k]] = toks[k]
+                        got = sets[key] = frozenset(key)
+                        if len(got) != len(key):
+                            raise Fault("duplicate label in label list", i)
+                    if slot == "p":
+                        fields[_DISCHARGES] += (got,)
+                    else:
+                        fields[_E_DISCHARGES] = got
+                    i = j + 1
+                elif kind == "token":
+                    word = words[tok] = words.get(tok) or _word(tok)
+                    if word is None:
+                        raise Fault(None, start)
+                    fields[slot] = word
+                    i += 1
+                elif tok == ")":  # the optional arguments are left out
+                    for _ in args:
+                        pass
             else:
-                fields[_TOKEN] = str(x)
-        else:
-            if head == "imp-i" and fields[_ANTE] is None:
-                fields[_ANTE] = _first_bound(prems[0], fields[_DISCHARGES][0])
-                if fields[_ANTE] is None:
-                    raise ParseError(
-                        "imp-i discharges no open assumption; give the antecedent "
-                        "formula and position explicitly",
-                        *_loc(locs, form),
-                    )
-            node = _mk(head, tuple(prems), *fields)
-            if not stack:
-                return node
-            frame = stack.pop()
-            frame[4].append(node)
+                if toks[i] != ")":
+                    raise Fault(None, start)
+                i += 1
+                if head == "imp-i" and fields[_ANTE] is None:
+                    fields[_ANTE] = _first_bound(prems[0], fields[_DISCHARGES][0])
+                    if fields[_ANTE] is None:
+                        raise Fault(
+                            "imp-i discharges no open assumption; give the antecedent "
+                            "formula and position explicitly",
+                            start,
+                        )
+                node = _node(head, tuple(prems), None, *fields)
+                if not stack:
+                    break
+                frame = stack.pop()
+                frame[3].append(node)
+        if toks[i] != ")":
+            raise Fault(None, -1)
+        return (node, system), i + 1
+    except Fault as fault:
+        nodes = stack + [frame] if frame else []
+        fault.frames[:0] = frames + [(n[0], n[0], _arguments_fault) for n in nodes]
+        raise
 
 
 def sanitize_tokens(d: Derivation) -> Derivation:
@@ -2004,7 +2067,10 @@ def _node_args(n: Derivation):
             yield n.premises[fld]
         elif kind == "labels":
             _slot, scope, j = fld
-            yield sorted(n.discharges[j] if scope == "p" else n.e_discharges)
+            labels = sorted(n.discharges[j] if scope == "p" else n.e_discharges)
+            if _label_fault(labels):
+                raise ValueError(_label_fault(labels))
+            yield labels
         elif kind == "formula":
             v = getattr(n, fld)
             yield _formula_form(v.formula if isinstance(v, PFormula) else v)
@@ -2012,25 +2078,36 @@ def _node_args(n: Derivation):
             v = getattr(n, fld)
             yield _pos_form(v.position if fld != "beta" else v or ())
         else:
+            if kind == "label" and _label_fault([n.label]):
+                raise ValueError(_label_fault([n.label]))
             yield getattr(n, fld)
+
+
+#: The deepest indentation ``print_proof`` writes, in levels of two spaces.
+_INDENT_LIMIT = 32
 
 
 def print_proof(d: Derivation, system: System) -> str:
     """Serialize a derivation; reserved tokens are renamed first so the
-    output always re-parses.
+    output always re-parses, and a label it cannot write raises
+    ``ValueError``.
 
     Each premise starts a line of its own, indented one level deeper than
-    its conclusion; every other argument follows on the current line.
+    its conclusion up to ``_INDENT_LIMIT`` levels, so the text grows
+    linearly with the tree at any depth; every other argument follows on
+    the current line.
     """
     clean = sanitize_tokens(d)
     out = [f"(proof :system {system.logic} :flavor {system.flavor}\n  ({clean.rule}"]
-    stack = [(_node_args(clean), 1)]
+    stack = [(_node_args(clean), "\n    ")]  # a node's arguments, its premises' indent
     while stack:
-        args, depth = stack[-1]
+        args, indent = stack[-1]
         for a in args:
             if isinstance(a, Derivation):
-                out.append("\n" + "  " * (depth + 1) + "(" + a.rule)
-                stack.append((_node_args(a), depth + 1))
+                out.append(indent + "(" + a.rule)
+                if len(indent) < 2 * _INDENT_LIMIT:
+                    indent += "  "
+                stack.append((_node_args(a), indent))
                 break
             out.append(" " + _sexpr.dump(a))
         else:

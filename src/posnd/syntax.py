@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 
 from . import _sexpr
-from ._sexpr import ParseError, brief
+from ._sexpr import Fault, ParseError
 
 __all__ = [
     "Token",
@@ -195,33 +195,83 @@ def valid_user_token(tok: str) -> bool:
 _USER_TOKEN_RE = re.compile(r"[^\s();]+")
 
 
-def _formula_from_sexpr(form: object) -> Formula:
-    if isinstance(form, str):
-        if form == "bot":
-            return Bottom()
-        if form in _RESERVED_WORDS or form.startswith(":") or form.startswith("("):
-            raise ParseError(f"invalid atom name {form!r}", 1, 1)
-        return Atom(form)
-    if isinstance(form, int):
-        return Atom(str(form))
-    if isinstance(form, list) and form and isinstance(form[0], str):
-        head = form[0]
-        if head in ("and", "or", "imp"):
-            if len(form) != 3:
-                raise ParseError(f"({head} ...) takes two operands", 1, 1)
-            ctor = {"and": And, "or": Or, "imp": Imp}[head]
-            return ctor(_formula_from_sexpr(form[1]), _formula_from_sexpr(form[2]))
-        if head == "not":
-            if len(form) != 2:
-                raise ParseError("(not ...) takes one operand", 1, 1)
-            return neg(_formula_from_sexpr(form[1]))
-        if head in ("box", "dia"):
-            if len(form) != 2:
-                raise ParseError(f"({head} ...) takes one operand", 1, 1)
-            ctor = {"box": Box, "dia": Dia}[head]
-            return ctor(_formula_from_sexpr(form[1]))
-        raise ParseError(f"unknown formula head {head!r}", 1, 1)
-    raise ParseError(f"not a formula: {brief(form)}", 1, 1)
+#: The connectives by head: constructor and number of operands.
+_CONNECTIVES = {
+    "and": (And, 2), "or": (Or, 2), "imp": (Imp, 2), "not": (neg, 1), "box": (Box, 1),
+    "dia": (Dia, 1),
+}
+
+
+def _atom_formula(tok: str, at: int) -> Formula:
+    """The formula a token other than ``(`` stands for."""
+    if tok[0] not in '":)' and tok not in _RESERVED_WORDS and not tok.isdigit():
+        return Atom(tok)
+    if tok == ")":
+        raise Fault(None, at)
+    name = _sexpr.atom(tok)
+    if isinstance(name, int):
+        return Atom(str(name))
+    if name == "bot":
+        return Bottom()
+    if name in _RESERVED_WORDS or name.startswith((":", "(")):
+        raise Fault(f"invalid atom name {name!r}", at)
+    return Atom(name)
+
+
+def _connective(toks: list[str], i: int, at: int) -> tuple:
+    """The connective of the formula list at token ``i``."""
+    name = _sexpr.atom_at(toks, i + 1)
+    if not isinstance(name, str):
+        raise Fault("not a formula: ", at, i)
+    if name not in _CONNECTIVES:
+        raise Fault(f"unknown formula head {name!r}", at)
+    return _CONNECTIVES[name]
+
+
+def _operand_fault(form: list) -> str | None:
+    n = _CONNECTIVES[form[0]][1]
+    if len(form) != n + 1:
+        return f"({form[0]} ...) takes " + ("two operands" if n == 2 else "one operand")
+    return None
+
+
+def _read_formula(toks: list[str], i: int, memo: dict, at: int) -> tuple[Formula, int]:
+    """The formula that starts at token ``i`` and the index after it, read
+    on an explicit stack.  ``memo`` shares the atoms and subformulas read
+    before; a fault is placed at token ``at``."""
+    stack: list = []  # open lists: (start, constructor, operand count, operands)
+    try:
+        while True:
+            tok = toks[i]
+            i += 1
+            f = memo.get(tok)
+            if f is None:
+                if tok == "(":
+                    ctor, n = _CONNECTIVES.get(toks[i]) or _connective(toks, i - 1, at)
+                    stack.append((i - 1, ctor, n, []))
+                    i += 1
+                    continue
+                f = _atom_formula(tok, at)
+                if tok[0] != '"':  # a string is formula text at a file's top level
+                    memo[tok] = f
+            while stack:
+                _start, ctor, n, ops = stack[-1]
+                ops.append(f)
+                if len(ops) < n:
+                    break
+                if toks[i] != ")":
+                    raise Fault(None, at)
+                i += 1
+                stack.pop()
+                key = (ctor, id(ops[0]), id(ops[-1]))
+                f = memo.get(key)
+                if f is None:
+                    f = memo[key] = ctor(*ops)
+            else:
+                return f, i
+    except Fault as fault:
+        fault.frames += [(frame[0], at, _operand_fault) for frame in stack]
+        raise
 
 
 def _formula_to_sexpr(f: Formula) -> object:
@@ -246,31 +296,46 @@ def parse_formula(text: str) -> Formula:
     """Parse the concrete formula syntax.  ``(not F)`` is accepted and read as
     ``(imp F bot)``; the printer never emits the sugar, so printing then
     parsing is the identity on values."""
-    return _formula_from_sexpr(_sexpr.parse_one(text))
+    return _sexpr.read_one(text, lambda toks: _read_formula(toks, 0, {}, -1))
 
 
 def print_formula(f: Formula) -> str:
     return _sexpr.dump(_formula_to_sexpr(f))
 
 
-def _position_from_sexpr(form: object) -> Position:
-    if not isinstance(form, list):
-        raise ParseError(f"not a position: {form!r}", 1, 1)
-    toks: list[str] = []
-    for item in form:
-        if isinstance(item, list):
-            raise ParseError(f"invalid position token {brief(item)}", 1, 1)
-        tok = str(item)
-        if not valid_user_token(tok):
-            raise ParseError(f"invalid position token {tok!r}", 1, 1)
-        toks.append(tok)
-    return tuple(toks)
+def _word(tok: str) -> str | None:
+    """The position token a token other than ``)`` stands for, ``None`` if it
+    is not a valid one."""
+    word = "" if tok == "(" else str(_sexpr.atom(tok))
+    return word if valid_user_token(word) else None
+
+
+def _read_position(toks: list[str], i: int, words: dict, at: int) -> tuple[Position, int]:
+    """The position whose ``(`` is token ``i`` and the index after its ``)``.
+    ``words`` shares the tokens read before; a fault is placed at token
+    ``at``."""
+    if toks[i + 1] == ")":
+        return (), i + 2
+    j = _sexpr.skip(toks, i) - 1
+    pos = toks[i + 1 : j]
+    for k, tok in enumerate(pos):
+        word = pos[k] = words.get(tok) or _word(tok)
+        if word is None:
+            raise Fault("invalid position token ", at, i + 1 + k)
+        words[tok] = word
+    return tuple(pos), j + 1
 
 
 def parse_position(text: str) -> Position:
     """Parse ``(tok1 tok2 ...)``; ``()`` is the empty position.  Tokens with
     the reserved ``_`` prefix are rejected."""
-    return _position_from_sexpr(_sexpr.parse_one(text))
+
+    def read(toks: list[str]) -> tuple[Position, int]:
+        if toks[0] != "(":
+            raise Fault("not a position: ", -1, 0)
+        return _read_position(toks, 0, {}, -1)
+
+    return _sexpr.read_one(text, read)
 
 
 def print_position(p: Position) -> str:

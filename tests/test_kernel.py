@@ -25,6 +25,8 @@ from posnd.syntax import (
     EFormula,
     PFormula,
     neg,
+    parse_formula,
+    parse_position,
     prefix_replace,
 )
 
@@ -1029,6 +1031,43 @@ def test_deep_proofs_round_trip_through_files():
         assert d2 == d
         assert K.check(d2, system).ok
         assert K.print_proof(d2, system) == text
+
+
+def test_reading_takes_any_depth():
+    assert sys.getrecursionlimit() < 2000
+    n = 100_000
+    deep = "(box " * n + "p" + ")" * n
+    d, system = K.parse_proof(f"(proof :system s4 :flavor classical (hyp u {deep} ()))")
+    for f in (d.content.formula, parse_formula(deep)):
+        depth = 0
+        while isinstance(f, Box):
+            f, depth = f.body, depth + 1
+        assert (depth, f) == (n, P)
+    with pytest.raises(ParseError, match=r"^line 1, column 1: \(box \.\.\.\) takes one operand"):
+        parse_formula("(box " * n + ")" * n)
+    with pytest.raises(ParseError, match=r"column 44: \(and \.\.\.\) takes two operands"):
+        K.parse_proof(
+            "(proof :system s4 :flavor classical (hyp u "
+            + "(box " * n + "(and p)" + ")" * n + " ()))"
+        )
+    with pytest.raises(ParseError, match=r"invalid position token \(\(\(\(.*\.\.\.$"):
+        parse_position("(" * n + ")" * n)
+    assert parse_position("(" + " x" * n + ")") == ("x",) * n
+    chain = detour_chain(20_000)
+    assert K.parse_proof(K.print_proof(chain, S4)) == (chain, S4)
+
+
+def test_printed_size_is_linear_in_depth():
+    sizes = []
+    for depth in (1000, 2000, 4000):
+        d = detour_chain(depth)
+        text = K.print_proof(d, S4)
+        assert K.parse_proof(text) == (d, S4)
+        assert max(len(line) - len(line.lstrip(" ")) for line in text.splitlines()) == (
+            2 * K._INDENT_LIMIT
+        )
+        sizes.append(len(text))
+    assert 1.9 < sizes[1] / sizes[0] < 2.1 and 1.9 < sizes[2] / sizes[1] < 2.1
 
 
 def test_print_proof_deterministic():

@@ -28,6 +28,7 @@ from test_freshen_oracle import coherent_trees
 from test_kernel import built_trees, rule_samples
 
 P, Q = Atom("p"), Atom("q")
+S4 = K.System("s4", "classical")
 SYSTEMS = [K.System(lg, fl) for lg in K.LOGICS for fl in K.FLAVORS]
 
 
@@ -197,6 +198,48 @@ REFUSED = [
 def test_the_keyword_constructor_refuses(build, fault):
     with pytest.raises(ValueError, match=fault):
         build(K.hyp("u", P, ()))
+
+
+UNWRITABLE = [
+    (lambda: K.hyp("a b", P, ()), "label 'a b'"),
+    (lambda: K.ehyp("007", ("x",)), "label '007'"),
+    (lambda: K.imp_i(frozenset({"(u"}), K.hyp("(u", P, ())), "label '\\(u'"),
+    (lambda: K.box_i("x", frozenset({'"e"'}), K.hyp("u", P, ("x",))), "label '\"e\"'"),
+    (lambda: K.box_i("x y", frozenset(), K.hyp("u", P, ("x y",))), "token 'x y'"),
+    (
+        lambda: K.dia_e(
+            K.hyp("d", Dia(P), ()), ":w", frozenset(), frozenset(), K.hyp("v", Q, ())
+        ),
+        "token ':w'",
+    ),
+]
+
+
+@pytest.mark.parametrize("build,fault", UNWRITABLE, ids=[f for _b, f in UNWRITABLE])
+def test_the_keyword_constructor_refuses_what_a_proof_file_cannot_carry(build, fault):
+    node = build()
+    K.check(node, S4)  # the checker takes it as before
+    with pytest.raises(ValueError, match=fault + " cannot be written in a proof file"):
+        dataclasses.replace(node)
+
+
+def test_the_keyword_constructor_takes_reserved_tokens_and_odd_symbols():
+    for node in (
+        K.box_i("_7", frozenset({"e"}), K.hyp("u", P, ("_7",))),
+        K.hyp("a:b", P, ()),
+        K.hyp("7a", P, ()),
+        K.hyp("٣", P, ()),
+    ):
+        assert dataclasses.replace(node) == node
+
+
+def test_printing_refuses_a_label_it_cannot_write():
+    d = K.imp_i(frozenset({"a b"}), K.hyp("a b", P, ()))
+    assert K.check(d, S4).ok
+    with pytest.raises(ValueError, match="label 'a b' cannot be written in a proof file"):
+        K.print_proof(d, S4)
+    with pytest.raises(ValueError, match="label '12' cannot be written"):
+        K.print_proof(K.hyp("12", P, ()), S4)
 
 
 # --- mutated corpus trees --------------------------------------------------
