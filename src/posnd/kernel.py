@@ -1792,7 +1792,12 @@ def _valid_label(s: object) -> bool:
     return isinstance(s, str) and _LABEL_RE.fullmatch(s) is not None
 
 
-def _label_fault(labels) -> str | None:
+def _label_fault(labels: list) -> str | None:
+    try:  # one pass in C; a label is looked at on its own only on a miss
+        if all(map(_LABEL_RE.fullmatch, labels)):
+            return None
+    except TypeError:  # a label that is not a string
+        pass
     for label in labels:
         if not _valid_label(label):
             return f"label {label!r} cannot be written in a proof file"
@@ -2006,18 +2011,23 @@ def _read_proof(toks: list[str]) -> tuple[tuple[Derivation, System], int]:
         raise
 
 
+def _token_map(d: Derivation) -> dict[str, str]:
+    """Each reserved token of ``d``, sorted, to the next unused ``zN``."""
+    toks = _tokens(d)
+    reserved = sorted(t for t in toks if t.startswith(RESERVED_TOKEN_PREFIX))
+    return dict(zip(reserved, _fresh_names("z", toks)))
+
+
 def sanitize_tokens(d: Derivation) -> Derivation:
     """Rename reserved (machine-generated) tokens to printable fresh ones.
 
     Tokens starting with the reserved prefix are renamed elementwise by a
-    bijection onto unused ordinary tokens, so a printed proof always
-    re-parses to a check-equivalent tree.
+    bijection onto unused ordinary tokens (:func:`_token_map`), so a
+    printed proof always re-parses to a check-equivalent tree.
     """
-    toks = _tokens(d)
-    reserved = sorted(t for t in toks if t.startswith(RESERVED_TOKEN_PREFIX))
-    if not reserved:
+    mapping = _token_map(d)
+    if not mapping:
         return d
-    mapping = dict(zip(reserved, _fresh_names("z", toks)))
     return map_positions(
         d, lambda p: tuple(mapping.get(t, t) for t in p)
     )
@@ -2048,9 +2058,9 @@ def _atoms_read_back(f: Formula) -> bool:
     return True
 
 
-def _node_args(n: Derivation):
+def _node_args(n: Derivation, mapping: dict[str, str]):
     """The file arguments of ``n`` in order: premises as derivations, the
-    others as s-expression values."""
+    others as s-expression values, their tokens renamed by ``mapping``."""
     spec = _RULE_TABLE.get(n.rule)
     if spec is None:
         raise ValueError(f"unknown rule {n.rule!r}")
@@ -2076,11 +2086,14 @@ def _node_args(n: Derivation):
             yield _formula_form(v.formula if isinstance(v, PFormula) else v)
         elif kind == "position":
             v = getattr(n, fld)
-            yield _pos_form(v.position if fld != "beta" else v or ())
+            pos = v.position if fld != "beta" else v or ()
+            yield [mapping.get(t, t) for t in pos] if mapping else list(pos)
+        elif kind == "token":
+            yield mapping.get(n.token, n.token)
         else:
-            if kind == "label" and _label_fault([n.label]):
+            if _label_fault([n.label]):
                 raise ValueError(_label_fault([n.label]))
-            yield getattr(n, fld)
+            yield n.label
 
 
 #: The deepest indentation ``print_proof`` writes, in levels of two spaces.
@@ -2088,18 +2101,18 @@ _INDENT_LIMIT = 32
 
 
 def print_proof(d: Derivation, system: System) -> str:
-    """Serialize a derivation; reserved tokens are renamed first so the
-    output always re-parses, and a label it cannot write raises
-    ``ValueError``.
+    """Serialize a derivation; reserved tokens are written as
+    :func:`sanitize_tokens` renames them, so the output always re-parses,
+    and a label it cannot write raises ``ValueError``.
 
     Each premise starts a line of its own, indented one level deeper than
     its conclusion up to ``_INDENT_LIMIT`` levels, so the text grows
     linearly with the tree at any depth; every other argument follows on
     the current line.
     """
-    clean = sanitize_tokens(d)
-    out = [f"(proof :system {system.logic} :flavor {system.flavor}\n  ({clean.rule}"]
-    stack = [(_node_args(clean), "\n    ")]  # a node's arguments, its premises' indent
+    mapping = _token_map(d)
+    out = [f"(proof :system {system.logic} :flavor {system.flavor}\n  ({d.rule}"]
+    stack = [(_node_args(d, mapping), "\n    ")]  # a node's arguments, its premises' indent
     while stack:
         args, indent = stack[-1]
         for a in args:
@@ -2107,7 +2120,7 @@ def print_proof(d: Derivation, system: System) -> str:
                 out.append(indent + "(" + a.rule)
                 if len(indent) < 2 * _INDENT_LIMIT:
                     indent += "  "
-                stack.append((_node_args(a), indent))
+                stack.append((_node_args(a, mapping), indent))
                 break
             out.append(" " + _sexpr.dump(a))
         else:
@@ -2118,45 +2131,21 @@ def print_proof(d: Derivation, system: System) -> str:
 
 
 def print_check_report(report: CheckReport) -> str:
-    """Serialize a check report as a single s-expression."""
-    viol_forms = []
-    for v in report.violations:
-        viol_forms.append(
-            [
-                "violation",
-                ":path",
-                list(v.path),
-                ":rule",
-                v.rule,
-                ":condition",
-                QStr(v.message),
-            ]
-        )
-    open_forms = []
-    for a in report.open_assumptions:
-        if isinstance(a.content, EFormula):
-            open_forms.append(
-                ["open", ":label", a.label, ":exists", _pos_form(a.content.position)]
-            )
-        else:
-            open_forms.append(
-                [
-                    "open",
-                    ":label",
-                    a.label,
-                    ":formula",
-                    _formula_form(a.content.formula),
-                    ":position",
-                    _pos_form(a.content.position),
-                ]
-            )
-    form = [
-        "check-report",
-        ":ok",
-        report.ok,
-        ":violations",
-        viol_forms,
-        ":open",
-        open_forms,
+    """Serialize a check report as a single s-expression; an open label it
+    cannot write raises ``ValueError``, as in :func:`print_proof`."""
+    fault = _label_fault([a.label for a in report.open_assumptions])
+    if fault:
+        raise ValueError(fault)
+    viol_forms = [
+        ["violation", ":path", list(v.path), ":rule", v.rule, ":condition", QStr(v.message)]
+        for v in report.violations
     ]
+    open_forms = [
+        ["open", ":label", a.label, ":exists", _pos_form(a.content.position)]
+        if isinstance(a.content, EFormula)
+        else ["open", ":label", a.label, ":formula", _formula_form(a.content.formula),
+              ":position", _pos_form(a.content.position)]
+        for a in report.open_assumptions
+    ]
+    form = ["check-report", ":ok", report.ok, ":violations", viol_forms, ":open", open_forms]
     return _sexpr.dump(form) + "\n"

@@ -23,9 +23,14 @@ entry (``normalize``, ``reduce_once``, ``contract_proper``,
 ``contract_commutative``): the entry checks its input and freshens it once,
 which gives every witness its own reserved token, and the state holds the
 current tree with three things kept of it across contractions: a count of
-its labels, outside which copies draw fresh discharge labels; the kernel's
-pre-order index (``_preorder``); and its cuts.  ``normalize`` and
+its labels, outside which a renaming draws fresh discharge labels; the
+kernel's pre-order index (``_preorder``); and its cuts.  ``normalize`` and
 ``reduce_once`` contract only through ``_step``, which selects from them.
+
+A contraction renames binders only where they would capture a label open
+in what it moves (``_plugged``, ``_commute_node``); otherwise bodies are
+plugged as they are and copies keep their labels, for ``check`` scopes
+each discharge to its premise.
 
 A contraction rewrites one subtree and is accepted by a local guard
 (``_accepted``) instead of a check of the whole result: by subject
@@ -56,8 +61,10 @@ Paths are built only for what leaves the module.  Every walk is iterative.
 A step costs the sizes of the replaced and the rewritten subtree; the
 redex's depth, for the path above it; and time linear in the tree, with a
 small constant, for selecting a cut and for splicing the index's lists.
-So ``n`` nested detours take time quadratic in ``n``, and so do ``n``
-commutations after the last cut, each a step of its own.
+Without a clash it builds only the paths to the plugged leaves, or the
+split's root and the elimination's copies.  So ``n`` nested detours take
+time quadratic in ``n``, and so do ``n`` commutations after the last cut,
+each a step of its own.
 """
 
 from __future__ import annotations
@@ -80,6 +87,7 @@ from .kernel import (
     _preorder,
     _rebuilt,
     _relabel_binders,
+    _scopes,
     _substitute,
     _walk,
     _witness,
@@ -357,12 +365,12 @@ def _tally(labels: list[str], census: dict[str, int], step: int) -> None:
             del census[lab]
 
 
-def _open_pairs(old: Derivation) -> set:
+def _open_pairs(old: Derivation, bound: frozenset[str] = frozenset()) -> set:
     """The ``(label, content)`` pairs open in ``old`` as ``check`` counts
-    them: a leaf is open unless a node above it in ``old`` discharges its
-    label over the premise it stands in."""
+    them: a leaf is open unless its label is in ``bound`` or a node above
+    it in ``old`` discharges it over the premise it stands in."""
     opens = set()
-    stack = [(old, frozenset())]
+    stack = [(old, bound)]
     while stack:
         n, bound = stack.pop()
         if n.label is not None and n.label not in bound:
@@ -378,6 +386,15 @@ def _open_pairs(old: Derivation) -> set:
         else:
             stack += ((p, bound) for p in n.premises)
     return opens
+
+
+def _captures(nodes, moved) -> bool:
+    """Whether one of ``nodes`` discharges a label open in the ``(subtree,
+    labels bound over it)`` pairs ``moved``, read only if one discharges any."""
+    binds = {lab for n in nodes for s in (*n.discharges, n.e_discharges) for lab in s}
+    return bool(binds) and not binds.isdisjoint(
+        lab for sub, bound in moved for lab, _ in _open_pairs(sub, bound)
+    )
 
 
 class _Kept:
@@ -562,6 +579,16 @@ def _accepted(st: _Kept, at: Occurrence, new: Derivation, what: str) -> Derivati
 # --- proper contraction ----------------------------------------------------
 
 
+def _plugged(body: Derivation, fresh, *plugs) -> Derivation:
+    """``body`` with each ``(labels, replacement, kind)`` of ``plugs`` plugged
+    in turn, its binders renamed from ``fresh`` first if one could capture."""
+    if _captures(body, [(r, frozenset()) for _, r, _ in plugs]):
+        body = _relabel_binders(body, fresh)
+    for labels, replacement, kind in plugs:
+        body = plug(body, labels, replacement, kind)
+    return body
+
+
 def _contract_proper_core(
     d: Derivation, elim_path: Occurrence, census: dict[str, int]
 ) -> Derivation:
@@ -577,29 +604,25 @@ def _contract_proper_core(
     elif r == "and-e2":
         new = I.premises[1]
     elif r == "imp-e":
-        skel = _relabel_binders(I.premises[0], fresh)
-        new = plug(skel, I.discharges[0], R.premises[1], "p")
+        new = _plugged(I.premises[0], fresh, (I.discharges[0], R.premises[1], "p"))
     elif r == "or-e":
         if I.rule == "or-i1":
             slot, labels = 1, R.discharges[0]
         else:
             slot, labels = 2, R.discharges[1]
-        skel = _relabel_binders(R.premises[slot], fresh)
-        new = plug(skel, labels, I.premises[0], "p")
+        new = _plugged(R.premises[slot], fresh, (labels, I.premises[0], "p"))
     elif r == "box-e":
         alpha = I.conclusion.position
         witness = alpha + (I.token,)
         new = _substitute(I.premises[0], witness, alpha + tuple(R.beta or ()))
         if I.e_discharges:
-            new = plug(new, I.e_discharges, R.premises[1], "e")
+            new = _plugged(new, fresh, (I.e_discharges, R.premises[1], "e"))
     elif r == "dia-e":
         alpha = I.conclusion.position
         witness = alpha + (R.token,)
         mapped = _substitute(R.premises[1], witness, alpha + tuple(I.beta or ()))
-        skel = _relabel_binders(mapped, fresh)
-        if R.e_discharges:
-            skel = plug(skel, R.e_discharges, I.premises[1], "e")
-        new = plug(skel, R.discharges[0], I.premises[0], "p")
+        plugs = [(R.e_discharges, I.premises[1], "e")] if R.e_discharges else []
+        new = _plugged(mapped, fresh, *plugs, (R.discharges[0], I.premises[0], "p"))
     else:  # pragma: no cover - guarded by the caller
         raise NotARedex(f"no proper contraction for rule {r!r}")
     return new
@@ -660,21 +683,20 @@ def _contract_proper(st: _Kept, at: Occurrence) -> Derivation:
 def _commute_node(R: Derivation, forbidden) -> Derivation:
     """Push the elimination ``R`` into the minors of its case-split major.
 
-    The major's binders and then each copy of ``R`` are relabelled with
-    fresh names outside ``forbidden``, which must hold the labels of ``R``,
-    and outside the names drawn before them."""
-    drawn: set[str] = set()
-
-    def fresh():
-        for name in _fresh_names("l", forbidden, drawn):
-            drawn.add(name)
-            yield name
-
-    J = _relabel_binders(R.premises[0], fresh())
-    sides = R.premises[1:]
+    The side premises of ``R`` move under the discharges at the major's
+    root.  Only if one of those could capture a label open in them (in
+    ``R``) are the major's binders renamed, with fresh names outside
+    ``forbidden``, which must hold the labels of ``R``; the copies of ``R``
+    keep their labels."""
+    J, sides = R.premises[0], R.premises[1:]
+    bound = [frozenset()] * len(R.premises)
+    for slot, labels, _ in _scopes(R):
+        bound[slot] |= labels
+    if _captures([J], zip(sides, bound[1:])):
+        J = _relabel_binders(J, _fresh_names("l", forbidden))
     prems = list(J.premises)
     for s in _RULE_TABLE[J.rule].minors:
-        prems[s] = _relabel_binders(_rebuilt(R, (J.premises[s],) + sides), fresh())
+        prems[s] = _rebuilt(R, (J.premises[s],) + sides)
     return _rebuilt(J, prems)
 
 
@@ -690,12 +712,12 @@ def contract_commutative(
     Raises :class:`NotApplicable` unless the addressed node is an elimination
     whose major premise is an ``or-e``/``dia-e`` conclusion.  The conclusion
     is preserved; every segment running through that conclusion shrinks by
-    one, and side premises of the elimination are duplicated per minor (their
-    discharge labels are renamed fresh to stay unique).
+    one, and side premises of the elimination are duplicated per minor, the
+    copies keeping their discharge labels (see :func:`_commute_node`).
     """
     _require_commutable(d, at)
     st = _entry(d, system, t_strict_empty_beta, "contract_commutative")
-    return _contract_commutative(st, at, st.census)
+    return _contract_commutative(st, at)
 
 
 def _require_commutable(d: Derivation, at: Occurrence) -> None:
@@ -712,11 +734,11 @@ def _require_commutable(d: Derivation, at: Occurrence) -> None:
         )
 
 
-def _contract_commutative(st: _Kept, at: Occurrence, forbidden) -> Derivation:
+def _contract_commutative(st: _Kept, at: Occurrence) -> Derivation:
     """:func:`contract_commutative` at ``at`` of the current tree of ``st``,
-    drawing fresh labels outside ``forbidden`` (see :func:`_commute_node`),
-    with :func:`_accepted`'s result."""
-    new = _commute_node(subtree_at(st.d, at), forbidden)
+    drawing any fresh labels outside its label census (see
+    :func:`_commute_node`), with :func:`_accepted`'s result."""
+    new = _commute_node(subtree_at(st.d, at), st.census)
     return _accepted(st, at, new, "commutative")
 
 
@@ -756,20 +778,16 @@ def _step(st: _Kept) -> tuple[str, Occurrence] | None:
 
     In a cut-free tree, the step commutes the first split in post-order:
     the last kept split, in pre-order, of the leading run in which each lies
-    in the subtree of the one before.  Its fresh labels avoid only the
-    labels of the elimination, read off the kept index.  A commutation captures an assumption only if a binder it
-    renames binds it, and only the elimination's material moves under
-    those binders.  No cut appears, so no proper contraction follows to
-    plug a subtree under a binder that reuses a name from elsewhere.
+    in the subtree of the one before.
     """
-    nodes, parent, slot, end, _ = st.ix
+    _, parent, slot, end, _ = st.ix
     if st.cs:
         seg = _select(st.cs, st.ix)
         at = _path_of(parent[seg[-1]], parent, slot)
         if len(seg) == 1:
             _contract_proper(st, at)
             return "proper", at
-        _contract_commutative(st, at, st.census)
+        _contract_commutative(st, at)
         return "commutative", at
     sp = st.sp
     if not sp:
@@ -779,7 +797,7 @@ def _step(st: _Kept) -> tuple[str, Occurrence] | None:
         k += 1
     a = sp[k]
     at = _path_of(a, parent, slot)
-    _contract_commutative(st, at, set(_label_occurrences(nodes[a : end[a]])))
+    _contract_commutative(st, at)
     return "commutative", at
 
 

@@ -576,12 +576,12 @@ def _mediate(
     return cur
 
 
-def _opens(d: Derivation, below: list) -> frozenset:
-    """The open ``(label, content)`` pairs of ``d`` from those of its
-    premises: a discharge removes its labels whatever their kind, as
-    :func:`posnd.kernel.check` does."""
+def _opens(d: Derivation, concl, below: list) -> frozenset:
+    """The open ``(label, content)`` pairs of ``d``, which concludes
+    ``concl``, from those of its premises: a discharge removes its labels
+    whatever their kind, as :func:`posnd.kernel.check` does."""
     if d.rule in ("hyp", "ehyp"):
-        return frozenset({(d.label, d.conclusion)})
+        return frozenset({(d.label, concl)})
     for slot, labels, _kind in K._scopes(d):
         below[slot] = frozenset(o for o in below[slot] if o[0] not in labels)
     return below[0].union(*below[1:]) if len(below) > 1 else below[0]
@@ -591,11 +591,19 @@ def derivation_to_labelled(d: Derivation, system: System) -> LabelledProofSketch
     """Render a derivation as a labelled sequent-calculus proof sketch.
 
     Each node's open assumptions are gathered bottom-up in the same walk.
-    Reserved tokens are first renamed as :func:`~posnd.kernel.print_proof`
-    renames them (``kernel.sanitize_tokens``), so world names do not depend
-    on how the normalizer numbered its witnesses.
+    Reserved tokens are renamed as the walk reads each position, by the map
+    with which :func:`~posnd.kernel.print_proof` writes them
+    (``kernel._token_map``), so world names do not depend on how the
+    normalizer numbered its witnesses.
     """
     mode = "partial" if system.partial else "total"
+    mapping = K._token_map(d)
+
+    def image(c):
+        if not mapping:
+            return c
+        pos = tuple(mapping.get(t, t) for t in c.position)
+        return PFormula(c.formula, pos) if isinstance(c, PFormula) else EFormula(pos)
 
     def enter(n: Derivation, shown: bool):
         prems = [(p, shown) for p in n.premises]
@@ -606,10 +614,10 @@ def derivation_to_labelled(d: Derivation, system: System) -> LabelledProofSketch
         return prems, shown
 
     def leave(n: Derivation, below: list, shown: bool):
-        opens = _opens(n, [o for _step, o in below])
+        concl = image(n.conclusion)
+        opens = _opens(n, concl, [o for _step, o in below])
         if not shown:
             return None, opens
-        concl = n.conclusion
         if not isinstance(concl, PFormula):
             raise ValueError("existence conclusions have no labelled image")
         jud = judgment_to_labelled([c for _lab, c in opens], concl, mode)
@@ -617,13 +625,13 @@ def derivation_to_labelled(d: Derivation, system: System) -> LabelledProofSketch
         rule = _LABELLED_RULE.get(n.rule, n.rule)
         step_from = K._RULE_TABLE[n.rule].step_from
         if mode == "total" and step_from:
-            start = n.premises[0] if step_from == "premise" else n
-            alpha = tuple(start.conclusion.position)
-            return _mediate(rule, children, jud, alpha, tuple(n.beta)), opens
+            start = image(n.premises[0].conclusion) if step_from == "premise" else concl
+            beta = tuple(mapping.get(t, t) for t in n.beta)
+            return _mediate(rule, children, jud, start.position, beta), opens
         return LabelledStep(rule, children, jud), opens
 
     return LabelledProofSketch(
-        K._walk(K.sanitize_tokens(d), enter, leave, True)[0], mode
+        K._walk(d, enter, leave, True)[0], mode
     )
 
 

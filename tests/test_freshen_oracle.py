@@ -163,6 +163,32 @@ def reserved_canon(d):
     ]
 
 
+def nameless(d):
+    """``reserved_canon(d)`` without the names of bound labels: a leaf
+    whose label a node above it discharges over the premise it stands in
+    (whatever the kind, as ``check`` scopes them) names that node's
+    pre-order number and premise slot, and a discharge set is its size.
+    Free leaves keep their labels, and every other field stays exact.
+    Trees equal up to renaming their bound labels have equal forms."""
+    rows = reserved_canon(d)
+    out = []
+    stack = [(d, {})]
+    while stack:
+        n, scope = stack.pop()
+        i = len(out)
+        row = list(rows[i])
+        row[3] = scope.get(n.label, n.label)
+        row[8] = tuple(len(s) for s in n.discharges)
+        row[9] = len(n.e_discharges)
+        out.append(tuple(row))
+        over = [scope] * len(n.premises)
+        for slot, kind, j in K._RULE_TABLE[n.rule].scopes:
+            labels = n.discharges[j] if kind == "p" else n.e_discharges
+            over[slot] = {**over[slot], **{lab: ("bound", i, slot) for lab in labels}}
+        stack += reversed(list(zip(n.premises, over)))
+    return out
+
+
 def reference_check_position_condition(d):
     instances = []
     positions = []

@@ -242,6 +242,21 @@ def test_printing_refuses_a_label_it_cannot_write():
         K.print_proof(K.hyp("12", P, ()), S4)
 
 
+def test_check_reports_refuse_an_open_label_they_cannot_write():
+    k = K.System("k", "classical")
+    for d, system in (
+        (K.hyp("a b", P, ()), S4),
+        (K.ehyp("a b", ("x",)), k),
+        (K.and_i(K.hyp("u", P, ()), K.hyp("a b", P, ())), S4),
+    ):
+        report = K.check(d, system)
+        assert report.open_assumptions  # the checker takes it as before
+        with pytest.raises(ValueError, match="label 'a b' cannot be written in a proof file"):
+            K.print_check_report(report)
+    with pytest.raises(ValueError, match="label '12' cannot be written"):
+        K.print_check_report(K.check(K.hyp("12", P, ()), S4))
+
+
 # --- mutated corpus trees --------------------------------------------------
 
 
