@@ -8,8 +8,9 @@ truth is uniform (:func:`chain_truth`).  An evaluation sends positions to
 worlds, totally for ``d``/``t``/``d4``/``s4``, possibly partially for
 ``k``/``k4``.  The enumerators list models and evaluations in a fixed order.
 The probe engine, :func:`find_countermodel`, finds the first refutation in
-that order one tree shape at a time, and only the first shape of each
-isomorphism class: it enumerates evaluations once per shape and computes
+that order one tree shape at a time, only the first shape of each
+isomorphism class, and in ``k``/``d``/``t`` only shapes as deep as the probe
+can see: it enumerates evaluations once per shape and computes
 truth as bitsets over blocks of valuations.  A refuted
 probe comes with that countermodel; an unrefuted one only says that no
 refutation exists within the bounds.
@@ -301,7 +302,7 @@ def chain_truth(leaf_valuation: Iterable[str], logic: str, f: Formula) -> bool:
 
     Every chain world has the same atoms and exactly the later chain
     worlds ahead of it, so box and diamond both reduce to the body and
-    the whole evaluation is a structural recursion.  Only the serial
+    truth is one pass over the subformulas, parts first.  Only the serial
     logics have such chains.
     """
     if logic not in SERIAL_LOGICS:
@@ -310,23 +311,18 @@ def chain_truth(leaf_valuation: Iterable[str], logic: str, f: Formula) -> bool:
             f"not {logic!r}"
         )
     atoms = frozenset(leaf_valuation)
-
-    def truth(g: Formula) -> bool:
-        if isinstance(g, Atom):
-            return g.name in atoms
-        if isinstance(g, Bottom):
-            return False
-        if isinstance(g, And):
-            return truth(g.left) and truth(g.right)
-        if isinstance(g, Or):
-            return truth(g.left) or truth(g.right)
-        if isinstance(g, Imp):
-            return (not truth(g.left)) or truth(g.right)
-        if isinstance(g, (Box, Dia)):
-            return truth(g.body)
-        raise TypeError(f"not a formula: {g!r}")
-
-    return truth(f)
+    val: dict[int, bool] = {}
+    for g in _subformulas([f]):
+        t = type(g)
+        if t is Atom or t is Bottom:
+            v = t is Atom and g.name in atoms
+        elif t is Box or t is Dia:
+            v = val[id(g.body)]
+        else:
+            x, y = val[id(g.left)], val[id(g.right)]
+            v = x and y if t is And else x or y if t is Or else not x or y
+        val[id(g)] = v
+    return val[id(f)]
 
 
 def holds(m: TreeModel, logic: str, world: Node, f: Formula) -> bool:
@@ -494,11 +490,11 @@ def _canonical_shapes(max_depth: int, max_branching: int) -> tuple:
     return tuple(shapes)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=32)
 def _class_shapes(max_depth: int, max_branching: int) -> tuple:
     """The first shape of each isomorphism class of rooted trees among
     :func:`_canonical_shapes`, in that order; cached, and shared by every
-    logic.
+    logic and every depth a probe reaches.
 
     A world's canonical form is the sorted tuple of its children's forms,
     built leaves-up; two shapes are isomorphic when their roots' agree.
@@ -686,6 +682,15 @@ def find_countermodel(
     shape one to one onto those of the other, preserving truth.  So a later
     shape of a class holds a refutation exactly when the first one does, and
     the first refutation in the enumerators' order lies in a first shape.
+
+    In ``k``, ``d`` and ``t`` a step goes one world deeper at most, so a
+    formula of modal depth ``m`` at a position of length ``L`` sees worlds of
+    depth at most ``L + m``; the sweep stops at the largest such sum and
+    wanted position length, the reach.  Cut at the reach, a shape keeps its
+    evaluations and truths there (completion chains never look past it): it
+    refutes exactly when its truncation does, which comes first in the
+    enumerators' order.  A shape within the reach is the first of its
+    truncation class, so the first refuting shape, runs and mask stay.
     """
     _check_logic(logic)
     if not isinstance(target, PFormula):
@@ -698,8 +703,18 @@ def find_countermodel(
                     key=_depth_order)
     order = _subformulas([c.formula for c in facts] + [target.formula])
     names, kind = atom_names(b.num_atoms), _STEP_KIND[logic]
+    reach = b.max_depth
+    if kind in ("succ", "succ-refl"):
+        modal: dict[int, int] = {}  # modal depth, keyed by identity
+        for g in order:
+            t = type(g)
+            modal[id(g)] = (1 + modal[id(g.body)] if t is Box or t is Dia else
+                            0 if t is Atom or t is Bottom else
+                            max(modal[id(g.left)], modal[id(g.right)]))
+        reach = min(reach, max([len(p) for p in wanted] + [
+            len(c.position) + modal[id(c.formula)] for c in [*facts, target]]))
     pattern: list[int] = []  # bit j of pattern[i] is bit i of j
-    for nodes, kids in _class_shapes(b.max_depth, b.max_branching):
+    for nodes, kids in _class_shapes(reach, b.max_branching):
         n = len(nodes)
         leaves = [k for k in range(n) if serial and not kids[k]]
         chains = tuple(nodes[k] + (0,) for k in leaves)

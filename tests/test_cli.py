@@ -164,6 +164,14 @@ class TestEval:
         assert code == 0
         assert out == "valid-within-bounds\n"
 
+    @pytest.mark.parametrize("logic", ["k", "d", "t"])
+    def test_bounds_far_past_the_formulas_reach(self, logic):
+        # The probe sweeps trees one level deep, whatever the depth bound.
+        text = axiom_text(logic, logic)
+        code, out, _ = run(["eval", "-", "--bounds", "12,2,1"], stdin=text)
+        assert code == 0
+        assert out == "valid-within-bounds\n"
+
     def test_open_assumptions_enter_the_judgment(self):
         d = K.hyp("u", P, ())
         text = K.print_proof(d, System("k", "intuitionistic"))

@@ -7,9 +7,10 @@ probes at the root.  Both are copied verbatim below, with the model
 enumerator, the evaluation enumerator and the truth functions they call.
 ``every_shape_countermodel`` is the bitset engine as it was before it swept
 only one shape per isomorphism class; it reaches bounds the model-by-model
-search cannot.  The engine must give the same verdict and the same first
-``(TreeModel, Evaluation)`` on every probe here, whatever the size of its
-valuation blocks.
+search cannot, and it sweeps the depths past a ``k``/``d``/``t`` probe's
+reach that the engine cuts off.  The engine must give the same verdict and
+the same first ``(TreeModel, Evaluation)`` on every probe here, whatever the
+size of its valuation blocks.
 """
 
 from __future__ import annotations
@@ -455,12 +456,27 @@ def _every_shape(max_depth: int, max_branching: int) -> tuple:
     return tuple(shapes)
 
 
+def shapes_by_size(max_depth: int, max_branching: int, max_worlds: int) -> Iterator:
+    """The shapes of ``_every_shape`` with at most ``max_worlds`` worlds, in
+    its order, built one size at a time: each shape of ``n + 1`` worlds is
+    one of ``n`` worlds with a child added."""
+    level = {frozenset({()})}
+    for _ in range(max_worlds):
+        for ns in sorted(sorted(s, key=_depth_order) for s in level):
+            kids = [tuple(j for j, c in enumerate(ns) if c and c[:-1] == w) for w in ns]
+            yield tuple(ns), tuple(kids)
+        level = {s | {w + (i,)} for s in level for w in s if len(w) < max_depth
+                 for i in range(max_branching) if w + (i,) not in s}
+
+
 def every_shape_countermodel(
-    gamma: Sequence[PFormula | EFormula], target: PFormula, logic: str, b: Bounds
+    gamma: Sequence[PFormula | EFormula], target: PFormula, logic: str, b: Bounds,
+    shapes: Iterable | None = None,
 ) -> tuple[TreeModel, Evaluation] | None:
-    """The engine sweeping every shape of ``_every_shape``, blocks of
-    ``2 ** 16`` valuations; it shares the package's evaluation and truth
-    helpers, which sweeping fewer shapes left as they were."""
+    """The engine sweeping every shape of ``_every_shape`` (or only
+    ``shapes``), blocks of ``2 ** 16`` valuations; it shares the package's
+    evaluation and truth helpers, which sweeping fewer shapes left as they
+    were."""
     _check_logic(logic)
     if not isinstance(target, PFormula):
         raise TypeError("the target of a consequence probe is a decorated formula")
@@ -473,7 +489,9 @@ def every_shape_countermodel(
     order = _subformulas([c.formula for c in facts] + [target.formula])
     names, kind = atom_names(b.num_atoms), _STEP_KIND[logic]
     pattern: list[int] = []  # bit j of pattern[i] is bit i of j
-    for nodes, kids in _every_shape(b.max_depth, b.max_branching):
+    if shapes is None:
+        shapes = _every_shape(b.max_depth, b.max_branching)
+    for nodes, kids in shapes:
         n = len(nodes)
         leaves = [k for k in range(n) if serial and not kids[k]]
         chains = tuple(nodes[k] + (0,) for k in leaves)
@@ -558,6 +576,41 @@ def random_cases(count: int, seed: int, bounds=CASE_BOUNDS) -> list:
                 gamma.append(PFormula(random_formula(rng, 3), rng.choice(POSITIONS)))
         target = PFormula(random_formula(rng, 3), rng.choice(POSITIONS))
         cases.append((gamma, target, logic, Bounds(*rng.choice(bounds))))
+    return cases
+
+
+def modal_depth(f: Formula) -> int:
+    if isinstance(f, (Box, Dia)):
+        return 1 + modal_depth(f.body)
+    if isinstance(f, (And, Or, Imp)):
+        return max(modal_depth(f.left), modal_depth(f.right))
+    return 0
+
+
+def reach(gamma, target) -> int:
+    """The deepest world a probe's truth can look at in ``k``/``d``/``t``."""
+    facts = [c for c in gamma if isinstance(c, PFormula)] + [target]
+    return max([len(c.position) for c in [*gamma, target]]
+               + [len(c.position) + modal_depth(c.formula) for c in facts])
+
+
+def shallow_cases(count: int, seed: int, depth: int) -> list:
+    """Seeded ``k``/``d``/``t`` probes at ``Bounds(depth, 2, 1)`` whose reach
+    is below ``depth``, with existence assumptions for ``k``."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        logic = ("k", "d", "t")[len(cases) % 3]
+        gamma = []
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            if logic == "k" and rng.random() < 0.4:
+                gamma.append(EFormula(rng.choice(POSITIONS)))
+            else:
+                f = random_formula(rng, rng.randrange(depth))
+                gamma.append(PFormula(f, rng.choice(POSITIONS)))
+        target = PFormula(random_formula(rng, rng.randrange(depth)), rng.choice(POSITIONS))
+        if reach(gamma, target) < depth:
+            cases.append((gamma, target, logic, Bounds(depth, 2, 1)))
     return cases
 
 
@@ -703,3 +756,83 @@ def test_public_enumerators_and_truth_match_the_reference():
             for w in sorted(worlds):
                 for f in formulas:
                     assert S.holds(m, logic, w, f) == holds(m, logic, w, f)
+
+
+def test_probes_within_their_reach_match_the_every_shape_engine():
+    """``k``/``d``/``t`` sweep shapes cut at the probe's reach and find the
+    countermodel the every-shape engine finds below the bound depth."""
+    seen, refuted = set(), 0
+    cases = shallow_cases(300, seed=20261020, depth=3)
+    for gamma, target, logic, b in cases:
+        want = every_shape_countermodel(gamma, target, logic, b)
+        assert_same_answer(gamma, target, logic, b, want)
+        seen |= reach_kinds(gamma, target, logic, want)
+        refuted += want is not None
+    assert seen == REACH_KINDS
+    assert 0 < refuted < len(cases)
+
+
+#: Depth-four shapes the every-shape engine sweeps, from the smallest on.
+MAX_WORLDS = 7
+
+
+def test_probes_within_their_reach_at_depth_four():
+    """Up to ``MAX_WORLDS`` worlds the every-shape engine sweeps depth four in
+    full; past them only the truncations at depth three can refute, which it
+    sweeps in full at ``Bounds(3, 2, 1)``."""
+    seen, refuted = set(), 0
+    cases = shallow_cases(120, seed=20261021, depth=4)
+    for gamma, target, logic, b in cases:
+        shapes = shapes_by_size(b.max_depth, b.max_branching, MAX_WORLDS)
+        want = every_shape_countermodel(gamma, target, logic, b, shapes)
+        if want is None:
+            want = every_shape_countermodel(gamma, target, logic, Bounds(3, 2, 1))
+            assert want is None or len(want[0].nodes) > MAX_WORLDS
+        assert_same_answer(gamma, target, logic, b, want)
+        seen |= reach_kinds(gamma, target, logic, want)
+        refuted += want is not None
+    assert seen == REACH_KINDS
+    assert 0 < refuted < len(cases)
+
+
+REACH_KINDS = {"reach 0", "target off the root", "serial leaf above the reach",
+               "reflexive step", "existence past the formulas"}
+
+
+def reach_kinds(gamma, target, logic, answer) -> set[str]:
+    """The kinds of ``REACH_KINDS`` that one probe and its answer show."""
+    r = reach(gamma, target)
+    kinds = {"reach 0"} if r == 0 else set()
+    if target.position != ():
+        kinds.add("target off the root")
+    if answer is not None:
+        model, rho = answer
+        parents = {w[:-1] for w in model.nodes if w}
+        if logic == "d" and any(len(w) < r for w in model.nodes - parents):
+            kinds.add("serial leaf above the reach")
+        if logic == "t" and any(p and rho.entries[p] == rho.entries[p[:-1]]
+                                for p in rho.entries):
+            kinds.add("reflexive step")
+    formulas = [len(c.position) + modal_depth(c.formula)
+                for c in [*gamma, target] if isinstance(c, PFormula)]
+    if any(isinstance(c, EFormula) and len(c.position) > max(formulas)
+           for c in gamma):
+        kinds.add("existence past the formulas")
+    return kinds
+
+
+def test_closed_k_schema_sweeps_the_shapes_of_its_reach(monkeypatch):
+    swept = []
+    sweep = S._class_shapes
+
+    def spy(max_depth, max_branching):
+        for shape in sweep(max_depth, max_branching):
+            swept.append(shape)
+            yield shape
+
+    monkeypatch.setattr(S, "_class_shapes", spy)
+    target = PFormula(Imp(Box(Imp(P, Q)), Imp(Box(P), Box(Q))), ())
+    for logic, count in (("k", 3), ("k4", 66)):
+        swept.clear()
+        assert S.find_countermodel([], target, logic, Bounds(3, 2, 1)) is None
+        assert len(swept) == count, logic

@@ -195,6 +195,13 @@ class TestChainTruth:
         assert chain_truth({"p"}, "d", Box(Dia(Box(P)))) is True
         assert chain_truth(set(), "d4", Dia(Dia(P))) is False
 
+    def test_any_nesting_depth(self):
+        deep = P
+        for _ in range(100_000):
+            deep = Box(deep)
+        assert chain_truth({"p"}, "d", deep) is True
+        assert chain_truth(set(), "d4", Dia(deep)) is False
+
     def test_only_serial_logics(self):
         with pytest.raises(ValueError):
             chain_truth({"p"}, "k", P)
