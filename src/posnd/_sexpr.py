@@ -1,23 +1,22 @@
 """Minimal s-expression reader/writer shared by the file formats.
 
-Values map to Python as: lists -> Python lists, symbols/keywords -> ``str``,
-unsigned integers (ASCII digits only) -> ``int``, double-quoted strings ->
-``QStr`` (a ``str`` subclass that serializes back with quotes).  Comments run
-from ``;`` to end of line.  Parse errors carry 1-based line/column
-information; ``parse_all`` can also record the source location of every
-parsed list for later error reporting.
+Values map to Python as: lists -> lists, symbols -> ``str``, ASCII digits
+-> ``int``, double-quoted strings -> ``QStr`` (a ``str`` that writes back
+quoted).  Comments run from ``;`` to end of line.  A name written bare
+reads back as itself only if it is a :data:`SYMBOL` (no whitespace,
+parenthesis, ``"`` or ``;``) and, if all ASCII digits, an ``int`` in
+canonical form (``007`` reads back as ``7``).  ``syntax.print_formula``
+writes formulas as text; :func:`dump` writes lists around such text.
 
-A single compiled regular expression splits the text into parentheses,
-strings, symbols and comments.  ``parse_all`` builds the lists on an
-explicit stack in one pass, so nesting depth is not bounded by the
-recursion limit.  The proof-file, formula and position readers build their
-values straight from :func:`tokens` instead, in one pass and on explicit
-stacks of their own, through :func:`read_one`: on their first fault they
-stop, and only then are the lists built to place the error.  Character
-offsets, and the lines and columns computed from them, are only looked at
-where they are reported: list starts when ``locations`` is asked for, and
-errors.  Only ``\\n`` starts a line, except a newline escaped by a backslash
-inside a string, which counts as two columns of the current line.
+One compiled regular expression splits the text into parentheses, strings,
+symbols and comments.  ``parse_all`` builds the lists on an explicit stack
+in one pass, so nesting depth is not bounded by the recursion limit, and
+can record each list's 1-based line and column.  The proof-file, formula
+and position readers build their values from :func:`tokens` on explicit
+stacks of their own, through :func:`read_one`: only at their first fault
+are the lists built to place the error.  Only ``\\n`` starts a line,
+except a newline escaped by a backslash inside a string, which counts as
+two columns of the current line.
 """
 
 from __future__ import annotations
@@ -39,6 +38,12 @@ class QStr(str):
     """A string that round-trips as a double-quoted literal."""
 
 
+#: A bare symbol: the tokenizer's pattern for a token that is not a
+#: parenthesis, a string or a comment.  The rules for what names a proof
+#: file carries (``syntax.valid_user_token``, ``kernel._LABEL_RE`` and the
+#: formula writer's atom test) are built on it.
+SYMBOL = r'[^\s();"]+'
+
 # One token per match, in group 1, with the whitespace after it: a match
 # ends where the next token starts, so a run of whitespace is skipped in one
 # step (only leading whitespace is stepped over one character at a time).
@@ -48,7 +53,7 @@ class QStr(str):
 _TOKEN_RE = re.compile(
     r"""([()]"""  # a parenthesis
     r'''|"[^"\\]*(?:\\.[^"\\]*)*"'''  # a string
-    r"""|[^\s();"]+"""  # a symbol
+    rf"|{SYMBOL}"  # a symbol
     r"""|;[^\n]*"""  # a comment
     r'''|")'''  # a quote that never closes: the string runs to the end
     r"""\s*""",
@@ -100,13 +105,6 @@ def parse_all(
     return forms
 
 
-def _reads_as_int(symbol: str) -> bool:
-    """Whether the reader types ``symbol`` as an integer: ASCII digits only,
-    since ``str.isdigit`` also holds for digits ``int`` cannot read (``²``)
-    or reads as other ASCII digits (``٣``)."""
-    return symbol.isdigit() and symbol.isascii()
-
-
 def _note_escaped_newlines(body: str, start: int, escaped: list[int]) -> None:
     """Record the offsets of backslash-escaped newlines in a string body
     that begins at offset ``start``."""
@@ -147,7 +145,7 @@ def _list_locations(text: str, lists: list[list[object]]):
     return zip(lists, _line_cols(text, offsets, escaped))
 
 
-def _error(text: str, message: str, offset: int, escaped: list[int]) -> ParseError:
+def _error(text: str, message: str, offset: int, escaped: tuple | list = ()) -> ParseError:
     line, column = next(_line_cols(text, [offset], escaped))
     return ParseError(message, line, column)
 
@@ -203,7 +201,9 @@ def atom(tok: str) -> object:
     if tok[0] == '"':
         body = tok[1:-1]
         return QStr(_unescape(body) if "\\" in body else body)
-    return int(tok) if _reads_as_int(tok) else tok
+    # ASCII digits only: ``str.isdigit`` also holds for digits ``int``
+    # cannot read (``²``) or reads as other ASCII digits (``٣``).
+    return int(tok) if tok.isdigit() and tok.isascii() else tok
 
 
 def atom_at(toks: list[str], i: int) -> object:
@@ -275,10 +275,8 @@ def read_one(text: str, read, single=("empty input", "expected a single expressi
 def parse_one(text: str) -> object:
     """Parse exactly one top-level s-expression."""
     forms = parse_all(text)
-    if not forms:
-        raise ParseError("empty input", 1, 1)
-    if len(forms) > 1:
-        raise ParseError("expected a single expression", 1, 1)
+    if len(forms) != 1:
+        raise ParseError("expected a single expression" if forms else "empty input", 1, 1)
     return forms[0]
 
 
@@ -317,7 +315,9 @@ def brief(value: object) -> str:
 
 
 def dump(value: object) -> str:
-    """Render a nested list/str/int value as a canonical s-expression."""
+    """Render a nested list/str/int value as a canonical s-expression.  A
+    plain ``str`` is written as it is: a symbol, or text already written,
+    such as a formula's."""
     if type(value) is str:
         return value
     if isinstance(value, list):

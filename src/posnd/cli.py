@@ -21,13 +21,15 @@ error is reported in one line on standard error, never as a traceback.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+from pathlib import Path
 
 from . import kernel as K
 from . import normalizer as N
 from . import semantics as S
 from . import translate as T
-from ._sexpr import ParseError
+from ._sexpr import ParseError, _error
 from .kernel import SubstitutionUnsound, System, UnsupportedPair
 from .normalizer import FlavorUnsupported, NormalizerError
 from .syntax import PFormula
@@ -39,10 +41,17 @@ EXIT_INTERNAL = 3
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """A file's or standard input's bytes, decoded as UTF-8 with ``\\r\\n`` and
+    ``\\r`` read as ``\\n``; a byte that is not UTF-8 is a parse error at it."""
+    stdin = getattr(sys.stdin, "buffer", sys.stdin)
+    data = stdin.read() if path == "-" else Path(path).read_bytes()
+    if isinstance(data, str):  # a text stream standing in for standard input
+        return data
+    text = str(data, "utf-8", "surrogateescape").replace("\r\n", "\n").replace("\r", "\n")
+    bad = re.search("[\udc80-\udcff]", text)  # where the undecodable bytes went
+    if bad:
+        raise _error(text, f"invalid UTF-8 byte {ord(bad[0]) - 0xDC00:#x}", bad.start())
+    return text
 
 
 def _emit(text: str) -> None:

@@ -72,10 +72,11 @@ from .syntax import (
     PFormula,
     Position,
     RESERVED_TOKEN_PREFIX,
-    _formula_to_sexpr,
+    _WORD_RE,
     _read_formula,
     _read_position,
     _word,
+    _write_formula,
     concat,
     neg,
     parse_formula,
@@ -371,10 +372,9 @@ INTRO_RULES = frozenset(r for r, s in _RULE_TABLE.items() if s.intro)
 ELIM_RULES = frozenset(r for r, s in _RULE_TABLE.items() if s.elim)
 JOIN_RULES = frozenset(r for r, s in _RULE_TABLE.items() if s.minors)
 
-#: A name the s-expression reader reads back as one symbol (unless it is all
-#: ASCII digits, which reads as an integer), and one it reads back as a label.
-_SYMBOL_RE = re.compile(r'[^\s();"]+')
-_LABEL_RE = re.compile(r'(?![0-9]+\Z)[^\s();"]+')
+#: A label a proof file carries: a symbol that is not all ASCII digits,
+#: since the reader takes a label's token as it stands.
+_LABEL_RE = re.compile(rf"(?![0-9]+\Z){_sexpr.SYMBOL}")
 
 
 @dataclass(frozen=True)
@@ -693,14 +693,9 @@ def _malformed(n: Derivation) -> str | None:
         s = "" if sets == 1 else "s"
         return f"expects {sets} discharge label set{s}, got {len(n.discharges)}"
     labels = [*([n.label] if n.label is not None else ()), *n.e_discharges]
-    fault = _label_fault(labels + [x for s in n.discharges for x in s])
-    if fault:
+    fault = _unwritable("label", labels + [x for s in n.discharges for x in s])
+    if fault or n.token is not None and (fault := _unwritable("token", [n.token])):
         return fault
-    t = n.token
-    if t is not None and not (
-        isinstance(t, str) and (valid_user_token(t) or _reserved_index(t))
-    ):
-        return f"token {t!r} cannot be written in a proof file"
     want = spec.conclude(n, _pf(n.premises[0]) if k else None)
     kind = EFormula if n.rule == "ehyp" else PFormula
     if not isinstance(want, kind):
@@ -1786,22 +1781,24 @@ def _builtin_dia_dual(a: Formula, partial: bool) -> Derivation:
 # --- proof files -----------------------------------------------------------
 
 
-def _valid_label(s: object) -> bool:
-    """Whether a proof file can carry ``s`` as a label: a symbol that does
-    not read as an integer."""
-    return isinstance(s, str) and _LABEL_RE.fullmatch(s) is not None
-
-
-def _label_fault(labels: list) -> str | None:
-    try:  # one pass in C; a label is looked at on its own only on a miss
-        if all(map(_LABEL_RE.fullmatch, labels)):
-            return None
-    except TypeError:  # a label that is not a string
-        pass
-    for label in labels:
-        if not _valid_label(label):
-            return f"label {label!r} cannot be written in a proof file"
+def _unwritable(what: str, names: list) -> str | None:
+    """Why a proof file cannot carry one of ``names``, each a ``what``, or ``None``: a
+    label obeys ``_LABEL_RE``, a token ``valid_user_token`` or is a reserved ``_N``."""
+    rule = _LABEL_RE.fullmatch if what == "label" else _WORD_RE.fullmatch
+    for name in names:
+        if not isinstance(name, str) or not (
+            rule(name) or what == "token" and _reserved_index(name)
+        ):
+            return f"{what} {name!r} cannot be written in a proof file"
     return None
+
+
+def _written(what: str, names: list) -> list:
+    """``names``; ``ValueError`` if a proof file cannot carry one."""
+    fault = _unwritable(what, names)
+    if fault:
+        raise ValueError(fault)
+    return names
 
 
 def _header(toks: list[str]) -> tuple[System, int, int]:
@@ -1951,7 +1948,7 @@ def _read_proof(toks: list[str]) -> tuple[tuple[Derivation, System], int]:
                         fields[slot] = pf
                 elif kind == "label":
                     if tok not in labels:
-                        if not _valid_label(tok):
+                        if not _LABEL_RE.fullmatch(tok):
                             raise Fault("invalid label ", start, i)
                         labels[tok] = tok
                     fields[slot] = labels[tok]
@@ -1965,7 +1962,7 @@ def _read_proof(toks: list[str]) -> tuple[tuple[Derivation, System], int]:
                     if got is None:
                         for k in range(i + 1, j):
                             if toks[k] not in labels:
-                                if not _valid_label(toks[k]):
+                                if not _LABEL_RE.fullmatch(toks[k]):
                                     raise Fault("invalid label ", i, k)
                                 labels[toks[k]] = toks[k]
                         got = sets[key] = frozenset(key)
@@ -2037,25 +2034,12 @@ def _pos_form(p: Position) -> list:
     return list(p)
 
 
-def _formula_form(f: Formula) -> object:
-    """``f`` as the s-expression value that ``print_formula(f)`` reads back
-    as.  An atom name that does not read back as itself (empty, ASCII digits,
-    or with a space, parenthesis, quote or ``;``) takes the text round trip,
-    which raises where the printed formula does not parse."""
-    if _atoms_read_back(f):
-        return _formula_to_sexpr(f)
-    return _sexpr.parse_one(print_formula(f))
-
-
-def _atoms_read_back(f: Formula) -> bool:
-    if isinstance(f, Atom):
-        name = f.name
-        return _SYMBOL_RE.fullmatch(name) is not None and not _sexpr._reads_as_int(name)
-    if isinstance(f, (And, Or, Imp)):
-        return _atoms_read_back(f.left) and _atoms_read_back(f.right)
-    if isinstance(f, (Box, Dia)):
-        return _atoms_read_back(f.body)
-    return True
+def _formula_form(f: Formula) -> str:
+    """``print_formula(f)``, read and written again if an atom name does not
+    read back as the same text (empty, ``007``, or with a space, parenthesis,
+    quote or ``;``): the output may then read as another tree, or raise."""
+    text, verbatim = _write_formula(f)
+    return text if verbatim else _sexpr.dump(_sexpr.parse_one(text))
 
 
 def _node_args(n: Derivation, mapping: dict[str, str]):
@@ -2077,23 +2061,19 @@ def _node_args(n: Derivation, mapping: dict[str, str]):
             yield n.premises[fld]
         elif kind == "labels":
             _slot, scope, j = fld
-            labels = sorted(n.discharges[j] if scope == "p" else n.e_discharges)
-            if _label_fault(labels):
-                raise ValueError(_label_fault(labels))
-            yield labels
+            labels = n.discharges[j] if scope == "p" else n.e_discharges
+            yield _written("label", sorted(labels))
         elif kind == "formula":
             v = getattr(n, fld)
             yield _formula_form(v.formula if isinstance(v, PFormula) else v)
         elif kind == "position":
             v = getattr(n, fld)
             pos = v.position if fld != "beta" else v or ()
-            yield [mapping.get(t, t) for t in pos] if mapping else list(pos)
+            yield _written("token", list(map(mapping.get, pos, pos)))
         elif kind == "token":
-            yield mapping.get(n.token, n.token)
+            yield _written("token", [mapping.get(n.token, n.token)])[0]
         else:
-            if _label_fault([n.label]):
-                raise ValueError(_label_fault([n.label]))
-            yield n.label
+            yield _written("label", [n.label])[0]
 
 
 #: The deepest indentation ``print_proof`` writes, in levels of two spaces.
@@ -2101,9 +2081,10 @@ _INDENT_LIMIT = 32
 
 
 def print_proof(d: Derivation, system: System) -> str:
-    """Serialize a derivation; reserved tokens are written as
-    :func:`sanitize_tokens` renames them, so the output always re-parses,
-    and a label it cannot write raises ``ValueError``.
+    """Serialize a derivation; every label and token written reads back as
+    itself.  Reserved tokens are written as :func:`sanitize_tokens` renames
+    them; a label or token a proof file cannot carry raises ``ValueError``.
+    Formulas are written by :func:`_formula_form`.
 
     Each premise starts a line of its own, indented one level deeper than
     its conclusion up to ``_INDENT_LIMIT`` levels, so the text grows
@@ -2131,11 +2112,11 @@ def print_proof(d: Derivation, system: System) -> str:
 
 
 def print_check_report(report: CheckReport) -> str:
-    """Serialize a check report as a single s-expression; an open label it
-    cannot write raises ``ValueError``, as in :func:`print_proof`."""
-    fault = _label_fault([a.label for a in report.open_assumptions])
-    if fault:
-        raise ValueError(fault)
+    """Serialize a check report as a single s-expression; an open label or
+    token it cannot write raises ``ValueError``, as in :func:`print_proof`."""
+    opens = report.open_assumptions
+    _written("label", [a.label for a in opens])
+    _written("token", [t for a in opens for t in a.content.position])
     viol_forms = [
         ["violation", ":path", list(v.path), ":rule", v.rule, ":condition", QStr(v.message)]
         for v in report.violations
@@ -2145,7 +2126,7 @@ def print_check_report(report: CheckReport) -> str:
         if isinstance(a.content, EFormula)
         else ["open", ":label", a.label, ":formula", _formula_form(a.content.formula),
               ":position", _pos_form(a.content.position)]
-        for a in report.open_assumptions
+        for a in opens
     ]
     form = ["check-report", ":ok", report.ok, ":violations", viol_forms, ":open", open_forms]
     return _sexpr.dump(form) + "\n"

@@ -184,15 +184,18 @@ def degree(f: Formula) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: A symbol written bare that reads back as the same text: ASCII digits
+#: only in canonical ``int`` form.  A token also starts with neither the
+#: reserved prefix nor the keyword ``:``.
+_VERBATIM_RE = re.compile(rf"(?!0[0-9]+\Z){_sexpr.SYMBOL}")
+_WORD_RE = re.compile(rf"(?!{RESERVED_TOKEN_PREFIX}|:|0[0-9]+\Z){_sexpr.SYMBOL}")
+
+
 def valid_user_token(tok: str) -> bool:
-    """User-suppliable position token: nonempty, no whitespace or parentheses,
-    no reserved ``_`` prefix, and not a keyword-looking symbol."""
-    if tok.startswith(RESERVED_TOKEN_PREFIX) or tok.startswith(":"):
-        return False
-    return _USER_TOKEN_RE.fullmatch(tok) is not None
-
-
-_USER_TOKEN_RE = re.compile(r"[^\s();]+")
+    """Whether a proof file carries ``tok`` as a position or witness token: a
+    symbol that reads back as itself (ASCII digits only as a canonical ``int``,
+    not ``007``), without the reserved ``_`` prefix or a keyword's ``:``."""
+    return _WORD_RE.fullmatch(tok) is not None
 
 
 #: The connectives by head: constructor and number of operands.
@@ -274,24 +277,6 @@ def _read_formula(toks: list[str], i: int, memo: dict, at: int) -> tuple[Formula
         raise
 
 
-def _formula_to_sexpr(f: Formula) -> object:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Bottom):
-        return "bot"
-    if isinstance(f, And):
-        return ["and", _formula_to_sexpr(f.left), _formula_to_sexpr(f.right)]
-    if isinstance(f, Or):
-        return ["or", _formula_to_sexpr(f.left), _formula_to_sexpr(f.right)]
-    if isinstance(f, Imp):
-        return ["imp", _formula_to_sexpr(f.left), _formula_to_sexpr(f.right)]
-    if isinstance(f, Box):
-        return ["box", _formula_to_sexpr(f.body)]
-    if isinstance(f, Dia):
-        return ["dia", _formula_to_sexpr(f.body)]
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def parse_formula(text: str) -> Formula:
     """Parse the concrete formula syntax.  ``(not F)`` is accepted and read as
     ``(imp F bot)``; the printer never emits the sugar, so printing then
@@ -300,7 +285,39 @@ def parse_formula(text: str) -> Formula:
 
 
 def print_formula(f: Formula) -> str:
-    return _sexpr.dump(_formula_to_sexpr(f))
+    """The concrete syntax of ``f``; any nesting depth prints."""
+    return _write_formula(f)[0]
+
+
+#: The text that opens a compound formula, and whether it has two operands.
+_OPENERS = {c: (f"({h} ", n == 2) for h, (c, n) in _CONNECTIVES.items() if c is not neg}
+_CLOSE, _SPACE = (")",), (" ",)  # text to write, told from formulas by identity
+
+
+def _write_formula(f: Formula) -> tuple[str, bool]:
+    """The text of ``f``, written in one pass on an explicit stack, and whether
+    each atom name in it reads back as the same text (``_VERBATIM_RE``; a name
+    not a plain ``str`` is written by ``_sexpr.dump``: a ``QStr`` quoted)."""
+    out, stack, verbatim = [], [f], True
+    while stack:
+        f = stack.pop()
+        cls = type(f)
+        if f is _CLOSE or f is _SPACE:
+            out.append(f[0])
+        elif cls in _OPENERS:
+            head, binary = _OPENERS[cls]
+            out.append(head)
+            stack += (_CLOSE, f.right, _SPACE, f.left) if binary else (_CLOSE, f.body)
+        elif cls is Atom:
+            name = f.name
+            if type(name) is str:
+                verbatim = verbatim and _VERBATIM_RE.fullmatch(name) is not None
+            out.append(name if type(name) is str else _sexpr.dump(name))
+        elif cls is Bottom:
+            out.append("bot")
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+    return "".join(out), verbatim
 
 
 def _word(tok: str) -> str | None:

@@ -2,8 +2,11 @@
 
 import contextlib
 import io
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +22,16 @@ P, Q = Atom("p"), Atom("q")
 
 
 def run(argv, stdin=""):
+    """Run the CLI on ``stdin``: text, or bytes behind a text stream set up
+    as a POSIX standard input is (no newline translation)."""
     out, err = io.StringIO(), io.StringIO()
     old_stdin = sys.stdin
-    sys.stdin = io.StringIO(stdin)
+    if isinstance(stdin, bytes):
+        sys.stdin = io.TextIOWrapper(
+            io.BytesIO(stdin), encoding="utf-8", errors="surrogateescape", newline="\n"
+        )
+    else:
+        sys.stdin = io.StringIO(stdin)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -93,6 +103,55 @@ class TestCheck:
         code, _, err = run(["check", "/no/such/file.prf"])
         assert code == 2
         assert "cannot read" in err
+
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            (b"\xff(proof :system s4 :flavor classical (hyp u p ()))", "line 1, column 1"),
+            (b"(proof :system s4 :flavor classical\r\n  (hyp u p\xff ()))", "line 2, column 11"),
+        ],
+        ids=["at-the-start", "inside-an-atom"],
+    )
+    def test_undecodable_bytes_read_alike_from_files_and_stdin(self, tmp_path, data, where):
+        path = tmp_path / "proof.prf"
+        path.write_bytes(data)
+        from_file = run(["check", str(path)])
+        assert from_file == run(["check", "-"], stdin=data)
+        assert from_file == (2, "", f"parse error: {where}: invalid UTF-8 byte 0xff\n")
+
+    def test_line_endings_read_alike_from_files_and_stdin(self, tmp_path):
+        # a lone carriage return ends the comment before the node
+        data = b"(proof :system s4 :flavor classical ; c\r  (hyp u p\r\n ()))\r\n"
+        path = tmp_path / "proof.prf"
+        path.write_bytes(data)
+        from_file = run(["check", str(path)])
+        assert from_file == run(["check", "-"], stdin=data)
+        assert from_file[0] == 0
+
+    def test_a_real_standard_input_reads_as_the_file(self, tmp_path):
+        src = Path(K.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        path = tmp_path / "proof.prf"
+        results = []
+        for data in (b"(proof :system s4 :flavor classical ; c\r (hyp u p\xff ()))", b"\xff"):
+            path.write_bytes(data)
+            for argv, fed in ((["check", str(path)], b""), (["check", "-"], data)):
+                done = subprocess.run(
+                    [sys.executable, "-m", "posnd.cli", *argv],
+                    input=fed, capture_output=True, env=env, timeout=60,
+                )
+                results.append((done.returncode, done.stdout, done.stderr))
+        assert results[0] == results[1] and results[2] == results[3]
+        assert results[0] == (2, b"", b"parse error: line 2, column 10: invalid UTF-8 byte 0xff\n")
+        assert results[2][0] == 2
+
+    @pytest.mark.parametrize("position", ['("a\\"b")', '("007")'])
+    def test_a_position_token_that_does_not_read_back_exits_2(self, position):
+        text = f"(proof :system s4 :flavor classical (hyp u p {position}))"
+        for command in ("check", "normalize"):
+            code, out, err = run([command, "-"], stdin=text)
+            assert (code, out) == (2, "")
+            assert err.count("\n") == 1 and "invalid position token" in err
 
 
 def redex_proof_text():
