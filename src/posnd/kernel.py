@@ -58,7 +58,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import FrozenInstanceError, dataclass
 
 from . import _sexpr
-from ._sexpr import Fault, ParseError, QStr, brief
+from ._sexpr import Fault, ParseError, brief
 from .syntax import (
     Atom,
     Bottom,
@@ -1032,24 +1032,27 @@ def check(
     its rule does not take, which is a violation.
 
     Returns every violation found together with the open-assumption
-    multiset; ``ok`` holds exactly when there are no violations.
+    multiset; ``ok`` holds exactly when there are no violations.  Open
+    assumptions are ordered by label, ``None`` read as ``""``, and then, only
+    where a label has several contents, by the contents' printed text.
     """
     violations, merged = _check_walk(d, system, t_strict_empty_beta)
     if isinstance(d.conclusion, EFormula):
         violations.append(
             Violation((), d.rule, "a derivation must conclude a p-formula")
         )
-    keyed = sorted(
-        (
-            ((lab or "", _content_str(content)), Assumption(lab, content), cnt)
-            for lab, contents in merged.items()
-            for content, cnt in contents.items()
-        ),
-        key=lambda entry: entry[0],
-    )
-    assumptions = tuple(a for _key, a, cnt in keyed for _ in range(cnt))
+    groups: dict[str, list[tuple[Assumption, int]]] = {}
+    for lab, contents in merged.items():
+        groups.setdefault(lab or "", []).extend(
+            (Assumption(lab, c), cnt) for c, cnt in contents.items()
+        )
+    assumptions = []
+    for _key, group in sorted(groups.items()):
+        if len(group) > 1:  # stable: equal texts keep their walk order
+            group.sort(key=lambda entry: _content_str(entry[0].content))
+        assumptions += (a for a, cnt in group for _ in range(cnt))
     ordered = tuple(sorted(violations, key=lambda v: (v.path, v.rule, v.message)))
-    return CheckReport(not ordered, ordered, assumptions)
+    return CheckReport(not ordered, ordered, tuple(assumptions))
 
 
 def _check_walk(
@@ -2030,10 +2033,6 @@ def sanitize_tokens(d: Derivation) -> Derivation:
     )
 
 
-def _pos_form(p: Position) -> list:
-    return list(p)
-
-
 def _formula_form(f: Formula) -> str:
     """``print_formula(f)``, read and written again if an atom name does not
     read back as the same text (empty, ``007``, or with a space, parenthesis,
@@ -2113,20 +2112,26 @@ def print_proof(d: Derivation, system: System) -> str:
 
 def print_check_report(report: CheckReport) -> str:
     """Serialize a check report as a single s-expression; an open label or
-    token it cannot write raises ``ValueError``, as in :func:`print_proof`."""
+    token it cannot write raises ``ValueError``, as in :func:`print_proof`.
+    Each distinct formula object is written once per call."""
     opens = report.open_assumptions
     _written("label", [a.label for a in opens])
     _written("token", [t for a in opens for t in a.content.position])
-    viol_forms = [
-        ["violation", ":path", list(v.path), ":rule", v.rule, ":condition", QStr(v.message)]
+    violations = " ".join(
+        f"(violation :path ({' '.join(map(str, v.path))}) :rule {v.rule}"
+        f" :condition {_sexpr._quote(v.message)})"
         for v in report.violations
-    ]
-    open_forms = [
-        ["open", ":label", a.label, ":exists", _pos_form(a.content.position)]
-        if isinstance(a.content, EFormula)
-        else ["open", ":label", a.label, ":formula", _formula_form(a.content.formula),
-              ":position", _pos_form(a.content.position)]
-        for a in opens
-    ]
-    form = ["check-report", ":ok", report.ok, ":violations", viol_forms, ":open", open_forms]
-    return _sexpr.dump(form) + "\n"
+    )
+    texts: dict[int, str] = {}  # by id: ``report`` keeps each formula alive
+    forms = []
+    for a in opens:
+        c, pos = a.content, print_position(a.content.position)
+        if isinstance(c, EFormula):
+            forms.append(f"(open :label {a.label} :exists {pos})")
+            continue
+        text = texts.get(id(c.formula))
+        if text is None:
+            text = texts[id(c.formula)] = _formula_form(c.formula)
+        forms.append(f"(open :label {a.label} :formula {text} :position {pos})")
+    ok = "true" if report.ok else "false"
+    return f"(check-report :ok {ok} :violations ({violations}) :open ({' '.join(forms)}))\n"

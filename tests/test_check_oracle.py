@@ -553,3 +553,66 @@ def test_imp_chain_with_a_large_open_context():
     d = K.imp_i(frozenset({"u0", "u7"}), K.and_e1(K.and_i(d, K.hyp("u7", Imp(P, Q), ()))))
     report = assert_same(d, K.System("s4"))
     assert len(report.open_assumptions) == 58
+
+
+# --- the order of open assumptions -----------------------------------------
+
+
+def _leaf(label, content):
+    """A ``hyp`` or ``ehyp`` leaf under any label, ``None`` and ``""``
+    included, which only ``_node`` builds."""
+    rule = "ehyp" if isinstance(content, EFormula) else "hyp"
+    fields = dict(zip(K._FIELDS, K._DEFAULTS), label=label, content=content)
+    return K._node(rule, (), None, *(fields[f] for f in K._FIELDS))
+
+
+def _merge(leaves):
+    d = leaves[0]
+    for leaf in leaves[1:]:
+        d = K.and_e1(K.and_i(d, leaf))
+    return d
+
+
+def test_contents_of_one_label_are_ordered_by_their_text():
+    here = ("a",)
+    contents = [
+        PFormula(Q, here),
+        PFormula(P, here),
+        PFormula(Box(P), here),
+        PFormula(P, ("a", "b")),
+        PFormula(Or(Q, P), here),
+        PFormula(Q, here),
+    ]
+    leaves = [_leaf("u", c) for c in contents] + [_leaf("t", PFormula(Imp(Q, P), here))]
+    report = assert_same(_merge(leaves), K.System("s4"))
+    assert [(a.label, K._content_str(a.content)) for a in report.open_assumptions] == [
+        ("t", "(imp q p)^(a)"),
+        ("u", "(box p)^(a)"),
+        ("u", "(or q p)^(a)"),
+        ("u", "p^(a b)"),
+        ("u", "p^(a)"),
+        ("u", "q^(a)"),
+        ("u", "q^(a)"),
+    ]
+
+
+def test_none_and_empty_labels_share_one_place_in_the_order():
+    here = ("a",)
+    leaves = [
+        _leaf("b", PFormula(P, here)),
+        _leaf(None, PFormula(Q, here)),
+        _leaf("", PFormula(P, here)),
+        _leaf(None, EFormula(here)),
+        _leaf("", PFormula(Box(Q), here)),
+        _leaf(None, PFormula(Q, here)),
+    ]
+    for system in SYSTEMS:
+        report = assert_same(_merge(leaves), system)
+        assert [(a.label, K._content_str(a.content)) for a in report.open_assumptions] == [
+            ("", "(box q)^(a)"),
+            (None, "E(a)"),
+            ("", "p^(a)"),
+            (None, "q^(a)"),
+            (None, "q^(a)"),
+            ("b", "p^(a)"),
+        ]

@@ -317,6 +317,10 @@ def _parse_node(form: object, locs) -> K.Derivation:
     raise ParseError(f"unknown rule {head!r}", line, col)
 
 
+def _pos_form(p) -> list:
+    return list(p)
+
+
 def _node_form(n: K.Derivation) -> list:
     r = n.rule
     if r == "hyp":
@@ -324,10 +328,10 @@ def _node_form(n: K.Derivation) -> list:
             "hyp",
             n.label,
             K._formula_form(n.content.formula),
-            K._pos_form(n.content.position),
+            _pos_form(n.content.position),
         ]
     if r == "ehyp":
-        return ["ehyp", n.label, K._pos_form(n.content.position)]
+        return ["ehyp", n.label, _pos_form(n.content.position)]
     if r == "and-i":
         return ["and-i", _node_form(n.premises[0]), _node_form(n.premises[1])]
     if r in ("and-e1", "and-e2"):
@@ -348,7 +352,7 @@ def _node_form(n: K.Derivation) -> list:
         bound = K.bound_leaf_contents(n.premises[0], n.discharges[0], "p")
         if not bound:
             base.append(K._formula_form(n.ante.formula))
-            base.append(K._pos_form(n.ante.position))
+            base.append(_pos_form(n.ante.position))
         return base
     if r == "imp-e":
         return ["imp-e", _node_form(n.premises[0]), _node_form(n.premises[1])]
@@ -358,14 +362,14 @@ def _node_form(n: K.Derivation) -> list:
             sorted(n.discharges[0]),
             _node_form(n.premises[0]),
             K._formula_form(n.target.formula),
-            K._pos_form(n.target.position),
+            _pos_form(n.target.position),
         ]
     if r == "bot-i":
         return [
             "bot-i",
             _node_form(n.premises[0]),
             K._formula_form(n.target.formula),
-            K._pos_form(n.target.position),
+            _pos_form(n.target.position),
         ]
     if r == "box-i":
         return [
@@ -375,12 +379,12 @@ def _node_form(n: K.Derivation) -> list:
             _node_form(n.premises[0]),
         ]
     if r == "box-e":
-        out = ["box-e", _node_form(n.premises[0]), K._pos_form(n.beta or ())]
+        out = ["box-e", _node_form(n.premises[0]), _pos_form(n.beta or ())]
         if len(n.premises) > 1:
             out.append(_node_form(n.premises[1]))
         return out
     if r == "dia-i":
-        out = ["dia-i", K._pos_form(n.beta or ()), _node_form(n.premises[0])]
+        out = ["dia-i", _pos_form(n.beta or ()), _node_form(n.premises[0])]
         if len(n.premises) > 1:
             out.append(_node_form(n.premises[1]))
         return out
