@@ -1,22 +1,21 @@
-"""Minimal s-expression reader/writer shared by the file formats.
+"""Minimal s-expression reader shared by the file formats.
 
-Values map to Python as: lists -> lists, symbols -> ``str``, ASCII digits
--> ``int``, double-quoted strings -> ``QStr`` (a ``str`` that writes back
-quoted).  Comments run from ``;`` to end of line.  A name written bare
-reads back as itself only if it is a :data:`SYMBOL` (no whitespace,
-parenthesis, ``"`` or ``;``) and, if all ASCII digits, an ``int`` in
-canonical form (``007`` reads back as ``7``).  ``syntax.print_formula``
-writes formulas as text; :func:`dump` writes lists around such text.
+Values map to Python as: symbols -> ``str``, ASCII digits -> ``int``,
+double-quoted strings -> ``QStr`` (a ``str`` that writes back quoted).
+Comments run from ``;`` to end of line.  A name written bare reads back as
+itself only if it is a :data:`SYMBOL` (no whitespace, parenthesis, ``"`` or
+``;``) and, if all ASCII digits, an ``int`` in canonical form (``007``
+reads back as ``7``).  The writers write text directly, a string literal
+through :func:`_quote`.
 
 One compiled regular expression splits the text into parentheses, strings,
-symbols and comments.  ``parse_all`` builds the lists on an explicit stack
-in one pass, so nesting depth is not bounded by the recursion limit, and
-can record each list's 1-based line and column.  The proof-file, formula
-and position readers build their values from :func:`tokens` on explicit
-stacks of their own, through :func:`read_one`: only at their first fault
-are the lists built to place the error.  Only ``\\n`` starts a line,
-except a newline escaped by a backslash inside a string, which counts as
-two columns of the current line.
+symbols and comments (:func:`tokens`).  The proof-file, formula, position
+and model readers build their values from the tokens on explicit stacks of
+their own, through :func:`read_one`; no reader builds a tree of lists.  Only
+at a reader's first fault is the error worked out, from the tokens, and only
+then are token offsets turned into a 1-based line and column.  Only ``\\n``
+starts a line, except a newline escaped by a backslash inside a string,
+which counts as two columns of the current line.
 """
 
 from __future__ import annotations
@@ -68,43 +67,6 @@ def _unescape(body: str) -> str:
     return _ESCAPE_RE.sub(lambda e: _ESCAPES.get(e.group(1), e.group(1)), body)
 
 
-def parse_all(
-    text: str, locations: dict[int, tuple[int, int]] | None = None
-) -> list[object]:
-    """Parse every top-level s-expression in ``text``.
-
-    When ``locations`` is given, the (line, column) of every parsed list is
-    recorded under ``id(list)``.
-    """
-    forms: list[object] = []
-    items = forms
-    stack: list[list[object]] = []  # enclosing lists of ``items``
-    opened: list[list[object]] = []
-    for tok in _TOKEN_RE.findall(text):
-        c = tok[0]
-        if c == "(":
-            new: list[object] = []
-            items.append(new)
-            stack.append(items)
-            if locations is not None:
-                opened.append(new)
-            items = new
-        elif c == ")":
-            if not stack:
-                raise _located_error(text)
-            items = stack.pop()
-        elif tok == '"':
-            raise _located_error(text)
-        elif c != ";":
-            items.append(atom(tok))
-    if stack:
-        raise _located_error(text)
-    if opened:
-        for lst, loc in _list_locations(text, opened):
-            locations[id(lst)] = loc
-    return forms
-
-
 def _note_escaped_newlines(body: str, start: int, escaped: list[int]) -> None:
     """Record the offsets of backslash-escaped newlines in a string body
     that begins at offset ``start``."""
@@ -114,76 +76,33 @@ def _note_escaped_newlines(body: str, start: int, escaped: list[int]) -> None:
                 escaped.append(start + e.start(1))
 
 
-def _line_cols(text: str, offsets: list[int], escaped: list[int]):
-    """Yield the (line, column) of each of the increasing ``offsets``."""
-    if escaped:
-        chars = list(text)
-        for off in escaped:
-            chars[off] = " "
-        text = "".join(chars)
-    line, line_start, prev = 1, 0, 0
-    for off in offsets:
-        newlines = text.count("\n", prev, off)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", prev, off) + 1
-        prev = off
-        yield line, off - line_start + 1
+def _error(text: str, message: str, offset: int, escaped=()) -> ParseError:
+    """``message`` at the line and column of ``offset`` in ``text``: a
+    ``\\n`` starts a line unless it is at one of the ``escaped`` offsets."""
+    escaped = set(escaped)
+    newline = text.rfind("\n", 0, offset)
+    while newline in escaped:
+        newline = text.rfind("\n", 0, newline)
+    line = text.count("\n", 0, offset) + 1 - sum(e < offset for e in escaped)
+    return ParseError(message, line, offset - newline)
 
 
-def _list_locations(text: str, lists: list[list[object]]):
-    """Pair each list, given in the order of their opening parentheses, with
-    its (line, column)."""
+def _unclosed_string(text: str) -> ParseError:
+    """The error of a text with a string that never closes: it runs to the
+    end of the text and is placed where it starts, or, if a lone backslash
+    ends the text, is an unterminated escape placed there."""
     escaped: list[int] = []
-    offsets: list[int] = []
     for m in _TOKEN_RE.finditer(text):
-        tok = m.group(1)
-        if tok == "(":
-            offsets.append(m.start(1))
-        elif tok[0] == '"':
-            _note_escaped_newlines(tok[1:-1], m.start(1) + 1, escaped)
-    return zip(lists, _line_cols(text, offsets, escaped))
-
-
-def _error(text: str, message: str, offset: int, escaped: tuple | list = ()) -> ParseError:
-    line, column = next(_line_cols(text, [offset], escaped))
-    return ParseError(message, line, column)
-
-
-def _located_error(text: str) -> ParseError:
-    """The error a malformed ``text`` is reported with.  An unterminated
-    string runs to the end of the text and is reported wherever it starts;
-    otherwise the first unbalanced ')' is, then the innermost unclosed '('."""
-    escaped: list[int] = []
-    starts: list[int] = []
-    unbalanced = None
-    for m in _TOKEN_RE.finditer(text):
-        tok = m.group(1)
-        start = m.start(1)
-        if tok == "(":
-            starts.append(start)
-        elif tok == ")":
-            if starts:
-                starts.pop()
-            elif unbalanced is None:
-                unbalanced = start
-        elif tok == '"':
-            return _unclosed_string(text, start, escaped)
-        elif tok[0] == '"':
+        tok, start = m.group(1), m.start(1)
+        if tok == '"':
+            break
+        if tok[0] == '"':
             _note_escaped_newlines(tok[1:-1], start + 1, escaped)
-    if unbalanced is not None:
-        return _error(text, "unbalanced ')'", unbalanced, escaped)
-    return _error(text, "unclosed '('", starts[-1], escaped)
-
-
-def _unclosed_string(text: str, quote: int, escaped: list[int]) -> ParseError:
-    """The error for a string opened at ``quote`` that runs to the end of the
-    text: a lone backslash at the very end is an unterminated escape."""
-    end = _STRING_PREFIX_RE.match(text, quote).end()
-    _note_escaped_newlines(text[quote + 1 : end], quote + 1, escaped)
+    end = _STRING_PREFIX_RE.match(text, start).end()
+    _note_escaped_newlines(text[start + 1 : end], start + 1, escaped)
     if end < len(text):
         return _error(text, "unterminated escape", end, escaped)
-    return _error(text, "unterminated string", quote, escaped)
+    return _error(text, "unterminated string", start, escaped)
 
 
 def tokens(text: str) -> list[str]:
@@ -191,7 +110,7 @@ def tokens(text: str) -> list[str]:
     that never closes is the text's syntax error, raised here."""
     toks = _TOKEN_RE.findall(text)
     if '"' in text and '"' in toks:
-        raise _located_error(text)
+        raise _unclosed_string(text)
     return [t for t in toks if t[0] != ";"] if ";" in text else toks
 
 
@@ -222,25 +141,24 @@ def skip(toks: list[str], i: int) -> int:
 
 
 class Fault(Exception):
-    """A token reader's first fault: ``message`` (then the :func:`brief`
-    value of the expression at token ``item``, if given) at the ``(`` that
-    is token ``at`` (-1: line 1, column 1).  ``frames`` hold the checks of
-    the lists it had opened, ``(start, at, check)``: ``check(the list at
-    token start)`` is ``None`` or a message placed at ``at``."""
+    """A token reader's first fault: ``message`` at the ``(`` that is token
+    ``at`` (-1: line 1, column 1).  ``frames`` hold the checks of the lists
+    it had opened, ``(start, at, check)``: ``check(toks, items)``, given the
+    token indices of the elements of the list at token ``start``, is
+    ``None`` or a message placed at ``at``."""
 
-    def __init__(self, message: str | None, at: int, item: int | None = None):
+    def __init__(self, message: str | None, at: int):
         super().__init__(message)
-        self.message, self.at, self.item, self.frames = message, at, item, []
+        self.message, self.at, self.frames = message, at, []
 
 
 def read_one(text: str, read, single=("empty input", "expected a single expression")):
     """The value of the one expression in ``text``: ``read(tokens)`` gives
     it with the index after it.  On a :class:`Fault`, or when the tokens run
-    out, the lists are built only to place the error where a reader of
-    ``parse_all``'s lists, which checks a list before its elements, would:
-    the syntax error first, then ``single[0]`` (no expression) or
-    ``single[1]`` (several), then the first message of the fault's frames,
-    outermost first, then the fault itself."""
+    out, the error is worked out from the tokens as a reader that checks a
+    list before its elements would report it: the syntax error first, then
+    ``single[0]`` (no expression) or ``single[1]`` (several), then the first
+    message of the fault's frames, outermost first, then the fault itself."""
     toks = tokens(text)
     try:
         value, i = read(toks)
@@ -249,85 +167,76 @@ def read_one(text: str, read, single=("empty input", "expected a single expressi
         raise Fault(None, -1)
     except (Fault, IndexError) as exc:
         fault = exc if isinstance(exc, Fault) else Fault(None, -1)
-    locations: dict[int, tuple[int, int]] = {}
-    forms = parse_all(text, locations)
-    if len(forms) != 1:
-        raise ParseError(single[len(forms) > 1], 1, 1)
-    lists, stack = [], forms
-    while stack:  # the lists in the order of their ``(``
-        x = stack.pop()
-        if isinstance(x, list):
-            lists.append(x)
-            stack += reversed(x)
-    listed = dict(zip((k for k, t in enumerate(toks) if t == "("), lists))
+    ends = list(range(1, len(toks) + 1))  # the index after the expression at each token
+    opened = []
+    for k, tok in enumerate(toks):
+        if tok == "(":
+            opened.append(k)
+        elif tok == ")":
+            if not opened:
+                raise _token_error(text, "unbalanced ')'", k)
+            ends[opened.pop()] = k + 1
+    if opened:
+        raise _token_error(text, "unclosed '('", opened[-1])
+    forms = i = 0
+    while i < len(toks):
+        forms, i = forms + 1, ends[i]
+    if forms != 1:
+        raise ParseError(single[forms > 1], 1, 1)
     message, at = fault.message, fault.at
     for start, where, check in fault.frames:
-        found = check(listed[start])
+        items, k = [], start + 1
+        while toks[k] != ")":
+            items.append(k)
+            k = ends[k]
+        found = check(toks, items)
         if found is not None:
             message, at = found, where
             break
-    else:
-        if fault.item is not None:
-            message += brief(listed.get(fault.item, atom_at(toks, fault.item)))
-    raise ParseError(message, *(locations[id(listed[at])] if at >= 0 else (1, 1)))
+    raise _token_error(text, message, at) if at >= 0 else ParseError(message, 1, 1)
 
 
-def parse_one(text: str) -> object:
-    """Parse exactly one top-level s-expression."""
-    forms = parse_all(text)
-    if len(forms) != 1:
-        raise ParseError("expected a single expression" if forms else "empty input", 1, 1)
-    return forms[0]
+def _token_error(text: str, message: str, k: int) -> ParseError:
+    """``message`` placed at token ``k`` of ``tokens(text)``."""
+    escaped: list[int] = []
+    for m in _TOKEN_RE.finditer(text):
+        tok = m.group(1)
+        if tok[0] != ";":
+            if not k:
+                break
+            k -= 1
+            if tok[0] == '"':
+                _note_escaped_newlines(tok[1:-1], m.start(1) + 1, escaped)
+    return _error(text, message, m.start(1), escaped)
 
 
 def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
 
 
-_DONE = object()
 _BRIEF = 40  # characters of a list that an error message shows
 
 
-def brief(value: object) -> str:
-    """A value as an error message shows it: an atom as its ``repr``, a
-    list as its s-expression text cut to ``_BRIEF`` characters and ``...``.
-    The list is read on an explicit stack, only as far as it is shown, so
-    any nesting depth is shown in bounded time and space."""
-    if not isinstance(value, list):
-        return repr(value)
-    pieces, size, first = ["("], 1, True
-    stack = [iter(value)]
-    while stack and size <= _BRIEF:
-        x = next(stack[-1], _DONE)
-        if x is _DONE:
-            stack.pop()
-            piece, first = ")", False
+def brief(toks: list[str], k: int) -> str:
+    """The expression at token ``k`` as an error message shows it: an atom
+    as the ``repr`` of its value; a list written back, each atom as the text
+    of its value (``007`` as ``7``, a string quoted again), cut to
+    ``_BRIEF`` characters and ``...``.  Only the tokens shown are read, so
+    any nesting depth is shown in bounded time."""
+    if toks[k] != "(":
+        return repr(atom(toks[k]))
+    pieces, size, depth, first = ["("], 1, 1, True
+    while depth and size <= _BRIEF:
+        k += 1
+        tok = toks[k]
+        if tok == ")":
+            depth, piece, first = depth - 1, ")", False
         else:
-            nested = isinstance(x, list)
-            piece = ("" if first else " ") + ("(" if nested else dump(x))
-            first = nested
-            if nested:
-                stack.append(iter(x))
+            opens = tok == "("
+            text = tok if opens else _quote(atom(tok)) if tok[0] == '"' else str(atom(tok))
+            piece = text if first else " " + text
+            depth, first = depth + opens, opens
         pieces.append(piece)
         size += len(piece)
     text = "".join(pieces)
     return text if len(text) <= _BRIEF else text[:_BRIEF] + "..."
-
-
-def dump(value: object) -> str:
-    """Render a nested list/str/int value as a canonical s-expression.  A
-    plain ``str`` is written as it is: a symbol, or text already written,
-    such as a formula's."""
-    if type(value) is str:
-        return value
-    if isinstance(value, list):
-        return "(" + " ".join(map(dump, value)) + ")"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, QStr):
-        return _quote(value)
-    if isinstance(value, str):
-        return value
-    raise TypeError(f"cannot serialize {type(value)!r}")

@@ -72,6 +72,7 @@ from .syntax import (
     PFormula,
     Position,
     RESERVED_TOKEN_PREFIX,
+    _VERBATIM_RE,
     _WORD_RE,
     _read_formula,
     _read_position,
@@ -83,7 +84,6 @@ from .syntax import (
     prefix_replace,
     print_formula,
     print_position,
-    valid_user_token,
 )
 
 LOGICS = ("k", "d", "t", "k4", "d4", "s4")
@@ -1824,18 +1824,18 @@ def _header(toks: list[str]) -> tuple[System, int, int]:
     for key, allowed, what in ((":system", LOGICS, "logic"), (":flavor", FLAVORS, "flavor")):
         name = _sexpr.atom_at(toks, kv[key])
         if name not in allowed:
-            raise Fault(f"unknown {what} ", 0, kv[key])
+            raise Fault(f"unknown {what} {brief(toks, kv[key])}", 0)
         names.append(str(name))
     if toks[i] == ")":
         raise Fault(_ONE_ROOT, 0)
     return System(*names), i, place
 
 
-def _arguments_fault(form: list) -> str | None:
+def _arguments_fault(toks: list[str], items: list[int]) -> str | None:
     """What is wrong with the argument count or the witness tokens of the
-    rule application ``form``, which the reader checks before its arguments."""
-    head = str(form[0])
-    spec, args = _RULE_TABLE[head], form[1:]
+    rule application with elements at token indices ``items``."""
+    head = str(_sexpr.atom(toks[items[0]]))
+    spec, args = _RULE_TABLE[head], items[1:]
     n = len(spec.args)
     if len(args) != n and (not spec.optional or len(args) != n - spec.optional):
         message = f"{head} expects {spec.arity}"
@@ -1843,9 +1843,8 @@ def _arguments_fault(form: list) -> str | None:
             message += f" ({n} argument{'s' if n != 1 else ''}, got {len(args)})"
         return message
     for i in spec.tokens:
-        tok = args[i]
-        if not valid_user_token(str(tok) if not isinstance(tok, list) else ""):
-            return f"invalid token {brief(tok)}"
+        if _word(toks[args[i]]) is None:
+            return f"invalid token {brief(toks, args[i])}"
     return None
 
 
@@ -1886,10 +1885,11 @@ def parse_proof(text: str) -> tuple[Derivation, System]:
     The tokens are read once, in file order and on an explicit stack, and
     each node is built by ``_node`` when its ``)`` is read.  Formulas,
     p-formulas, label sets, labels and tokens that repeat are read once and
-    shared.  On the first fault, ``_sexpr.read_one`` reports what a reader
-    of ``parse_all``'s lists would: a syntax error or a wrong number of
-    forms, then the header's root count and each open node's argument count
-    and witness tokens, outermost first, then the fault.
+    shared.  On the first fault, ``_sexpr.read_one`` works out the error
+    from the tokens as a reader that checks a list before its elements
+    would: a syntax error or a wrong number of forms, then the header's root
+    count and each open node's argument count and witness tokens, outermost
+    first, then the fault.
     """
     return _sexpr.read_one(text, _read_proof, (_ONE_FORM, _ONE_FORM))
 
@@ -1900,7 +1900,7 @@ def _read_proof(toks: list[str]) -> tuple[tuple[Derivation, System], int]:
     frame, frames = None, []
     try:
         system, i, place = _header(toks)
-        frames.append((0, 0, lambda form: None if len(form) == place + 1 else _ONE_ROOT))
+        frames.append((0, 0, lambda _, items: None if len(items) == place + 1 else _ONE_ROOT))
         head, plan = _rule_head(toks, i)
         # a node's frame: its start, rule, arguments to read, premises and
         # fields in ``_FIELDS`` order, from their defaults
@@ -1952,7 +1952,7 @@ def _read_proof(toks: list[str]) -> tuple[tuple[Derivation, System], int]:
                 elif kind == "label":
                     if tok not in labels:
                         if not _LABEL_RE.fullmatch(tok):
-                            raise Fault("invalid label ", start, i)
+                            raise Fault(f"invalid label {brief(toks, i)}", start)
                         labels[tok] = tok
                     fields[slot] = labels[tok]
                     i += 1
@@ -1966,7 +1966,7 @@ def _read_proof(toks: list[str]) -> tuple[tuple[Derivation, System], int]:
                         for k in range(i + 1, j):
                             if toks[k] not in labels:
                                 if not _LABEL_RE.fullmatch(toks[k]):
-                                    raise Fault("invalid label ", i, k)
+                                    raise Fault(f"invalid label {brief(toks, k)}", i)
                                 labels[toks[k]] = toks[k]
                         got = sets[key] = frozenset(key)
                         if len(got) != len(key):
@@ -2034,16 +2034,19 @@ def sanitize_tokens(d: Derivation) -> Derivation:
 
 
 def _formula_form(f: Formula) -> str:
-    """``print_formula(f)``, read and written again if an atom name does not
-    read back as the same text (empty, ``007``, or with a space, parenthesis,
-    quote or ``;``): the output may then read as another tree, or raise."""
-    text, verbatim = _write_formula(f)
-    return text if verbatim else _sexpr.dump(_sexpr.parse_one(text))
+    """The text of ``f`` in a proof file, which reads back as ``f``: an atom
+    name that does not read back bare is quoted (``ValueError`` for one no
+    formula carries), and a quoted atom alone is quoted again, since a
+    formula slot reads a string as formula text."""
+    text = _write_formula(f, strict=True)
+    if text[0] == '"' and not _VERBATIM_RE.fullmatch(f.name):
+        return _sexpr._quote(text)
+    return text
 
 
 def _node_args(n: Derivation, mapping: dict[str, str]):
     """The file arguments of ``n`` in order: premises as derivations, the
-    others as s-expression values, their tokens renamed by ``mapping``."""
+    others as their text, their tokens renamed by ``mapping``."""
     spec = _RULE_TABLE.get(n.rule)
     if spec is None:
         raise ValueError(f"unknown rule {n.rule!r}")
@@ -2061,14 +2064,14 @@ def _node_args(n: Derivation, mapping: dict[str, str]):
         elif kind == "labels":
             _slot, scope, j = fld
             labels = n.discharges[j] if scope == "p" else n.e_discharges
-            yield _written("label", sorted(labels))
+            yield "(" + " ".join(_written("label", sorted(labels))) + ")"
         elif kind == "formula":
             v = getattr(n, fld)
             yield _formula_form(v.formula if isinstance(v, PFormula) else v)
         elif kind == "position":
             v = getattr(n, fld)
             pos = v.position if fld != "beta" else v or ()
-            yield _written("token", list(map(mapping.get, pos, pos)))
+            yield print_position(_written("token", list(map(mapping.get, pos, pos))))
         elif kind == "token":
             yield _written("token", [mapping.get(n.token, n.token)])[0]
         else:
@@ -2102,7 +2105,7 @@ def print_proof(d: Derivation, system: System) -> str:
                     indent += "  "
                 stack.append((_node_args(a, mapping), indent))
                 break
-            out.append(" " + _sexpr.dump(a))
+            out.append(" " + a)
         else:
             out.append(")")
             stack.pop()

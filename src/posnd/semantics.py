@@ -23,8 +23,8 @@ import itertools
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from ._sexpr import ParseError, brief, parse_all
-from .kernel import LOGICS, PARTIAL_LOGICS, Derivation, System, check
+from ._sexpr import Fault, atom, atom_at, brief, read_one, skip
+from .kernel import _LABEL_RE, LOGICS, PARTIAL_LOGICS, Derivation, System, check
 from .syntax import (
     And,
     Atom,
@@ -789,66 +789,70 @@ def parse_model(text: str) -> tuple[str, TreeModel]:
     """Read ``(model :logic <l> (node (...) :atoms (...)) ...)`` text.
 
     Returns the logic tag together with the model.  The trailing
-    ``:serial-completion true`` marks a completed (leafless) structure.
+    ``:serial-completion true`` marks a completed (leafless) structure.  The
+    worlds must form a tree, and each atom name must be one
+    :func:`print_model` writes back.
     """
-    locations: dict[int, tuple[int, int]] = {}
-    forms = parse_all(text, locations)
-    if len(forms) != 1:
-        raise ParseError("expected a single model form", 1, 1)
-    form = forms[0]
+    return read_one(text, _read_model, ("expected a single model form",) * 2)
 
-    def where(obj: object) -> tuple[int, int]:
-        return locations.get(id(obj), (1, 1))
 
-    def fail(message: str, obj: object) -> ParseError:
-        line, column = where(obj)
-        return ParseError(message, line, column)
-
-    if not isinstance(form, list) or not form or form[0] != "model":
-        raise fail("expected a (model ...) form", form)
-    items = form[1:]
-    if len(items) < 2 or items[0] != ":logic" or not isinstance(items[1], str):
-        raise fail("expected :logic <name> first", form)
-    logic = items[1]
+def _read_model(toks: list[str]) -> tuple[tuple[str, TreeModel], int]:
+    """The reader ``parse_model`` hands to ``read_one``: a fault is placed
+    at the model form, or at the node form it is about."""
+    if toks[0] != "(" or atom_at(toks, 1) != "model":
+        raise Fault("expected a (model ...) form", 0 if toks[0] == "(" else -1)
+    if atom_at(toks, 2) != ":logic" or not isinstance(logic := atom_at(toks, 3), str):
+        raise Fault("expected :logic <name> first", 0)
     if logic not in _STEP_KIND:
-        raise fail(f"unknown logic {logic!r}", form)
-    nodes: set[Node] = set()
+        raise Fault(f"unknown logic {logic!r}", 0)
+    nodes: dict[Node, int] = {}  # each world, in file order, to its node form
     valuation: dict[Node, frozenset[str]] = {}
     serial = False
-    rest = items[2:]
-    i = 0
-    while i < len(rest):
-        item = rest[i]
-        if item == ":serial-completion":
-            if i + 1 >= len(rest) or rest[i + 1] not in ("true", "false"):
-                raise fail(":serial-completion needs true or false", form)
-            serial = rest[i + 1] == "true"
-            i += 2
+    i = 4
+    while toks[i] != ")":
+        if atom_at(toks, i) == ":serial-completion":
+            value = atom_at(toks, i + 1)
+            if value not in ("true", "false"):
+                raise Fault(":serial-completion needs true or false", 0)
+            serial, i = value == "true", i + 2
             continue
-        if not isinstance(item, list) or not item or item[0] != "node":
-            raise fail("expected a (node (...) :atoms (...)) form", item)
+        at = i if toks[i] == "(" else -1  # an atom is placed at line 1, column 1
+        if at < 0 or atom_at(toks, i + 1) != "node":
+            raise Fault("expected a (node (...) :atoms (...)) form", at)
+        w = i + 2  # the world list
+        j = skip(toks, w) if toks[w] == "(" else w
         if (
-            len(item) != 4
-            or not isinstance(item[1], list)
-            or item[2] != ":atoms"
-            or not isinstance(item[3], list)
+            toks[w] != "("
+            or atom_at(toks, j) != ":atoms"
+            or toks[j + 1] != "("
+            or toks[end := skip(toks, j + 1)] != ")"
         ):
-            raise fail("expected (node (<nat>...) :atoms (<name>...))", item)
-        if not all(isinstance(x, int) for x in item[1]):
-            raise fail("world indices must be naturals", item)
-        world = tuple(item[1])
+            raise Fault("expected (node (<nat>...) :atoms (<name>...))", i)
+        world = tuple(map(atom, toks[w + 1 : j - 1]))
+        if not all(isinstance(x, int) for x in world):
+            raise Fault("world indices must be naturals", i)
         if world in nodes:
-            raise fail(f"duplicate world {brief(item[1])}", item)
-        atoms = []
-        for a in item[3]:
-            if not isinstance(a, str):
-                raise fail("atom names must be symbols", item)
-            atoms.append(a)
-        nodes.add(world)
+            raise Fault(f"duplicate world {brief(toks, w)}", i)
+        atoms = [atom_at(toks, k) for k in range(j + 2, end - 1)]
+        if not all(isinstance(a, str) for a in atoms):
+            raise Fault("atom names must be symbols", i)
+        nodes[world] = i
         if atoms:
             valuation[world] = frozenset(atoms)
-        i += 1
-    return logic, TreeModel(frozenset(nodes), valuation, serial)
+        i = end + 1
+    for world, at in nodes.items():
+        if world and world[:-1] not in nodes:
+            raise Fault(f"missing parent world {_world_text(world[:-1])}", at)
+        for name in sorted(valuation.get(world, ())):
+            if not _LABEL_RE.fullmatch(name):  # a bare symbol that reads as a str
+                raise Fault(f"atom name {name!r} cannot be written in a model file", at)
+    if not nodes:
+        raise Fault("missing root world ()", 0)
+    return (logic, TreeModel(frozenset(nodes), valuation, serial)), i + 1
+
+
+def _world_text(world: Node) -> str:
+    return "(" + " ".join(map(str, world)) + ")"
 
 
 def print_model(m: TreeModel, logic: str) -> str:
@@ -856,9 +860,8 @@ def print_model(m: TreeModel, logic: str) -> str:
     _check_logic(logic)
     lines = [f"(model :logic {logic}"]
     for world in _shape(m.nodes)[0]:
-        spot = "(" + " ".join(str(i) for i in world) + ")"
         atoms = " ".join(sorted(m.atoms_at(world)))
-        lines.append(f"  (node {spot} :atoms ({atoms}))")
+        lines.append(f"  (node {_world_text(world)} :atoms ({atoms}))")
     if m.serial_completion:
         lines.append("  :serial-completion true")
     lines[-1] += ")"

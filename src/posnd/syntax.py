@@ -184,10 +184,10 @@ def degree(f: Formula) -> int:
 # ---------------------------------------------------------------------------
 
 
-#: A symbol written bare that reads back as the same text: ASCII digits
-#: only in canonical ``int`` form.  A token also starts with neither the
-#: reserved prefix nor the keyword ``:``.
-_VERBATIM_RE = re.compile(rf"(?!0[0-9]+\Z){_sexpr.SYMBOL}")
+#: An atom name written bare that reads back as the same atom: ASCII digits
+#: only in canonical ``int`` form, not a reserved word, no keyword ``:``.  A
+#: token also starts with neither the reserved prefix nor ``:``.
+_VERBATIM_RE = re.compile(rf"(?!(?:0[0-9]+|{'|'.join(_RESERVED_WORDS)})\Z|:){_sexpr.SYMBOL}")
 _WORD_RE = re.compile(rf"(?!{RESERVED_TOKEN_PREFIX}|:|0[0-9]+\Z){_sexpr.SYMBOL}")
 
 
@@ -205,6 +205,11 @@ _CONNECTIVES = {
 }
 
 
+def _reserved_name(name: str) -> bool:
+    """Whether no formula carries ``name`` as an atom name, quoted or not."""
+    return name in _RESERVED_WORDS or name.startswith((":", "("))
+
+
 def _atom_formula(tok: str, at: int) -> Formula:
     """The formula a token other than ``(`` stands for."""
     if tok[0] not in '":)' and tok not in _RESERVED_WORDS and not tok.isdigit():
@@ -216,7 +221,7 @@ def _atom_formula(tok: str, at: int) -> Formula:
         return Atom(str(name))
     if name == "bot":
         return Bottom()
-    if name in _RESERVED_WORDS or name.startswith((":", "(")):
+    if _reserved_name(name):
         raise Fault(f"invalid atom name {name!r}", at)
     return Atom(name)
 
@@ -225,16 +230,18 @@ def _connective(toks: list[str], i: int, at: int) -> tuple:
     """The connective of the formula list at token ``i``."""
     name = _sexpr.atom_at(toks, i + 1)
     if not isinstance(name, str):
-        raise Fault("not a formula: ", at, i)
+        raise Fault(f"not a formula: {_sexpr.brief(toks, i)}", at)
     if name not in _CONNECTIVES:
         raise Fault(f"unknown formula head {name!r}", at)
     return _CONNECTIVES[name]
 
 
-def _operand_fault(form: list) -> str | None:
-    n = _CONNECTIVES[form[0]][1]
-    if len(form) != n + 1:
-        return f"({form[0]} ...) takes " + ("two operands" if n == 2 else "one operand")
+def _operand_fault(toks: list[str], items: list[int]) -> str | None:
+    """What is wrong with the operand count of a formula list's ``items``."""
+    head = _sexpr.atom(toks[items[0]])
+    n = _CONNECTIVES[head][1]
+    if len(items) != n + 1:
+        return f"({head} ...) takes " + ("two operands" if n == 2 else "one operand")
     return None
 
 
@@ -285,8 +292,9 @@ def parse_formula(text: str) -> Formula:
 
 
 def print_formula(f: Formula) -> str:
-    """The concrete syntax of ``f``; any nesting depth prints."""
-    return _write_formula(f)[0]
+    """The concrete syntax of ``f``; any nesting depth prints.  A plain
+    ``str`` atom name is written as it is, a ``QStr`` quoted."""
+    return _write_formula(f)
 
 
 #: The text that opens a compound formula, and whether it has two operands.
@@ -294,11 +302,11 @@ _OPENERS = {c: (f"({h} ", n == 2) for h, (c, n) in _CONNECTIVES.items() if c is 
 _CLOSE, _SPACE = (")",), (" ",)  # text to write, told from formulas by identity
 
 
-def _write_formula(f: Formula) -> tuple[str, bool]:
-    """The text of ``f``, written in one pass on an explicit stack, and whether
-    each atom name in it reads back as the same text (``_VERBATIM_RE``; a name
-    not a plain ``str`` is written by ``_sexpr.dump``: a ``QStr`` quoted)."""
-    out, stack, verbatim = [], [f], True
+def _write_formula(f: Formula, strict: bool = False) -> str:
+    """The text of ``f``, written in one pass on an explicit stack.  A plain
+    ``str`` atom name is written as it is, with ``strict`` only if
+    ``_VERBATIM_RE`` holds for it; any other name by :func:`_quoted_name`."""
+    out, stack = [], [f]
     while stack:
         f = stack.pop()
         cls = type(f)
@@ -310,14 +318,24 @@ def _write_formula(f: Formula) -> tuple[str, bool]:
             stack += (_CLOSE, f.right, _SPACE, f.left) if binary else (_CLOSE, f.body)
         elif cls is Atom:
             name = f.name
-            if type(name) is str:
-                verbatim = verbatim and _VERBATIM_RE.fullmatch(name) is not None
-            out.append(name if type(name) is str else _sexpr.dump(name))
+            if type(name) is not str or strict and not _VERBATIM_RE.fullmatch(name):
+                name = _quoted_name(name, strict)
+            out.append(name)
         elif cls is Bottom:
             out.append("bot")
         else:
             raise TypeError(f"not a formula: {f!r}")
-    return "".join(out), verbatim
+    return "".join(out)
+
+
+def _quoted_name(name: object, strict: bool) -> str:
+    """An atom name written as a string literal: ``TypeError`` if it is not a
+    ``str``, and with ``strict`` ``ValueError`` if no proof file carries it."""
+    if not isinstance(name, str):
+        raise TypeError(f"not a formula: {Atom(name)!r}")
+    if strict and _reserved_name(name):
+        raise ValueError(f"atom name {name!r} cannot be written in a proof file")
+    return _sexpr._quote(name)
 
 
 def _word(tok: str) -> str | None:
@@ -338,7 +356,7 @@ def _read_position(toks: list[str], i: int, words: dict, at: int) -> tuple[Posit
     for k, tok in enumerate(pos):
         word = pos[k] = words.get(tok) or _word(tok)
         if word is None:
-            raise Fault("invalid position token ", at, i + 1 + k)
+            raise Fault(f"invalid position token {_sexpr.brief(toks, i + 1 + k)}", at)
         words[tok] = word
     return tuple(pos), j + 1
 
@@ -349,7 +367,7 @@ def parse_position(text: str) -> Position:
 
     def read(toks: list[str]) -> tuple[Position, int]:
         if toks[0] != "(":
-            raise Fault("not a position: ", -1, 0)
+            raise Fault(f"not a position: {_sexpr.brief(toks, 0)}", -1)
         return _read_position(toks, 0, {}, -1)
 
     return _sexpr.read_one(text, read)

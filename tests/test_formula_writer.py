@@ -1,14 +1,17 @@
 """The formula writer against a frozen copy of the one it replaced.
 
 Formulas used to be written through nested lists: ``_formula_to_sexpr``
-built them, ``_sexpr.dump`` rendered them, and the proof and check-report
-writers first asked ``_atoms_read_back`` whether every atom name read back
-as itself, taking the text round trip ``parse_one(print_formula(f))`` where
-one did not.  All three recursed.  ``print_formula`` and ``_formula_form``
-now write text in one pass on an explicit stack, and must give the same
-text, or raise the same error, on random formulas, shared subformulas,
-``QStr`` atom names and odd names; and print and re-read formulas nested
-100,000 deep under the default recursion limit.
+built them, ``dump`` rendered them, and the proof and check-report writers
+first asked ``_atoms_read_back`` whether every atom name read back as
+itself, taking the text round trip ``parse_one(print_formula(f))`` where one
+did not.  All three recursed.  ``print_formula`` and ``_formula_form`` now
+write text in one pass on an explicit stack.  ``print_formula`` must give
+the same text, or raise the same error, on random formulas, shared
+subformulas, ``QStr`` atom names and odd names.  ``_formula_form`` must give
+the same text wherever that text reads back as the formula; elsewhere it now
+writes text that does, or refuses a name no formula carries.  Both print,
+and the reader re-reads, formulas nested 100,000 deep under the default
+recursion limit.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ import sys
 import pytest
 
 import proofgen
+from list_reader import dump, parse_one
 from posnd import kernel as K
-from posnd._sexpr import ParseError, QStr, parse_one
+from posnd._sexpr import ParseError, QStr
 from posnd.syntax import (
     And,
     Atom,
@@ -37,22 +41,7 @@ from posnd.syntax import (
 # --- frozen copies of the list writer ---------------------------------------
 
 _SYMBOL_RE = re.compile(r'[^\s();"]+')
-
-
-def _reference_dump(value: object) -> str:
-    if type(value) is str:
-        return value
-    if isinstance(value, list):
-        return "(" + " ".join(map(_reference_dump, value)) + ")"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, QStr):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
-    if isinstance(value, str):
-        return value
-    raise TypeError(f"cannot serialize {type(value)!r}")
+_RESERVED_WORDS = frozenset({"bot", "and", "or", "imp", "not", "box", "dia", "true", "false"})
 
 
 def _formula_to_sexpr(f):
@@ -87,26 +76,59 @@ def _atoms_read_back(f) -> bool:
 
 
 def reference_print_formula(f) -> str:
-    return _reference_dump(_formula_to_sexpr(f))
+    return dump(_formula_to_sexpr(f))
 
 
 def reference_formula_form(f) -> str:
     """The text the writers used to write for ``f``."""
     if _atoms_read_back(f):
-        return _reference_dump(_formula_to_sexpr(f))
-    return _reference_dump(parse_one(reference_print_formula(f)))
+        return dump(_formula_to_sexpr(f))
+    return dump(parse_one(reference_print_formula(f)))
 
 
 def outcome(fn, f):
     try:
         return fn(f)
-    except (ParseError, TypeError) as exc:
+    except (ParseError, TypeError, ValueError) as exc:
         return type(exc).__name__, str(exc)
 
 
+def _names(f) -> list:
+    stack, names = [f], []
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Atom):
+            names.append(g.name)
+        elif isinstance(g, (And, Or, Imp)):
+            stack += (g.right, g.left)
+        elif isinstance(g, (Box, Dia)):
+            stack.append(g.body)
+    return names
+
+
+def _reads_back(text, f) -> bool:
+    """Whether a proof file that carries ``text`` in a formula slot reads it as ``f``."""
+    proof = f"(proof :system s4 :flavor classical (hyp u {text} ()))"
+    try:
+        return K.parse_proof(proof)[0].content.formula == f
+    except ParseError:
+        return False
+
+
 def assert_written_alike(f):
+    """``print_formula`` writes as before.  ``_formula_form`` refuses a name
+    no formula carries (a reserved word, or a start of ``:`` or ``(``), and
+    otherwise writes as before where that text reads back as ``f``, and
+    text that reads back as ``f`` elsewhere."""
     assert outcome(print_formula, f) == outcome(reference_print_formula, f)
-    assert outcome(K._formula_form, f) == outcome(reference_formula_form, f)
+    got, before = outcome(K._formula_form, f), outcome(reference_formula_form, f)
+    refused = [n for n in _names(f) if n in _RESERVED_WORDS or n.startswith((":", "("))]
+    if refused:
+        assert got[0] == "ValueError" and repr(str(refused[0])) in got[1]
+    elif isinstance(before, str) and _reads_back(before, f):
+        assert got == before
+    else:
+        assert isinstance(got, str) and _reads_back(got, f), (got, before)
 
 
 # --- corpora ----------------------------------------------------------------
@@ -145,10 +167,10 @@ def test_odd_and_quoted_names_write_as_before(name):
 def test_formulas_over_odd_names_write_as_before():
     rng = random.Random("odd-names")
     names = ODD_NAMES + QSTR_NAMES + ["p", "q"] * 10
-    results = [outcome(K._formula_form, _random_formula(rng, names, 4)) for _ in range(30)]
+    results = [outcome(reference_formula_form, _random_formula(rng, names, 4)) for _ in range(30)]
     for _ in range(600):
         assert_written_alike(_random_formula(rng, names, 4))
-    # both the written texts and the errors of the round trip are reached
+    # both the texts and the errors of the old round trip are reached
     assert any(isinstance(r, str) for r in results)
     assert any(isinstance(r, tuple) for r in results)
 
@@ -167,8 +189,12 @@ def test_shared_subformulas_write_as_before():
 def test_non_formulas_raise_as_before():
     for f in (None, "p", And(Atom("p"), "q"), Box(3)):
         assert outcome(print_formula, f) == outcome(reference_print_formula, f)
+    # A name that is not a ``str`` used to be written as ``dump`` wrote it
+    # (``3``, ``true``); it is now no formula, for both writers.
     for name in (3, True, False):
-        assert print_formula(Atom(name)) == reference_print_formula(Atom(name))
+        f = Imp(Atom("p"), Atom(name))
+        want = ("TypeError", f"not a formula: {Atom(name)!r}")
+        assert outcome(print_formula, f) == outcome(K._formula_form, f) == want
 
 
 # --- any depth ----------------------------------------------------------------

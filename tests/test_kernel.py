@@ -13,7 +13,8 @@ import proofgen
 from posnd import kernel as K
 from posnd import normalizer as N
 from posnd import translate as T
-from posnd._sexpr import ParseError, parse_one
+from list_reader import parse_one
+from posnd._sexpr import ParseError
 from posnd.syntax import (
     Atom,
     Bottom,

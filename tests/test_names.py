@@ -18,7 +18,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posnd import _sexpr
+import list_reader
 from posnd import kernel as K
 from posnd._sexpr import ParseError
 from posnd.syntax import Atom, Bottom, Box, Dia, parse_position, valid_user_token
@@ -172,7 +172,7 @@ def test_a_check_report_writes_each_open_position_as_it_reads_back(d):
         assert not writable
         return
     assert writable
-    opens = _sexpr.parse_one(text)[6]
+    opens = list_reader.parse_one(text)[6]
     assert len(opens) == len(report.open_assumptions)
     for form, a in zip(opens, report.open_assumptions):
         assert [str(t) for t in form[-1]] == list(a.content.position)

@@ -2,29 +2,34 @@
 against frozen reference copies of their earlier versions.
 
 The reading references are the list reader the one-pass token readers
-replaced: ``_sexpr.parse_all`` builds the lists, and ``_parse_node`` reads a
-rule application by calling the constructors, one branch per rule, over
-copies of its helpers.  The printing reference keeps one branch per rule:
+replaced: ``list_reader.parse_all`` (a frozen copy) builds and places the
+lists, and ``_parse_node`` reads a rule application by calling the
+constructors, one branch per rule, over copies of its helpers.  The printing reference keeps one branch per rule:
 ``_node_form`` builds the nested list of a node and ``_pretty`` lays it out.
 On proof texts and random edits of them, ``parse_proof`` must give an equal
 tree or the same error (message, line and column), and ``print_proof`` the
 same tokens, except that the reference also breaks the line before a label
 list or position whose first element is a rule name and indents every line
 by its full depth.  On formula and position texts and their edits,
-``parse_formula`` and ``parse_position`` must agree with the list reader.
+``parse_formula`` and ``parse_position`` must agree with the list reader,
+and a fault 100,000 levels deep must be reported as it placed it, in time
+linear in the text and under the default recursion limit.
 """
 
 from __future__ import annotations
 
 import random
 import re
+import sys
+import time
 
 import pytest
 
+import list_reader as L
 import proofgen
-from posnd import _sexpr
+from list_reader import brief
 from posnd import kernel as K
-from posnd._sexpr import ParseError, QStr, brief
+from posnd._sexpr import ParseError, QStr
 from posnd.syntax import (
     And,
     Atom,
@@ -97,11 +102,11 @@ def _position_from_sexpr(form: object):
 
 
 def reference_parse_formula(text):
-    return _formula_from_sexpr(_sexpr.parse_one(text))
+    return _formula_from_sexpr(L.parse_one(text))
 
 
 def reference_parse_position(text):
-    return _position_from_sexpr(_sexpr.parse_one(text))
+    return _position_from_sexpr(L.parse_one(text))
 
 
 def _valid_label(s: object) -> bool:
@@ -152,7 +157,7 @@ def reference_parse_proof(text):
     """The list reader: ``parse_all`` with the lists' locations, the header
     checks, then ``_parse_node`` on the root."""
     locs: dict[int, tuple[int, int]] = {}
-    forms = _sexpr.parse_all(text, locs)
+    forms = L.parse_all(text, locs)
     if len(forms) != 1:
         raise ParseError("expected exactly one proof form", 1, 1)
     form = forms[0]
@@ -403,21 +408,21 @@ def _node_form(n: K.Derivation) -> list:
 def _pretty(form: object, indent: int = 0) -> str:
     pad = "  " * indent
     if not isinstance(form, list):
-        return pad + _sexpr.dump(form)
+        return pad + L.dump(form)
 
     def is_node(x: object) -> bool:
         return isinstance(x, list) and bool(x) and x[0] in K.RULES
 
     if not any(is_node(x) for x in form[1:]):
-        return pad + _sexpr.dump(form)
+        return pad + L.dump(form)
     lines: list[str] = []
-    current = pad + "(" + _sexpr.dump(form[0])
+    current = pad + "(" + L.dump(form[0])
     for item in form[1:]:
         if is_node(item):
             lines.append(current)
             current = _pretty(item, indent + 1)
         else:
-            current += " " + _sexpr.dump(item)
+            current += " " + L.dump(item)
     lines.append(current + ")")
     return "\n".join(lines)
 
@@ -574,3 +579,58 @@ def test_formula_and_position_texts_and_their_edits_read_alike():
                 results.append(got)
     errors = sum(isinstance(r, tuple) and r[:1] == ("ParseError",) for r in results)
     assert errors > 500 and len(results) - errors > 500
+
+
+# --- faults at the bottom of deep texts ---------------------------------------
+
+DEEP = 100_000
+
+
+@pytest.fixture
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+def _deep_formula(depth: int) -> str:
+    """``box`` nested ``depth`` deep over a ``box`` with two operands."""
+    return "(box " * depth + "p q" + ")" * depth
+
+
+def _deep_proof(depth: int) -> str:
+    """An ``and-e1`` chain ``depth`` deep over a ``hyp`` short of its position."""
+    return (
+        "(proof :system s4 :flavor classical\n"
+        + "(and-e1 " * depth + "\n  (hyp u p)" + ")" * depth + ")"
+    )
+
+
+def _innermost_list(text: str) -> tuple[int, int]:
+    """Where the frozen list reader places the last list that opens."""
+    locs: dict[int, tuple[int, int]] = {}
+    L.parse_all(text, locs)
+    return max(locs.values())
+
+
+@pytest.mark.parametrize("read, reference, text, message, place", [
+    (parse_formula, reference_parse_formula, _deep_formula,
+     "(box ...) takes one operand", lambda text: (1, 1)),
+    (K.parse_proof, reference_parse_proof, _deep_proof,
+     "hyp expects label, formula, position (3 arguments, got 2)", _innermost_list),
+], ids=["formula", "proof"])
+def test_a_fault_at_the_bottom_of_a_deep_text(
+    read, reference, text, message, place, default_recursion_limit
+):
+    # The recursive reference reaches a few hundred levels; deeper, its error
+    # is the same message at the list the frozen list reader places.
+    for depth in (1, 2, 300):
+        assert outcome(read, text(depth)) == outcome(reference, text(depth))
+        assert outcome(read, text(depth)) == ("ParseError", message, *place(text(depth)))
+    deep = text(DEEP)
+    start = time.perf_counter()
+    got = outcome(read, deep)
+    took = time.perf_counter() - start
+    assert got == ("ParseError", message, *place(deep))
+    assert took < 10, took

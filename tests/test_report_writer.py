@@ -2,14 +2,14 @@
 
 The reference builds the report as nested lists, a position by
 ``_pos_form`` and a formula by ``_formula_form``, and renders them with
-``_sexpr.dump``.  ``print_check_report`` now writes text in one pass and
-writes each distinct formula object once per call.  Both must give the same
-text, or raise the same error, on the reports of random derivations and
-their mutants in every system, of check-stream proof files (whose reader
-shares repeated formulas), and on empty reports, existence assumptions,
-violation messages with quotes, backslashes and newlines, atom names that do
-not read back, and formulas shared by many assumptions or held as distinct
-equal objects.
+the frozen list writer's ``dump``.  ``print_check_report`` now writes text
+in one pass and writes each distinct formula object once per call.  Both
+must give the same text, or raise the same error, on the reports of random
+derivations and their mutants in every system, of check-stream proof files
+(whose reader shares repeated formulas), and on empty reports, existence
+assumptions, violation messages with quotes, backslashes and newlines, atom
+names that do not read back bare, and formulas shared by many assumptions or
+held as distinct equal objects.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import proofgen
-from posnd import _sexpr
+from list_reader import dump
 from posnd import kernel as K
 from posnd._sexpr import ParseError, QStr
 from posnd.syntax import And, Atom, Box, Dia, EFormula, Imp, Or, PFormula
@@ -57,7 +57,7 @@ def reference_print_check_report(report: K.CheckReport) -> str:
         for a in opens
     ]
     form = ["check-report", ":ok", report.ok, ":violations", viol_forms, ":open", open_forms]
-    return _sexpr.dump(form) + "\n"
+    return dump(form) + "\n"
 
 
 # --- helpers ------------------------------------------------------------------

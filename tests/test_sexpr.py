@@ -1,4 +1,5 @@
-"""Tests pinning the s-expression reader: values, locations and errors."""
+"""Tests pinning the s-expression reader: tokens, values, locations and
+errors, all through the package's own tokenizer, ``atom`` and readers."""
 
 from __future__ import annotations
 
@@ -8,14 +9,32 @@ import time
 import pytest
 
 from posnd import kernel as K
-from posnd._sexpr import _TOKEN_RE, ParseError, QStr, dump, parse_all, parse_one
-from posnd.syntax import And, Atom, Imp, PFormula, parse_formula
+from posnd._sexpr import _TOKEN_RE, ParseError, QStr, _quote, _token_error, atom, tokens
+from posnd.semantics import parse_model
+from posnd.syntax import And, Atom, Imp, PFormula, parse_formula, parse_position
+
+READERS = (parse_formula, parse_position, K.parse_proof, parse_model)
 
 
 def _error(text: str) -> tuple[str, int, int]:
-    with pytest.raises(ParseError) as exc:
-        parse_all(text)
-    return exc.value.message, exc.value.line, exc.value.column
+    """The syntax error of ``text``, the same from every reader."""
+    got = set()
+    for read in READERS:
+        with pytest.raises(ParseError) as exc:
+            read(text)
+        got.add((exc.value.message, exc.value.line, exc.value.column))
+    (want,) = got
+    return want
+
+
+def _places(text: str) -> list[tuple[int, int]]:
+    """The (line, column) at which an error at each ``(`` is placed."""
+    places = []
+    for k, tok in enumerate(tokens(text)):
+        if tok == "(":
+            exc = _token_error(text, "", k)
+            places.append((exc.line, exc.column))
+    return places
 
 
 # --- errors: message, line and column --------------------------------------
@@ -56,39 +75,49 @@ def test_error_location(text, want):
     assert _error(text) == want
 
 
-def test_parse_one_errors():
+def test_form_count_errors():
     for text in ("", "  ; only a comment\n"):
         with pytest.raises(ParseError) as exc:
-            parse_one(text)
+            parse_formula(text)
         assert (exc.value.message, exc.value.line, exc.value.column) == (
             "empty input",
             1,
             1,
         )
     with pytest.raises(ParseError) as exc:
-        parse_one("a b")
+        parse_formula("a b")
     assert (exc.value.message, exc.value.line, exc.value.column) == (
         "expected a single expression",
         1,
         1,
     )
     assert str(exc.value) == "line 1, column 1: expected a single expression"
+    for read, message in (
+        (K.parse_proof, "expected exactly one proof form"),
+        (parse_model, "expected a single model form"),
+    ):
+        for text in ("", "; c", "(a) (b)", "a\n(b)"):
+            with pytest.raises(ParseError) as exc:
+                read(text)
+            assert (exc.value.message, exc.value.line, exc.value.column) == (message, 1, 1)
 
 
 # --- values ----------------------------------------------------------------
 
 
 def test_atom_types():
-    forms = parse_all('12 007 x12 -3 1.5 "5" "" :key a"b"')
-    assert forms == [12, 7, "x12", "-3", "1.5", "5", "", ":key", "a", "b"]
-    kinds = [type(f) for f in forms]
+    toks = tokens('12 007 x12 -3 1.5 "5" "" :key a"b"')
+    assert toks == ["12", "007", "x12", "-3", "1.5", '"5"', '""', ":key", "a", '"b"']
+    values = list(map(atom, toks))
+    assert values == [12, 7, "x12", "-3", "1.5", "5", "", ":key", "a", "b"]
+    kinds = [type(v) for v in values]
     assert kinds == [int, int, str, str, str, QStr, QStr, str, str, QStr]
 
 
 def test_non_ascii_digits_are_symbols():
     # ``str.isdigit`` holds for both, but only ASCII digits read as integers:
     # int() rejects "²" and reads "٣" as 3.
-    assert parse_all("² ٣ 3") == ["²", "٣", 3]
+    assert list(map(atom, tokens("² ٣ 3"))) == ["²", "٣", 3]
     s4 = K.System("s4", "classical")
     d, _ = K.parse_proof("(proof :system s4 :flavor classical (hyp u ² ()))")
     assert d == K.hyp("u", Atom("²"), ())
@@ -98,62 +127,66 @@ def test_non_ascii_digits_are_symbols():
 
 
 def test_string_escapes():
-    (s,) = parse_all(r'"a\nb\tc\"d\\e\qf"')
+    (tok,) = tokens(r'"a\nb\tc\"d\\e\qf"')
+    s = atom(tok)
     assert isinstance(s, QStr)
     assert s == 'a\nb\tc"d\\eqf'
-    assert parse_one('"x\\\ny"') == "x\ny"
-    assert parse_one('"multi\nline"') == "multi\nline"
-    assert dump(s) == '"a\\nb\tc\\"d\\\\eqf"'
+    assert atom('"x\\\ny"') == "x\ny"
+    assert atom('"multi\nline"') == "multi\nline"
+    assert _quote(s) == '"a\\nb\tc\\"d\\\\eqf"'
 
 
 def test_comments_and_empty_input():
-    assert parse_all("") == []
-    assert parse_all("; nothing\n  \n;; more") == []
-    assert parse_all("(a ; (b\n c) ; d") == [["a", "c"]]
-    assert parse_all("a;b\nc") == ["a", "c"]
-    assert parse_all('"x;y" z') == ["x;y", "z"]
+    assert tokens("") == []
+    assert tokens("; nothing\n  \n;; more") == []
+    assert tokens("(a ; (b\n c) ; d") == ["(", "a", "c", ")"]
+    assert tokens("a;b\nc") == ["a", "c"]
+    assert tokens('"x;y" z') == ['"x;y"', "z"]
 
 
 def test_unusual_whitespace():
     # \x0b and \x1c are whitespace to str.isspace, as is the no-break space
-    forms = parse_all("a\x0bb\x1c(c d)\x1d\x85e f　g")
-    assert forms == ["a", "b", ["c", "d"], "e", "f", "g"]
-    locs: dict[int, tuple[int, int]] = {}
-    forms = parse_all("\x0b\x1c (x)", locs)
-    assert locs[id(forms[0])] == (1, 4)
+    toks = tokens("a\x0bb\x1c(c d)\x1d\x85e f　g")
+    assert toks == ["a", "b", "(", "c", "d", ")", "e", "f", "g"]
+    assert _places("\x0b\x1c (x)") == [(1, 4)]
+    with pytest.raises(ParseError) as exc:
+        K.parse_proof("\x0b\x1c (proof :system s4)")
+    assert (exc.value.line, exc.value.column) == (1, 4)
     # only '\n' starts a new line
-    assert _error("\r\x0b\x1c\x85 )") == ("unbalanced ')'", 1, 6)
+    assert _error("\r\x0b\x1c\x85 )") == ("unbalanced ')'", 1, 6)
 
 
 def test_nested_list_locations():
     text = "(proof\n  (a (b c)\n     (d))\n\t(e)) (f)\n(\n)"
-    locs: dict[int, tuple[int, int]] = {}
-    forms = parse_all(text, locs)
-    proof, f, empty = forms
-    a = proof[1]
-    assert locs[id(proof)] == (1, 1)
-    assert locs[id(a)] == (2, 3)
-    assert locs[id(a[1])] == (2, 6)
-    assert locs[id(a[2])] == (3, 6)
-    assert locs[id(proof[2])] == (4, 2)
-    assert locs[id(f)] == (4, 7)
-    assert locs[id(empty)] == (5, 1)
-    assert len(locs) == 7
+    assert _places(text) == [(1, 1), (2, 3), (2, 6), (3, 6), (4, 2), (4, 7), (5, 1)]
 
 
 def test_locations_after_strings_and_crlf():
     text = '(a "x\ny" (b))\r\n  (c "\\\n" (d))'
-    locs: dict[int, tuple[int, int]] = {}
-    first, second = parse_all(text, locs)
-    assert locs[id(first[2])] == (2, 4)
-    assert locs[id(second)] == (3, 3)
     # the escaped newline keeps the line count and adds two columns
-    assert locs[id(second[2])] == (3, 11)
+    assert _places(text) == [(1, 1), (2, 4), (3, 3), (3, 11)]
 
 
-def test_dump_roundtrip():
-    value = ["a", 3, QStr("x y\n\"z\"\\"), [], [QStr(""), ["b"]], True, False]
-    assert parse_one(dump(value)) == ["a", 3, "x y\n\"z\"\\", [], ["", ["b"]], "true", "false"]
+def test_errors_are_placed_past_comments_and_strings():
+    text = (
+        '(proof :system s4 ; a comment (with a list)\n'
+        '  :flavor classical ; "and a string\n'
+        '  (and-i (hyp u "\\\n(and p q)" ())\n'
+        '    (hyp v p)))'
+    )
+    with pytest.raises(ParseError) as exc:
+        K.parse_proof(text)
+    assert (exc.value.message, exc.value.line, exc.value.column) == (
+        "hyp expects label, formula, position (3 arguments, got 2)",
+        4,
+        5,
+    )
+
+
+def test_quote_roundtrip():
+    for s in ("x y\n\"z\"\\", "", "a;b", "(", "\t", "\\n"):
+        (tok,) = tokens(_quote(s))
+        assert atom(tok) == s and isinstance(atom(tok), QStr)
 
 
 # --- proof files read formulas and positions from the forms --------------
@@ -170,10 +203,9 @@ _COMPOUND = [
 
 @pytest.mark.parametrize("text", _COMPOUND)
 def test_parse_proof_formula_equals_text_round_trip(text):
-    form = parse_one(text)
     proof = f"(proof :system s4 :flavor classical (hyp u {text} (a 2 b)))"
     d, _ = K.parse_proof(proof)
-    assert d.content == PFormula(parse_formula(dump(form)), ("a", "2", "b"))
+    assert d.content == PFormula(parse_formula(text), ("a", "2", "b"))
 
 
 def test_parse_proof_bare_quoted_atoms():
@@ -234,28 +266,58 @@ def test_parse_proof_bad_position_token_is_placed_at_its_list(node, column):
 
 
 def test_printing_an_unreadable_atom_raises():
-    d = K.hyp("u", Atom("a b"), ())
-    with pytest.raises(ParseError):
-        K.print_proof(d, K.System("s4", "classical"))
-    with pytest.raises(ParseError):
-        K.print_check_report(K.check(d, K.System("s4", "classical")))
+    # A reserved word, or a name that starts with ':' or '(', is no atom name
+    # a formula carries, quoted or not: both writers refuse it.
+    s4 = K.System("s4", "classical")
+    for name in ("and", "bot", "true", ":k", "(x", QStr("not")):
+        d = K.hyp("u", Imp(Atom(name), Atom("q")), ())
+        for write in (lambda: K.print_proof(d, s4), lambda: K.print_check_report(K.check(d, s4))):
+            with pytest.raises(ValueError, match="cannot be written in a proof file") as exc:
+                write()
+            assert repr(str(name)) in str(exc.value)
+
+
+# Each odd name, the text the writers give it inside a formula and at the top
+# of a formula slot: quoted unless it reads back bare, and at the top as
+# formula text, a string read as the formula it holds.
+_ODD = [
+    ("a b", '"a b"', '"\\"a b\\""'),
+    ("a  b", '"a  b"', '"\\"a  b\\""'),
+    ("007", '"007"', '"\\"007\\""'),
+    ("x;y", '"x;y"', '"\\"x;y\\""'),
+    ("", '""', '"\\"\\""'),
+    ("5", "5", "5"),
+    ('a"b', '"a\\"b"', '"\\"a\\\\\\"b\\""'),
+    ("a)", '"a)"', '"\\"a)\\""'),
+    ("p\nq", '"p\\nq"', '"\\"p\\\\nq\\""'),
+    (QStr("p"), '"p"', '"p"'),
+    (QStr("a b"), '"a b"', '"\\"a b\\""'),
+]
+
+
+def _written_alike(d, text):
+    """Both writers write ``text`` for the formula of ``hyp`` ``d``, and the
+    printed proof reads back as ``d``."""
+    s4 = K.System("s4", "classical")
+    printed = K.print_proof(d, s4)
+    assert f"(hyp u {text} ())" in printed
+    assert f":formula {text} " in K.print_check_report(K.check(d, s4))
+    assert K.parse_proof(printed)[0] == d
 
 
 def test_printing_odd_atoms_inside_formulas_matches_text_round_trip():
-    s4 = K.System("s4", "classical")
-    for name in ("a b", "a  b", "007", "x;y", "", "5", "(", 'a"b'):
-        d = K.hyp("u", Imp(Atom(name), Atom("q")), ())
-        report = K.check(d, s4)
-        try:
-            want = dump(parse_one(dump(["imp", name, "q"])))
-        except ParseError:
-            with pytest.raises(ParseError):
-                K.print_check_report(report)
-            with pytest.raises(ParseError):
-                K.print_proof(d, s4)
-            continue
-        assert want in K.print_check_report(report)
-        assert want in K.print_proof(d, s4)
+    # Names that read back bare are written as before; the others are quoted
+    # and read back, where the writers used to re-read the formula's text.
+    for name, inside, _ in _ODD:
+        _written_alike(K.hyp("u", Imp(Atom(name), Atom("q")), ()), f"(imp {inside} q)")
+    d = K.hyp("u", Imp(Atom("("), Atom("q")), ())
+    with pytest.raises(ValueError):
+        K.print_proof(d, K.System("s4", "classical"))
+
+
+@pytest.mark.parametrize("name, top", [(name, top) for name, _, top in _ODD])
+def test_an_odd_atom_alone_is_written_as_formula_text(name, top):
+    _written_alike(K.hyp("u", Atom(name), ()), top)
 
 
 # --- the tokenizer ----------------------------------------------------------
@@ -316,6 +378,6 @@ def test_whitespace_runs_cost_linear_time():
     n = 30_000
     text = " " * n + "(a\n" + "\t" * n + "b)" + " " * n
     start = time.perf_counter()
-    assert parse_all(text) == [["a", "b"]]
+    assert tokens(text) == ["(", "a", "b", ")"]
     assert _error(text + "(") == ("unclosed '('", 2, 2 * n + 3)
     assert time.perf_counter() - start < 2
