@@ -10,8 +10,8 @@ worlds, totally for ``d``/``t``/``d4``/``s4``, possibly partially for
 The probe engine, :func:`find_countermodel`, finds the first refutation in
 that order one tree shape at a time, only the first shape of each
 isomorphism class, and in ``k``/``d``/``t`` only shapes as deep as the probe
-can see: it enumerates evaluations once per shape and computes
-truth as bitsets over blocks of valuations.  A refuted
+can see: it plans each shape's evaluations once, keeps the plans between
+probes, and computes truth as bitsets over blocks of valuations.  A refuted
 probe comes with that countermodel; an unrefuted one only says that no
 refutation exists within the bounds.
 """
@@ -172,7 +172,8 @@ class Bounds:
 
     ``max_depth`` bounds tree height (0 keeps just the root),
     ``max_branching`` the child count per world, and ``num_atoms`` the
-    proposition supply.
+    proposition supply.  Each is an ``int`` (not a ``bool``): a ``TypeError``
+    names the field that is not.
     """
 
     max_depth: int
@@ -180,6 +181,10 @@ class Bounds:
     num_atoms: int
 
     def __post_init__(self) -> None:
+        for name in ("max_depth", "max_branching", "num_atoms"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, not {type(value).__name__}")
         if self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
         for name in ("max_branching", "num_atoms"):
@@ -661,6 +666,54 @@ def _truths(
     return val
 
 
+def _plan(
+    nodes: tuple[Node, ...], kids: tuple, kind: str, serial: bool, tree: tuple[int, ...]
+) -> tuple:
+    """The formula-free part of a probe on one shape, for positions whose
+    ``k``-th has its parent at index ``tree[k]`` (the root's is -1).
+
+    Slots are the tree worlds in (depth, node) order, then the heads of the
+    completion chains in leaf order.  The plan is ``(owner, kids, runs)``:
+    the tree world whose atoms each slot carries, the children ``_truths``
+    reads at each tree world, and the positions' slots in each evaluation,
+    in :func:`_assignments`' order.  A chain world steps only to the next
+    one along its chain, so a position is in its parent's chain when its
+    slot is that chain's: a run of slots names its worlds.
+    """
+    n = len(nodes)
+    leaves = tuple(k for k in range(n) if serial and not kids[k])
+    chains = tuple(nodes[k] + (0,) for k in leaves)
+    slot = {w: k for k, w in enumerate(nodes + chains)}
+
+    def slot_of(world: Node) -> int:
+        while world not in slot:  # further along a completion chain
+            world = world[:-1]
+        return slot[world]
+
+    @functools.cache  # only the slots the runs reach
+    def steps(k: int) -> tuple[int, ...]:
+        world = (nodes + chains)[k]
+        return tuple(map(slot_of, _step_targets(nodes, chains, kind, world)))
+
+    runs: list[tuple[int, ...]] = [()]
+    for parent in tree:
+        runs = [r + (s,) for r in runs
+                for s in (steps(r[parent]) if parent >= 0 else (0,))]
+    kids = tuple(ks or (n + leaves.index(k),) if serial else ks
+                 for k, ks in enumerate(kids))
+    return (*range(n), *leaves), kids, tuple(runs)
+
+
+@functools.lru_cache(maxsize=64)
+def _plans(
+    reach: int, max_branching: int, kind: str, serial: bool, tree: tuple[int, ...]
+) -> dict[int, tuple]:
+    """The plans built so far for the shapes of ``_class_shapes(reach,
+    max_branching)``, by index; :func:`find_countermodel` adds each one as
+    its sweep first reaches the shape."""
+    return {}
+
+
 def find_countermodel(
     gamma: Sequence[PFormula | EFormula], target: PFormula, logic: str, b: Bounds
 ) -> tuple[TreeModel, Evaluation] | None:
@@ -671,9 +724,12 @@ def find_countermodel(
     is the first refuting pair in :func:`enumerate_models` and
     :func:`enumerate_evaluations` order, ``None`` if there is none.  Only
     evaluations defining every mentioned position can refute; they depend
-    only on the shape and come in the same order in every logic, so they
-    are enumerated once per shape.  Truth is computed for a block of
-    valuations at once, bit ``j`` of an ``int`` standing for the ``j``-th.
+    only on the shape, the step relation and the tree the positions form,
+    and come in the same order in every logic.  So each shape's slots,
+    children and evaluations are planned once (:func:`_plan`) and kept
+    between probes (:func:`_plans`); a probe only computes truth, for a
+    block of valuations at once, bit ``j`` of an ``int`` standing for the
+    ``j``-th, and builds the evaluation it returns.
 
     Only the first shape of each isomorphism class is swept
     (:func:`_class_shapes`).  An isomorphism of rooted trees preserves each
@@ -713,27 +769,17 @@ def find_countermodel(
                             max(modal[id(g.left)], modal[id(g.right)]))
         reach = min(reach, max([len(p) for p in wanted] + [
             len(c.position) + modal[id(c.formula)] for c in [*facts, target]]))
+    index = {p: i for i, p in enumerate(wanted)}
+    tree = tuple(index[p[:-1]] if p else -1 for p in wanted)
+    facts_at = [(id(c.formula), index[c.position]) for c in facts]
+    target_at = index[target.position]
+    plans = _plans(reach, b.max_branching, kind, serial, tree)
     pattern: list[int] = []  # bit j of pattern[i] is bit i of j
-    for nodes, kids in _class_shapes(reach, b.max_branching):
-        n = len(nodes)
-        leaves = [k for k in range(n) if serial and not kids[k]]
-        chains = tuple(nodes[k] + (0,) for k in leaves)
-        slot = {w: k for k, w in enumerate(nodes + chains)}
-        kids = [ks or (n + leaves.index(k),) if serial else ks
-                for k, ks in enumerate(kids)]
-
-        def slot_of(world: Node) -> int:
-            while world not in slot:  # further along a completion chain
-                world = world[:-1]
-            return slot[world]
-
-        runs = [
-            (entries, [(id(c.formula), slot_of(entries[c.position])) for c in facts],
-             slot_of(entries[target.position]))
-            for entries in _assignments(
-                wanted, lambda w: _step_targets(nodes, chains, kind, w))
-        ]
-        width = n * len(names)
+    for i, (nodes, kids) in enumerate(_class_shapes(reach, b.max_branching)):
+        if i not in plans:
+            plans[i] = _plan(nodes, kids, kind, serial, tree)
+        owner, kids, runs = plans[i]
+        width = len(nodes) * len(names)
         bits = min(width, _CHUNK_BITS)
         while len(pattern) < bits:  # shapes come smallest first
             half = 1 << len(pattern)
@@ -741,21 +787,29 @@ def find_countermodel(
         full = (1 << (1 << bits)) - 1
         for lo in range(0, 1 << width, 1 << bits):
             bit = pattern + [full * (lo >> i & 1) for i in range(bits, width)]
-            atoms = {name: [bit[k * len(names) + i] for k in [*range(n), *leaves]]
+            atoms = {name: [bit[k * len(names) + i] for k in owner]
                      for i, name in enumerate(names)}
             val = _truths(order, atoms, full, kids, kind)
+            goal = val[id(target.formula)]
+            checks = [(val[f], at) for f, at in facts_at]
             best = None
-            for entries, facts_at, target_at in runs:
-                refuting = full ^ val[id(target.formula)][target_at]
-                for f, s in facts_at:
-                    refuting &= val[f][s]
+            for run in runs:
+                refuting = full ^ goal[run[target_at]]
+                for v, at in checks:
+                    refuting &= v[run[at]]
                 low = (refuting & -refuting).bit_length() - 1
                 if refuting and (best is None or low < best[0]):
-                    best = (low, entries)
+                    best = (low, run)
             if best is not None:
-                valuation = _valuation(nodes, names, lo + best[0])
-                return (TreeModel(frozenset(nodes), valuation, serial),
-                        Evaluation(best[1], partial_allowed=partial))
+                low, run = best
+                worlds = nodes + tuple(nodes[k] + (0,) for k in owner[len(nodes):])
+                entries: dict[Position, Node] = {}
+                for p, parent, s in zip(wanted, tree, run):
+                    on_chain = parent >= 0 and s >= len(nodes) and run[parent] == s
+                    entries[p] = entries[p[:-1]] + (0,) if on_chain else worlds[s]
+                return (TreeModel(frozenset(nodes), _valuation(nodes, names, lo + low),
+                                  serial),
+                        Evaluation(entries, partial_allowed=partial))
     return None
 
 

@@ -10,7 +10,8 @@ only one shape per isomorphism class; it reaches bounds the model-by-model
 search cannot, and it sweeps the depths past a ``k``/``d``/``t`` probe's
 reach that the engine cuts off.  The engine must give the same verdict and
 the same first ``(TreeModel, Evaluation)`` on every probe here, whatever the
-size of its valuation blocks.
+size of its valuation blocks, and whatever plans earlier probes left in
+its cache.
 """
 
 from __future__ import annotations
@@ -821,18 +822,103 @@ def reach_kinds(gamma, target, logic, answer) -> set[str]:
     return kinds
 
 
+def planned_shapes(monkeypatch) -> list:
+    """Empty the plan cache, then record the shape of every plan built."""
+    S._plans.cache_clear()
+    built, plan = [], S._plan
+    monkeypatch.setattr(S, "_plan", lambda nodes, *rest: built.append(nodes)
+                        or plan(nodes, *rest))
+    return built
+
+
 def test_closed_k_schema_sweeps_the_shapes_of_its_reach(monkeypatch):
-    swept = []
-    sweep = S._class_shapes
-
-    def spy(max_depth, max_branching):
-        for shape in sweep(max_depth, max_branching):
-            swept.append(shape)
-            yield shape
-
-    monkeypatch.setattr(S, "_class_shapes", spy)
     target = PFormula(Imp(Box(Imp(P, Q)), Imp(Box(P), Box(Q))), ())
     for logic, count in (("k", 3), ("k4", 66)):
-        swept.clear()
+        built = planned_shapes(monkeypatch)
         assert S.find_countermodel([], target, logic, Bounds(3, 2, 1)) is None
-        assert len(swept) == count, logic
+        assert len(built) == count, logic
+        assert S.find_countermodel([], target, logic, Bounds(3, 2, 1)) is None
+        assert len(built) == count, "a warm sweep plans again"
+
+
+def test_a_refutable_probe_plans_no_shape_past_its_refutation(monkeypatch):
+    b, late = Bounds(3, 2, 1), 0
+    for logic in LOGICS:
+        for f in CLOSED_FORMULAS:
+            built = planned_shapes(monkeypatch)
+            answer = S.find_countermodel([], PFormula(f, ()), logic, b)
+            if answer is None:
+                continue
+            depth = min(b.max_depth, modal_depth(f)) if logic in ("k", "d", "t") else 3
+            sweep = [nodes for nodes, _ in S._class_shapes(depth, b.max_branching)]
+            assert built == sweep[:len(built)], (logic, f)
+            assert frozenset(built[-1]) == answer[0].nodes, (logic, f)
+            late = max(late, len(built))
+    assert late > 2
+
+
+# --- the plan cache ------------------------------------------------------------
+
+
+def renamed(case, names: dict):
+    """The probe ``case`` with each position token renamed by ``names``."""
+    gamma, target, logic, b = case
+
+    def pos(p):
+        return tuple(names.get(x, x) for x in p)
+
+    gamma = [EFormula(pos(c.position)) if isinstance(c, EFormula)
+             else PFormula(c.formula, pos(c.position)) for c in gamma]
+    return gamma, PFormula(target.formula, pos(target.position)), logic, b
+
+
+def printed_answer(gamma, target, logic, b, names=None):
+    """Verdict, printed model and evaluation entries of one probe, the
+    entries' tokens renamed by ``names``."""
+    verdict = S.consequence_probe(gamma, target, logic, b)
+    found = S.find_countermodel(gamma, target, logic, b)
+    if found is None:
+        return verdict, None
+    model, rho = found
+    entries = {tuple((names or {}).get(x, x) for x in p): w
+               for p, w in rho.entries.items()}
+    return verdict, S.print_model(model, logic), sorted(entries.items())
+
+
+#: One renaming keeps the order of the corpus's tokens, so its probes share
+#: their plans and answers with the originals; the other swaps them.
+KEEP_ORDER, SWAP = {"x": "u", "y": "v"}, {"x": "y", "y": "x"}
+
+
+def test_a_warm_plan_cache_gives_the_cold_answers():
+    """Each probe answers with its plans built for it alone and with plans
+    left by other probes: renamed, in other logics at equal bounds (the
+    corpus cycles through the logics), serial or not."""
+    base = CASES + WIDE_CASES
+    cases = [*base, *(renamed(c, KEEP_ORDER) for c in base),
+             *(renamed(c, SWAP) for c in base)]
+    cold = []
+    for case in cases:
+        S._plans.cache_clear()
+        cold.append(printed_answer(*case))
+    for i, case in enumerate(base):
+        assert cold[len(base) + i] == printed_answer(*case, KEEP_ORDER), case
+    S._plans.cache_clear()
+    by_bounds = sorted(range(len(cases)), key=lambda i: (cases[i][3].max_depth,
+                       cases[i][3].max_branching, cases[i][3].num_atoms, i))
+    for _ in range(2):
+        for i in by_bounds:
+            assert printed_answer(*cases[i]) == cold[i], cases[i]
+    assert sum(answer[1] is not None for answer in cold) > len(cases) // 4
+
+
+def test_serial_and_non_serial_logics_keep_their_own_plans():
+    target = PFormula(Box(Bottom()), ("x",))
+    b = Bounds(1, 1, 1)
+    S._plans.cache_clear()
+    for logic, size in (("d", 1), ("k", 2), ("d4", 3), ("k4", 4), ("d", 4)):
+        S.find_countermodel([], target, logic, b)
+        assert S._plans.cache_info().currsize == size, logic
+    assert S.find_countermodel([], target, "k", b) is None
+    model, rho = S.find_countermodel([], target, "d", b)
+    assert model.serial_completion and rho.entries[("x",)] == (0,)

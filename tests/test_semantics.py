@@ -345,6 +345,23 @@ class TestEnumerateModels:
                 assert atoms <= {"p", "q"}
 
 
+class TestBounds:
+    @pytest.mark.parametrize("args, field", [
+        ((2.5, 2, 1), "max_depth"),
+        ((2.0, 2, 1), "max_depth"),
+        ((2, "2", 1), "max_branching"),
+        ((2, 2, True), "num_atoms"),
+    ])
+    def test_a_field_that_is_not_an_int_is_named(self, args, field):
+        with pytest.raises(TypeError, match=f"^{field} must be an int"):
+            Bounds(*args)
+
+    @pytest.mark.parametrize("args", [(-1, 2, 1), (2, 0, 1), (2, 2, 0)])
+    def test_out_of_range_fields_are_value_errors(self, args):
+        with pytest.raises(ValueError):
+            Bounds(*args)
+
+
 
 def _tree_code(nodes) -> str:
     """A rooted tree's code, independent of the engine's: each world is its
