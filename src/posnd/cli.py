@@ -79,9 +79,8 @@ def _bounds(text: str) -> S.Bounds:
 
 
 def _override(system: System, args: argparse.Namespace) -> System:
-    logic = getattr(args, "logic", None) or system.logic
-    flavor = getattr(args, "flavor", None) or system.flavor
-    return System(logic, flavor)
+    logic, flavor = args.logic or system.logic, args.flavor or system.flavor
+    return System(logic, flavor, args.t_strict_empty_beta)
 
 
 def _load(args: argparse.Namespace):
@@ -158,9 +157,7 @@ def _checked(args: argparse.Namespace, *, report_to_stdout: bool):
     """Parse, apply overrides, and check; returns (derivation, system,
     report)."""
     derivation, system = _load(args)
-    report = K.check(
-        derivation, system, t_strict_empty_beta=args.t_strict_empty_beta
-    )
+    report = K.check(derivation, system)
     if report_to_stdout:
         _emit(K.print_check_report(report))
     elif not report.ok:
@@ -177,9 +174,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     derivation, system, report = _checked(args, report_to_stdout=False)
     if not report.ok:
         return EXIT_FAIL
-    normal, trace = N.normalize(
-        derivation, system, t_strict_empty_beta=args.t_strict_empty_beta
-    )
+    normal, trace = N.normalize(derivation, system)
     if args.trace:
         _emit("; trace " + " ".join(f"({a},{b})" for a, b in trace) + "\n")
     _emit(K.print_proof(normal, system))

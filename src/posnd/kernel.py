@@ -15,7 +15,9 @@ only what a rule *does* (contractions, translations) is written per rule.
 The checker validates, in one post-order pass over the tree:
 
 * rule shapes (premise formulas and positions fit the rule),
-* per-system constraints on the recorded step suffix of ``box-e``/``dia-i``,
+* the recorded step suffix of ``box-e``/``dia-i``: one step of
+  ``System.step``, which is the logic's ``_STEP_KIND`` (the semantics'
+  accessibility too), or one token in strict ``t``,
 * the existence-premise discipline (required for the partial systems ``k``
   and ``k4``, forbidden for the total ones),
 * freshness of witness positions for ``box-i``/``dia-e``,
@@ -84,11 +86,24 @@ from .syntax import (
     prefix_replace,
     print_formula,
     print_position,
+    step_holds,
 )
 
 LOGICS = ("k", "d", "t", "k4", "d4", "s4")
 FLAVORS = ("classical", "intuitionistic")
 PARTIAL_LOGICS = frozenset({"k", "k4"})
+
+#: Each logic's one-step relation, as a :func:`syntax.step_holds` kind: a
+#: recorded ``box-e``/``dia-i`` step is one step of it, and a model's
+#: accessibility reads it off the child order.
+_STEP_KIND = {
+    "k": "succ",
+    "d": "succ",
+    "t": "succ-refl",
+    "k4": "trans",
+    "d4": "trans",
+    "s4": "refl-trans",
+}
 
 # --- the rule table --------------------------------------------------------
 
@@ -379,10 +394,12 @@ _LABEL_RE = re.compile(rf"(?![0-9]+\Z){_sexpr.SYMBOL}")
 
 @dataclass(frozen=True)
 class System:
-    """A logic (accessibility discipline) paired with a proof flavor."""
+    """A logic (accessibility discipline) paired with a proof flavor; in
+    strict ``t`` (``t_strict_empty_beta``) a step records one token."""
 
     logic: str
     flavor: str = "classical"
+    t_strict_empty_beta: bool = False
 
     def __post_init__(self) -> None:
         if self.logic not in LOGICS:
@@ -396,6 +413,13 @@ class System:
     def partial(self) -> bool:
         """True when positions may denote missing worlds (``k``, ``k4``)."""
         return self.logic in PARTIAL_LOGICS
+
+    @property
+    def step(self) -> str:
+        """The step kind a recorded step must take (see ``_STEP_KIND``)."""
+        if self.t_strict_empty_beta and self.logic == "t":
+            return "succ"
+        return _STEP_KIND[self.logic]
 
 
 @dataclass(frozen=True)
@@ -1013,20 +1037,16 @@ def _relabel_binders(d: Derivation, fresh) -> Derivation:
 
 # --- checking --------------------------------------------------------------
 
-_BETA_LENGTH = {
-    # logic -> predicate on len(beta), described for messages
-    "k": (lambda n: n == 1, "exactly one token"),
-    "d": (lambda n: n == 1, "exactly one token"),
-    "t": (lambda n: n <= 1, "at most one token"),
-    "k4": (lambda n: n >= 1, "at least one token"),
-    "d4": (lambda n: n >= 1, "at least one token"),
-    "s4": (lambda n: True, "any number of tokens"),
+#: What a recorded step of each kind must be, for messages (a
+#: ``refl-trans`` step may be any).
+_STEP_LENGTH = {
+    "succ": "exactly one token",
+    "succ-refl": "at most one token",
+    "trans": "at least one token",
 }
 
 
-def check(
-    d: Derivation, system: System, *, t_strict_empty_beta: bool = False
-) -> CheckReport:
+def check(d: Derivation, system: System) -> CheckReport:
     """Check ``d`` against ``system``; never raises on a tree of nodes the
     keyword constructor accepts, nor on a node over a number of premises
     its rule does not take, which is a violation.
@@ -1036,7 +1056,7 @@ def check(
     assumptions are ordered by label, ``None`` read as ``""``, and then, only
     where a label has several contents, by the contents' printed text.
     """
-    violations, merged = _check_walk(d, system, t_strict_empty_beta)
+    violations, merged = _check_walk(d, system)
     if isinstance(d.conclusion, EFormula):
         violations.append(
             Violation((), d.rule, "a derivation must conclude a p-formula")
@@ -1055,9 +1075,7 @@ def check(
     return CheckReport(not ordered, ordered, tuple(assumptions))
 
 
-def _check_walk(
-    d: Derivation, system: System, t_strict: bool
-) -> tuple[list[Violation], dict]:
+def _check_walk(d: Derivation, system: System) -> tuple[list[Violation], dict]:
     """The violations at the nodes of ``d``, unsorted, and its open
     assumptions as ``label -> {content: count}``.
 
@@ -1105,7 +1123,7 @@ def _check_walk(
                     bad(path, rule, message)
                     shape_ok = False
             if spec.step_from:
-                _check_step(n, c, spec, path, system, t_strict, bad)
+                _check_step(n, c, spec, path, system, bad)
             if spec.system and not spec.system[0](system):
                 bad(path, rule, spec.system[1])
             # Discharge: pop the labels in scope.
@@ -1193,17 +1211,14 @@ def _merge_opens(maps: list[dict], path, rule: str, bad) -> dict:
     return big
 
 
-def _check_step(n, c, spec: _Rule, path, system: System, t_strict: bool, bad) -> None:
-    """The logic's conditions on a step rule: the length of its recorded
-    step, and its existence premise, which a partial system requires (it
-    must assume the far end of the step) and a total one forbids."""
+def _check_step(n, c, spec: _Rule, path, system: System, bad) -> None:
+    """The logic's conditions on a step rule: its recorded step is one step
+    of ``system.step``, and its existence premise, which a partial system
+    requires (it must assume the far end of the step), a total one forbids."""
     rule, logic, e = n.rule, system.logic, spec.e_slot
-    if n.beta is not None:
-        # Strict ``t`` records one token, as ``k`` does.
-        pred, desc = _BETA_LENGTH["k" if t_strict and logic == "t" else logic]
-        if not pred(len(n.beta)):
-            bad(path, rule, f"step constraint for logic {logic}: {rule} must record "
-                f"{desc}, got {len(n.beta)}")
+    if n.beta is not None and not step_holds(system.step, (), n.beta):
+        bad(path, rule, f"step constraint for logic {logic}: {rule} must record "
+            f"{_STEP_LENGTH[system.step]}, got {len(n.beta)}")
     if not system.partial:
         if len(n.premises) > e:
             bad(path, rule, "existence premises are forbidden in total systems")
@@ -1220,15 +1235,10 @@ def _check_step(n, c, spec: _Rule, path, system: System, t_strict: bool, bad) ->
                 f"{print_position(want)}, got {print_position(got)}")
 
 
-def open_assumptions(
-    d: Derivation, system: System | None = None
-) -> tuple[Assumption, ...]:
-    """The open-assumption multiset of ``d`` (sorted, with multiplicity).
-
-    The multiset does not depend on the system; one may be passed anyway
-    for symmetry with ``check``.
-    """
-    return check(d, system or System("s4", "classical")).open_assumptions
+def open_assumptions(d: Derivation) -> tuple[Assumption, ...]:
+    """The open-assumption multiset of ``d`` (sorted, with multiplicity),
+    which does not depend on the system."""
+    return check(d, System("s4")).open_assumptions
 
 
 def _content_str(c: PFormula | EFormula) -> str:
@@ -1514,12 +1524,7 @@ def _drop_trivial_reposition(d: Derivation) -> Derivation:
 
 
 def substitute(
-    d: Derivation,
-    beta: Position,
-    gamma: Position,
-    system: System,
-    *,
-    t_strict_empty_beta: bool = False,
+    d: Derivation, beta: Position, gamma: Position, system: System
 ) -> Derivation:
     """Rewrite positions by replacing the prefix ``beta`` with ``gamma``.
 
@@ -1529,11 +1534,10 @@ def substitute(
     constraint (possible when the replaced prefix cuts through a recorded
     step), ``SubstitutionUnsound`` is raised.
     """
-    t = t_strict_empty_beta
-    if not check(d, system, t_strict_empty_beta=t).ok:
+    if not check(d, system).ok:
         raise ValueError("substitute requires a derivation that checks")
     out = _substitute(freshen(d), tuple(beta), tuple(gamma))
-    post = check(out, system, t_strict_empty_beta=t)
+    post = check(out, system)
     if not post.ok:
         raise SubstitutionUnsound(
             f"replacing prefix {print_position(beta)} by "
@@ -1569,24 +1573,17 @@ def _substitute(d: Derivation, beta: Position, gamma: Position) -> Derivation:
     return _drop_trivial_reposition(mapped)
 
 
-def lift(
-    d: Derivation,
-    beta: Position,
-    system: System,
-    *,
-    t_strict_empty_beta: bool = False,
-) -> Derivation:
+def lift(d: Derivation, beta: Position, system: System) -> Derivation:
     """Shift the whole derivation below the position ``beta``.
 
     Every position (existence assumptions included) is prefixed by
     ``beta``; the conclusion at position ``p`` moves to ``beta + p``.
     """
-    pre = check(d, system, t_strict_empty_beta=t_strict_empty_beta)
-    if not pre.ok:
+    if not check(d, system).ok:
         raise ValueError("lift requires a derivation that checks")
     beta = tuple(beta)
     lifted = map_positions(d, lambda p: concat(beta, p))
-    post = check(lifted, system, t_strict_empty_beta=t_strict_empty_beta)
+    post = check(lifted, system)
     if not post.ok:
         raise SubstitutionUnsound(
             "lift broke the derivation: "

@@ -399,16 +399,16 @@ def _captures(nodes, moved) -> bool:
 
 class _Kept:
     """The state of a normalization, through which every contraction runs:
-    the current tree ``d``, which checks in ``system`` (``t_strict`` is
-    ``t_strict_empty_beta``) and whose witnesses have distinct tokens, and
-    what is kept of it across contractions: the label ``census`` (each
-    label's number of occurrences), the pre-order index ``ix`` of
-    :func:`kernel._preorder`, the cut list ``cs`` of :func:`_cuts` and the
-    numbers ``sp`` of the splits (:func:`_splits`) in pre-order, always
-    equal to what they would be if computed afresh from ``d``."""
+    the current tree ``d``, which checks in ``system`` and whose witnesses
+    have distinct tokens, and what is kept of it across contractions: the
+    label ``census`` (each label's number of occurrences), the pre-order
+    index ``ix`` of :func:`kernel._preorder`, the cut list ``cs`` of
+    :func:`_cuts` and the numbers ``sp`` of the splits (:func:`_splits`) in
+    pre-order, always equal to what they would be if computed afresh from
+    ``d``."""
 
-    def __init__(self, d: Derivation, system: System, t_strict: bool) -> None:
-        self.system, self.t_strict = system, t_strict
+    def __init__(self, d: Derivation, system: System) -> None:
+        self.system = system
         self.index(d)
         self.census = Counter(_label_occurrences(self.ix[0]))
 
@@ -503,13 +503,13 @@ def _start(cut) -> int:
     return cut[0][0]
 
 
-def _entry(d: Derivation, system: System, t_strict: bool, name: str) -> _Kept:
+def _entry(d: Derivation, system: System, name: str) -> _Kept:
     """The state of a run of the public entry ``name`` on ``d``, which must
     check in ``system``: its current tree is ``d`` freshened, which gives
     every witness its own reserved token."""
-    if not check(d, system, t_strict_empty_beta=t_strict).ok:
+    if not check(d, system).ok:
         raise ValueError(f"{name} requires a derivation that checks")
-    return _Kept(freshen(d), system, t_strict)
+    return _Kept(freshen(d), system)
 
 
 def _accepted(st: _Kept, at: Occurrence, new: Derivation, what: str) -> Derivation:
@@ -548,7 +548,7 @@ def _accepted(st: _Kept, at: Occurrence, new: Derivation, what: str) -> Derivati
     above, a = st.find(at)
     old = nodes[a]
     was_open = _open_pairs(old)
-    violations, opens = _check_walk(new, st.system, st.t_strict)
+    violations, opens = _check_walk(new, st.system)
     problems = [v.message for v in violations]
     if new.conclusion != old.conclusion:
         problems.append("the rewritten subtree changed its conclusion")
@@ -628,13 +628,7 @@ def _contract_proper_core(
     return new
 
 
-def contract_proper(
-    d: Derivation,
-    cut: Cut,
-    system: System,
-    *,
-    t_strict_empty_beta: bool = False,
-) -> Derivation:
+def contract_proper(d: Derivation, cut: Cut, system: System) -> Derivation:
     """Remove a length-one cut; the whole rewritten derivation is returned.
 
     Raises :class:`NotARedex` unless the cut is a single occurrence that is
@@ -643,9 +637,7 @@ def contract_proper(
     assumptions may gain duplicates where subderivations are copied).
     """
     at = _redex_at(d, cut.segment.occurrences)
-    return _contract_proper(
-        _entry(d, system, t_strict_empty_beta, "contract_proper"), at
-    )
+    return _contract_proper(_entry(d, system, "contract_proper"), at)
 
 
 def _redex_at(d: Derivation, occ: tuple[Occurrence, ...]) -> Occurrence:
@@ -700,13 +692,7 @@ def _commute_node(R: Derivation, forbidden) -> Derivation:
     return _rebuilt(J, prems)
 
 
-def contract_commutative(
-    d: Derivation,
-    at: Occurrence,
-    system: System,
-    *,
-    t_strict_empty_beta: bool = False,
-) -> Derivation:
+def contract_commutative(d: Derivation, at: Occurrence, system: System) -> Derivation:
     """Commute the elimination at ``at`` with the case split above its major.
 
     Raises :class:`NotApplicable` unless the addressed node is an elimination
@@ -716,7 +702,7 @@ def contract_commutative(
     copies keeping their discharge labels (see :func:`_commute_node`).
     """
     _require_commutable(d, at)
-    st = _entry(d, system, t_strict_empty_beta, "contract_commutative")
+    st = _entry(d, system, "contract_commutative")
     return _contract_commutative(st, at)
 
 
@@ -802,16 +788,13 @@ def _step(st: _Kept) -> tuple[str, Occurrence] | None:
 
 
 def normalize_steps(
-    d: Derivation,
-    system: System,
-    *,
-    t_strict_empty_beta: bool = False,
+    d: Derivation, system: System
 ) -> tuple[Derivation, list[Rank], list[tuple[int, str, Occurrence, Rank]]]:
     """Like :func:`normalize`, also returning one log entry per applied
     contraction: (round number, kind, elimination path, rank afterwards).
     Each commutation after the last cut is a round of its own."""
     _require_intuitionistic(system)
-    st = _entry(d, system, t_strict_empty_beta, "normalize")
+    st = _entry(d, system, "normalize")
     trace: list[Rank] = [_rank(st.cs)]
     steps: list[tuple[int, str, Occurrence, Rank]] = []
     rounds, in_round = 0, False
@@ -829,7 +812,7 @@ def normalize_steps(
                 )
             trace.append(rk)
     cur = st.d
-    rep = check(cur, system, t_strict_empty_beta=t_strict_empty_beta)
+    rep = check(cur, system)
     if not rep.ok:
         raise NormalizerError(
             "normalization broke the derivation: "
@@ -844,12 +827,7 @@ def normalize_steps(
     return cur, trace, steps
 
 
-def normalize(
-    d: Derivation,
-    system: System,
-    *,
-    t_strict_empty_beta: bool = False,
-) -> tuple[Derivation, list[Rank]]:
+def normalize(d: Derivation, system: System) -> tuple[Derivation, list[Rank]]:
     """Contract until no contraction applies, intuitionistic flavor only.
 
     Returns the normal derivation and the rank trace: the initial rank
@@ -858,22 +836,15 @@ def normalize(
     contraction).  The trace is strictly decreasing and ends at ``(0, 0)``;
     the commutations that follow the last cut do not add entries.
     """
-    out, trace, _ = normalize_steps(
-        d, system, t_strict_empty_beta=t_strict_empty_beta
-    )
+    out, trace, _ = normalize_steps(d, system)
     return out, trace
 
 
-def reduce_once(
-    d: Derivation,
-    system: System,
-    *,
-    t_strict_empty_beta: bool = False,
-) -> Derivation | None:
+def reduce_once(d: Derivation, system: System) -> Derivation | None:
     """Apply the first contraction step of :func:`normalize_steps`, or
     return ``None`` when the derivation is already normal."""
     _require_intuitionistic(system)
-    st = _entry(d, system, t_strict_empty_beta, "reduce_once")
+    st = _entry(d, system, "reduce_once")
     return None if _step(st) is None else st.d
 
 

@@ -24,7 +24,9 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from ._sexpr import Fault, atom, atom_at, brief, read_one, skip
-from .kernel import _LABEL_RE, LOGICS, PARTIAL_LOGICS, Derivation, System, check
+from .kernel import (
+    _LABEL_RE, _STEP_KIND, LOGICS, PARTIAL_LOGICS, Derivation, System, check,
+)
 from .syntax import (
     And,
     Atom,
@@ -74,16 +76,6 @@ Node = tuple[int, ...]
 
 #: Logics whose models must not have leaves; they carry serial completions.
 SERIAL_LOGICS = frozenset({"d", "d4"})
-
-#: One-step relation on worlds read off by each logic.
-_STEP_KIND = {
-    "k": "succ",
-    "d": "succ",
-    "t": "succ-refl",
-    "k4": "trans",
-    "d4": "trans",
-    "s4": "refl-trans",
-}
 
 
 class SemanticsError(Exception):
@@ -306,28 +298,18 @@ def chain_truth(leaf_valuation: Iterable[str], logic: str, f: Formula) -> bool:
     """Truth of ``f`` along a constant single-successor chain.
 
     Every chain world has the same atoms and exactly the later chain
-    worlds ahead of it, so box and diamond both reduce to the body and
-    truth is one pass over the subformulas, parts first.  Only the serial
-    logics have such chains.
+    worlds ahead of it, so box and diamond both reduce to the body: the
+    chain is :func:`_truths`' one slot past no tree worlds.  Only the
+    serial logics have such chains.
     """
     if logic not in SERIAL_LOGICS:
         raise ValueError(
             f"completion chains only arise for {sorted(SERIAL_LOGICS)}, "
             f"not {logic!r}"
         )
-    atoms = frozenset(leaf_valuation)
-    val: dict[int, bool] = {}
-    for g in _subformulas([f]):
-        t = type(g)
-        if t is Atom or t is Bottom:
-            v = t is Atom and g.name in atoms
-        elif t is Box or t is Dia:
-            v = val[id(g.body)]
-        else:
-            x, y = val[id(g.left)], val[id(g.right)]
-            v = x and y if t is And else x or y if t is Or else not x or y
-        val[id(g)] = v
-    return val[id(f)]
+    atoms = {name: [1] for name in leaf_valuation}
+    val = _truths(_subformulas([f]), atoms, 1, [], _STEP_KIND[logic], 1)
+    return val[id(f)] == [1]
 
 
 def holds(m: TreeModel, logic: str, world: Node, f: Formula) -> bool:
@@ -515,6 +497,16 @@ def _class_shapes(max_depth: int, max_branching: int) -> tuple:
     return tuple(shapes)
 
 
+@functools.cache
+def _pattern(bits: int) -> tuple[int, ...]:
+    """Every valuation of ``bits`` bits at once: bit ``j`` of entry ``i`` is
+    bit ``i`` of ``j``.  Cached; ``bits`` is at most ``_CHUNK_BITS``."""
+    if not bits:
+        return ()
+    half = 1 << bits - 1
+    return (*(p | p << half for p in _pattern(bits - 1)), ((1 << half) - 1) << half)
+
+
 def _valuation(nodes: Sequence[Node], names: Sequence[str], mask: int) -> dict:
     """Bit ``k * len(names) + i`` of ``mask`` puts ``names[i]`` at ``nodes[k]``."""
     width = len(names)
@@ -624,10 +616,12 @@ def _subformulas(roots: Iterable[Formula]) -> list[Formula]:
 
 
 def _truths(
-    order: list[Formula], atoms: dict[str, list[int]], full: int, kids: list, kind: str
+    order: list[Formula], atoms: dict[str, list[int]], full: int, kids: list, kind: str,
+    slots: int,
 ) -> dict[int, list[int]]:
-    """Truth of each formula of ``order`` (keyed by identity) at each slot,
-    as bitsets over a block of valuations (``full``: all true).
+    """Truth of each formula of ``order`` (keyed by identity) at each of
+    ``slots`` slots, as bitsets over a block of valuations (``full``: all
+    true); an atom missing from ``atoms`` is false everywhere.
 
     Slot ``k < len(kids)`` is a tree world with children ``kids[k]``; a
     later slot is a completion chain, the child of its leaf, where box and
@@ -636,7 +630,7 @@ def _truths(
     """
     reflexive = kind in ("succ-refl", "refl-trans")
     transitive = kind in ("trans", "refl-trans")
-    zero = [0] * len(next(iter(atoms.values())))
+    zero = [0] * slots
     val: dict[int, list[int]] = {}
     for g in order:
         t = type(g)
@@ -774,22 +768,18 @@ def find_countermodel(
     facts_at = [(id(c.formula), index[c.position]) for c in facts]
     target_at = index[target.position]
     plans = _plans(reach, b.max_branching, kind, serial, tree)
-    pattern: list[int] = []  # bit j of pattern[i] is bit i of j
     for i, (nodes, kids) in enumerate(_class_shapes(reach, b.max_branching)):
         if i not in plans:
             plans[i] = _plan(nodes, kids, kind, serial, tree)
         owner, kids, runs = plans[i]
         width = len(nodes) * len(names)
         bits = min(width, _CHUNK_BITS)
-        while len(pattern) < bits:  # shapes come smallest first
-            half = 1 << len(pattern)
-            pattern = [p | p << half for p in pattern] + [((1 << half) - 1) << half]
-        full = (1 << (1 << bits)) - 1
+        pattern, full = _pattern(bits), (1 << (1 << bits)) - 1
         for lo in range(0, 1 << width, 1 << bits):
-            bit = pattern + [full * (lo >> i & 1) for i in range(bits, width)]
+            bit = pattern + tuple([full * (lo >> i & 1) for i in range(bits, width)])
             atoms = {name: [bit[k * len(names) + i] for k in owner]
                      for i, name in enumerate(names)}
-            val = _truths(order, atoms, full, kids, kind)
+            val = _truths(order, atoms, full, kids, kind, len(owner))
             goal = val[id(target.formula)]
             checks = [(val[f], at) for f, at in facts_at]
             best = None

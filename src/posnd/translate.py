@@ -19,7 +19,7 @@ derivation on the kernel's explicit-stack walker, so they take any depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import kernel as K
 from .kernel import Derivation, System
@@ -294,7 +294,7 @@ def classical_to_intuitionistic(d: Derivation, system: System) -> Derivation:
     report = K.check(d, system)
     if not report.ok:
         raise ValueError("derivation does not check in the given system")
-    target = System(system.logic, "intuitionistic")
+    target = replace(system, flavor="intuitionistic")
     alloc = _Alloc(labels=K.all_labels(d), tokens=K._tokens(d))
     out = _ci(d, target, alloc)
     again = K.check(out, target)
@@ -332,29 +332,16 @@ def _ci(d: Derivation, target: System, alloc: _Alloc) -> Derivation:
         r = d.rule
         if r in K.JOIN_RULES:
             prems = prems[-1:] + prems[:-1]
+        if r in ("ehyp", "and-i", "and-e1", "and-e2", "imp-e", "box-i", "box-e"):
+            return K._rebuilt(d, prems)  # premise for premise, data kept
         if r == "hyp":
             c = d.content
             return K.hyp(d.label, g_translate(c.formula), c.position)
-        if r == "ehyp":
-            return d
-        if r == "and-i":
-            return K.and_i(prems[0], prems[1])
-        if r == "and-e1":
-            return K.and_e1(prems[0])
-        if r == "and-e2":
-            return K.and_e2(prems[0])
         if r == "imp-i":
             ante = PFormula(
                 g_translate(d.conclusion.formula.left), d.conclusion.position
             )
             return K.imp_i(d.discharges[0], prems[0], ante=ante)
-        if r == "imp-e":
-            return K.imp_e(prems[0], prems[1])
-        if r == "box-i":
-            return K.box_i(d.token, d.e_discharges, prems[0])
-        if r == "box-e":
-            e = prems[1] if len(d.premises) == 2 else None
-            return K.box_e(prems[0], d.beta, e)
         if r == "bot-i":
             t = d.target
             body = prems[0]

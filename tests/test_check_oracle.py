@@ -398,7 +398,7 @@ def reference_check(d, system, *, t_strict_empty_beta=False):
 
 def assert_same(d, system, strict=False):
     want = reference_check(d, system, t_strict_empty_beta=strict)
-    got = K.check(d, system, t_strict_empty_beta=strict)
+    got = K.check(d, K.System(system.logic, system.flavor, t_strict_empty_beta=strict))
     assert got == want
     return got
 
@@ -467,6 +467,27 @@ def test_builtins_agree_in_every_system():
         for system in SYSTEMS:
             assert_same(d, system)
             assert_same(d, system, strict=True)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: f"{s.logic}-{s.flavor}")
+def test_step_kind_checks_steps_as_the_length_rule_did(system, strict):
+    """``System.step`` judges a recorded step of every length up to 3 as the
+    per-logic length rule did, which read strict ``t`` as ``k``."""
+    logic = system.logic
+    pred, desc = REF_BETA_LENGTH["k" if strict and logic == "t" else logic]
+    system = K.System(logic, system.flavor, strict)
+    for n in range(4):
+        beta = tuple(f"s{i}" for i in range(n))
+        e = K.ehyp("e", beta) if system.partial else None
+        for d in (K.box_e(K.hyp("u", Box(P), ()), beta, e),
+                  K.dia_i(beta, K.hyp("u", P, beta), e)):
+            want = [] if pred(n) else [
+                ((), d.rule, f"step constraint for logic {logic}: {d.rule} must "
+                 f"record {desc}, got {n}")
+            ]
+            got = [(v.path, v.rule, v.message) for v in K.check(d, system).violations]
+            assert got == want, (d.rule, n)
 
 
 def test_label_reused_with_another_content_across_premises():

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line front end."""
 
 import contextlib
+import hashlib
 import io
 import os
 import re
@@ -49,6 +50,59 @@ def axiom_text(axiom, logic):
     return out
 
 
+#: A ``t`` proof whose ``box-e`` records the step ``{beta}``.
+_T_PROOF = (
+    "(proof :system t :flavor classical\n  (imp-e (box-e (box-i x () (imp-i (v) "
+    "(hyp v p (x)))) {beta}) (hyp w p {beta})))\n"
+)
+_EXTRA = {"check": [], "normalize": ["--trace"], "eval": ["--bounds", "2,1,1"],
+          "translate-g": [], "export-labelled": []}
+#: (step, command, flavor, strict) -> (exit code, the first 16 hex digits of
+#: the SHA-256 of stdout, a NUL and stderr).
+_STRICT_T_RUNS = {
+    ('()', 'check', 'classical', False): (0, 'da3d814af53a072e'),
+    ('()', 'check', 'classical', True): (1, 'ccbd5f5b0e476388'),
+    ('()', 'check', 'intuitionistic', False): (0, 'da3d814af53a072e'),
+    ('()', 'check', 'intuitionistic', True): (1, 'ccbd5f5b0e476388'),
+    ('()', 'normalize', 'classical', False): (1, '30237881f5d81fd2'),
+    ('()', 'normalize', 'classical', True): (1, '81655f862c2ac908'),
+    ('()', 'normalize', 'intuitionistic', False): (0, '8a04cc1f4b6ebc89'),
+    ('()', 'normalize', 'intuitionistic', True): (1, '81655f862c2ac908'),
+    ('()', 'eval', 'classical', False): (0, '2ad6ca87f7057b40'),
+    ('()', 'eval', 'classical', True): (1, '81655f862c2ac908'),
+    ('()', 'eval', 'intuitionistic', False): (0, '2ad6ca87f7057b40'),
+    ('()', 'eval', 'intuitionistic', True): (1, '81655f862c2ac908'),
+    ('()', 'translate-g', 'classical', False): (0, 'c39fee6c36ad5559'),
+    ('()', 'translate-g', 'classical', True): (1, '81655f862c2ac908'),
+    ('()', 'translate-g', 'intuitionistic', False): (1, '93fea1a521ea7d69'),
+    ('()', 'translate-g', 'intuitionistic', True): (1, '81655f862c2ac908'),
+    ('()', 'export-labelled', 'classical', False): (0, '08b773ad828b1fe8'),
+    ('()', 'export-labelled', 'classical', True): (1, '81655f862c2ac908'),
+    ('()', 'export-labelled', 'intuitionistic', False): (0, '08b773ad828b1fe8'),
+    ('()', 'export-labelled', 'intuitionistic', True): (1, '81655f862c2ac908'),
+    ('(y)', 'check', 'classical', False): (0, 'f9cfa0b7832564a0'),
+    ('(y)', 'check', 'classical', True): (0, 'f9cfa0b7832564a0'),
+    ('(y)', 'check', 'intuitionistic', False): (0, 'f9cfa0b7832564a0'),
+    ('(y)', 'check', 'intuitionistic', True): (0, 'f9cfa0b7832564a0'),
+    ('(y)', 'normalize', 'classical', False): (1, '30237881f5d81fd2'),
+    ('(y)', 'normalize', 'classical', True): (1, '30237881f5d81fd2'),
+    ('(y)', 'normalize', 'intuitionistic', False): (0, '9cb807035c810e1c'),
+    ('(y)', 'normalize', 'intuitionistic', True): (0, '9cb807035c810e1c'),
+    ('(y)', 'eval', 'classical', False): (0, '2ad6ca87f7057b40'),
+    ('(y)', 'eval', 'classical', True): (0, '2ad6ca87f7057b40'),
+    ('(y)', 'eval', 'intuitionistic', False): (0, '2ad6ca87f7057b40'),
+    ('(y)', 'eval', 'intuitionistic', True): (0, '2ad6ca87f7057b40'),
+    ('(y)', 'translate-g', 'classical', False): (0, '10eb2a3ef44424e2'),
+    ('(y)', 'translate-g', 'classical', True): (0, '10eb2a3ef44424e2'),
+    ('(y)', 'translate-g', 'intuitionistic', False): (1, '93fea1a521ea7d69'),
+    ('(y)', 'translate-g', 'intuitionistic', True): (1, '93fea1a521ea7d69'),
+    ('(y)', 'export-labelled', 'classical', False): (0, '9896cb65fb5ee0b6'),
+    ('(y)', 'export-labelled', 'classical', True): (0, '9896cb65fb5ee0b6'),
+    ('(y)', 'export-labelled', 'intuitionistic', False): (0, '9896cb65fb5ee0b6'),
+    ('(y)', 'export-labelled', 'intuitionistic', True): (0, '9896cb65fb5ee0b6'),
+}
+
+
 class TestCheck:
     def test_axioms_pipe_into_check(self):
         text = axiom_text("four", "k4")
@@ -86,6 +140,21 @@ class TestCheck:
         assert relaxed[0] == 0
         assert strict[0] == 1
         assert "step constraint" in strict[1]
+
+    def test_strict_t_runs_as_before(self):
+        """Every command that reads a proof, with the flag set and not, on a
+        ``t`` proof with an empty step and on one with a one-token step,
+        gives the exit code and output bytes of the code in which strict
+        ``t`` was a keyword of each function instead of a ``System`` field."""
+        got = {}
+        for beta, command, flavor, strict in _STRICT_T_RUNS:
+            argv = [command, "-", *_EXTRA[command], "--flavor", flavor]
+            code, out, err = run(
+                argv + ["--t-strict-empty-beta"] * strict, stdin=_T_PROOF.format(beta=beta)
+            )
+            digest = hashlib.sha256(f"{out}\0{err}".encode()).hexdigest()[:16]
+            got[beta, command, flavor, strict] = (code, digest)
+        assert got == _STRICT_T_RUNS
 
     def test_parse_error_exits_2(self):
         code, _, err = run(["check", "-"], stdin="(proof junk")

@@ -311,7 +311,7 @@ def test_four_derivation_rejected_in_t():
 def test_t_strict_empty_beta_flag():
     d, system = K.builtin("t", "t")
     assert K.check(d, system).ok
-    strict = K.check(d, system, t_strict_empty_beta=True)
+    strict = K.check(d, K.System(system.logic, system.flavor, t_strict_empty_beta=True))
     assert not strict.ok
     assert any("step constraint" in v.message for v in strict.violations)
 

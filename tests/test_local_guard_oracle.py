@@ -62,18 +62,18 @@ def _spy_on_acceptance(monkeypatch):
     kept_trees = []
 
     def spy(st, at, new, what):
-        d, system, t_strict = st.d, st.system, st.t_strict
+        d, system = st.d, st.system
         old = subtree_at(d, at)
         out = reference_replace_at(d, at, new)
-        opens = check(old, system, t_strict_empty_beta=t_strict).open_assumptions
+        opens = check(old, system).open_assumptions
         assert N._open_pairs(old) == {(a.label, a.content) for a in opens}
         try:
             got = real(st, at, new, what)
         except NormalizerError:
-            assert not check(out, system, t_strict_empty_beta=t_strict).ok
+            assert not check(out, system).ok
             raise
-        assert check(out, system, t_strict_empty_beta=t_strict).ok
-        assert check(got, system, t_strict_empty_beta=t_strict).ok
+        assert check(out, system).ok
+        assert check(got, system).ok
         freshened = _repeats(N._witness_tokens(out))
         assert _repeats(N._witness_tokens(new)) == freshened
         assert (got == out) != freshened
@@ -307,7 +307,7 @@ def test_broken_cores_are_rejected_by_guard_and_check(case, system, fault, monke
     # The guard reports exactly the fault the core was built with.
     message = f"proper contraction broke the derivation: {fault}"
     with pytest.raises(NormalizerError) as err:
-        N._accepted(N._Kept(d, system, False), at, new, "proper")
+        N._accepted(N._Kept(d, system), at, new, "proper")
     assert str(err.value) == message
     monkeypatch.setattr(N, "_contract_proper_core", core)
     (cut,) = N.cuts(base)

@@ -174,30 +174,30 @@ def reference_replace_at(d, path, new):
     return new
 
 
-def reference_contract_proper(d, occ, system, t_strict):
+def reference_contract_proper(d, occ, system):
     at = _redex_at(d, occ)
     base = freshen(d)
     new = _contract_proper_core(base, at, all_labels(base))
     out = freshen(reference_replace_at(base, at, new))
-    rep = check(out, system, t_strict_empty_beta=t_strict)
+    rep = check(out, system)
     if not rep.ok:
         raise NormalizerError("proper contraction broke the derivation")
     return out
 
 
-def reference_contract_commutative(d, at, system, t_strict):
+def reference_contract_commutative(d, at, system):
     _require_commutable(d, at)
     base = freshen(d)
     new = _commute_node(subtree_at(base, at), all_labels(base))
     out = freshen(reference_replace_at(base, at, new))
-    rep = check(out, system, t_strict_empty_beta=t_strict)
+    rep = check(out, system)
     if not rep.ok:
         raise NormalizerError("commutative contraction broke the derivation")
     return out
 
 
-def reference_normalize_steps(d, system, t=False):
-    if not check(d, system, t_strict_empty_beta=t).ok:
+def reference_normalize_steps(d, system):
+    if not check(d, system).ok:
         raise ValueError("normalize requires a derivation that checks")
     cur = freshen(d)
     ix = reference_index(cur)
@@ -214,12 +214,12 @@ def reference_normalize_steps(d, system, t=False):
             end = seg[-1]
             e = end[:-1]
             mslot = seg[-2][len(e) + 1]
-            cur = reference_contract_commutative(cur, e, system, t)
+            cur = reference_contract_commutative(cur, e, system)
             steps.append((rounds, "commutative", e, reference_rank(cur)))
             old_prefix = e + (0, mslot)
             new_prefix = e + (mslot, 0)
             seg = [new_prefix + o[len(old_prefix):] for o in seg[:-1]]
-        cur = reference_contract_proper(cur, (seg[0],), system, t)
+        cur = reference_contract_proper(cur, (seg[0],), system)
         ix = reference_index(cur)
         cs = reference_cuts_of(ix[0])
         rk = reference_rank_of(cs)
@@ -234,27 +234,27 @@ def reference_normalize_steps(d, system, t=False):
         for kind, path in cleanup:
             rounds += 1
             steps.append((rounds, kind, path, (0, 0)))
-    assert check(cur, system, t_strict_empty_beta=t).ok
+    assert check(cur, system).ok
     assert not reference_cuts(cur) and is_normal(cur)
     return cur, trace, steps
 
 
-def reference_reduce_once(d, system, t=False):
-    if not check(d, system, t_strict_empty_beta=t).ok:
+def reference_reduce_once(d, system):
+    if not check(d, system).ok:
         raise ValueError("reduce_once requires a derivation that checks")
     ix = reference_index(d)
     cs = reference_cuts_of(ix[0])
     if cs:
         sel = reference_select(d, cs, ix)
         if len(sel.segment) > 1:
-            return reference_contract_commutative(d, sel.segment.end[:-1], system, t)
-        return reference_contract_proper(d, sel.segment.occurrences, system, t)
+            return reference_contract_commutative(d, sel.segment.end[:-1], system)
+        return reference_contract_proper(d, sel.segment.occurrences, system)
     cands = [p for p, n in ix[0].items() if _splits(n)]
     if not cands:
         return None
     # The first split in post-order.
     at = min(cands, key=ix[1].__getitem__)
-    return reference_contract_commutative(d, at, system, t)
+    return reference_contract_commutative(d, at, system)
 
 
 def reference_check_position_condition(d):
@@ -467,11 +467,11 @@ def test_public_contractions_match_reference(name, build, system, expected):
     for cut in N.cuts(d):
         if len(cut.segment) == 1:
             occ = cut.segment.occurrences
-            ref = reference_contract_proper(d, occ, system, False)
+            ref = reference_contract_proper(d, occ, system)
             assert N.contract_proper(d, cut, system) == ref
         else:
             at = cut.segment.end[:-1]
-            ref = reference_contract_commutative(d, at, system, False)
+            ref = reference_contract_commutative(d, at, system)
             got = N.contract_commutative(d, at, system)
             if name != "commut-dia":
                 assert got == ref

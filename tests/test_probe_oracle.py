@@ -22,6 +22,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 import pytest
 
+import proofgen
 from posnd import semantics as S
 from posnd.kernel import PARTIAL_LOGICS
 from posnd.semantics import (
@@ -521,7 +522,7 @@ def every_shape_countermodel(
             bit = pattern + [full * (lo >> i & 1) for i in range(bits, width)]
             atoms = {name: [bit[k * len(names) + i] for k in [*range(n), *leaves]]
                      for i, name in enumerate(names)}
-            val = _truths(order, atoms, full, kids, kind)
+            val = _truths(order, atoms, full, kids, kind, n + len(leaves))
             best = None
             for entries, facts_at, target_at in runs:
                 refuting = full ^ val[id(target.formula)][target_at]
@@ -757,6 +758,44 @@ def test_public_enumerators_and_truth_match_the_reference():
             for w in sorted(worlds):
                 for f in formulas:
                     assert S.holds(m, logic, w, f) == holds(m, logic, w, f)
+
+
+def reference_chain_truth(leaf_valuation: Iterable[str], logic: str, f: Formula) -> bool:
+    """``chain_truth`` as it was before it answered through ``_truths``, its
+    own pass over the subformulas with box and diamond read as the body."""
+    if logic not in SERIAL_LOGICS:
+        raise ValueError(
+            f"completion chains only arise for {sorted(SERIAL_LOGICS)}, "
+            f"not {logic!r}"
+        )
+    atoms = frozenset(leaf_valuation)
+    val: dict[int, bool] = {}
+    for g in _subformulas([f]):
+        t = type(g)
+        if t is Atom or t is Bottom:
+            v = t is Atom and g.name in atoms
+        elif t is Box or t is Dia:
+            v = val[id(g.body)]
+        else:
+            x, y = val[id(g.left)], val[id(g.right)]
+            v = x and y if t is And else x or y if t is Or else not x or y
+        val[id(g)] = v
+    return val[id(f)]
+
+
+def test_chain_truth_matches_its_own_loop():
+    rng = random.Random("chain-truth")
+    formulas = [proofgen.random_formula(rng, depth=5) for _ in range(300)]
+    for f in formulas + [Imp(Box(P), Dia(Q)), Bottom()]:
+        for atoms in ((), ("p",), ("q",), ("p", "q"), ("r",)):
+            for logic in ("d", "d4"):
+                want = reference_chain_truth(atoms, logic, f)
+                assert chain_truth(atoms, logic, f) is want, (atoms, logic, f)
+    with pytest.raises(TypeError):
+        chain_truth({"p"}, "d", "p")
+    for logic in ("k", "t", "k4", "s4"):
+        with pytest.raises(ValueError, match="completion chains only arise"):
+            chain_truth({"p"}, logic, P)
 
 
 def test_probes_within_their_reach_match_the_every_shape_engine():

@@ -55,7 +55,7 @@ S4I = K.System("s4", "intuitionistic")
 # --- the reference: every contraction freshens its result ------------------
 
 
-def reference_contract_proper_core(d, elim_path, system, t_strict):
+def reference_contract_proper_core(d, elim_path, system):
     """The contraction core whose substitutions freshen their subtree."""
     R = subtree_at(d, elim_path)
     I = R.premises[0]
@@ -83,7 +83,6 @@ def reference_contract_proper_core(d, elim_path, system, t_strict):
             witness,
             alpha + tuple(R.beta or ()),
             system,
-            t_strict_empty_beta=t_strict,
         )
         if I.e_discharges:
             new = plug(new, I.e_discharges, R.premises[1], "e")
@@ -95,7 +94,6 @@ def reference_contract_proper_core(d, elim_path, system, t_strict):
             witness,
             alpha + tuple(I.beta or ()),
             system,
-            t_strict_empty_beta=t_strict,
         )
         skel = relabel_binders(mapped, forb)
         if R.e_discharges:
@@ -108,10 +106,10 @@ def reference_contract_proper_core(d, elim_path, system, t_strict):
     return reference_replace_at(d, elim_path, new)
 
 
-def reference_contract_proper(d, occ, system, t_strict):
+def reference_contract_proper(d, occ, system):
     at = _redex_at(d, occ)
-    out = freshen(reference_contract_proper_core(d, at, system, t_strict))
-    rep = check(out, system, t_strict_empty_beta=t_strict)
+    out = freshen(reference_contract_proper_core(d, at, system))
+    rep = check(out, system)
     if not rep.ok:
         raise NormalizerError(
             "proper contraction broke the derivation: "
@@ -120,11 +118,11 @@ def reference_contract_proper(d, occ, system, t_strict):
     return out
 
 
-def reference_contract_commutative(d, at, system, t_strict):
+def reference_contract_commutative(d, at, system):
     _require_commutable(d, at)
     new = _commute_node(subtree_at(d, at), all_labels(d))
     out = freshen(reference_replace_at(d, at, new))
-    rep = check(out, system, t_strict_empty_beta=t_strict)
+    rep = check(out, system)
     if not rep.ok:
         raise NormalizerError(
             "commutative contraction broke the derivation: "
@@ -133,7 +131,7 @@ def reference_contract_commutative(d, at, system, t_strict):
     return out
 
 
-def reference_normalize_steps(d, system, *, t_strict_empty_beta=False, trail=None):
+def reference_normalize_steps(d, system, *, trail=None):
     """The parent's ``normalize_steps``; ``trail`` collects every
     contraction's result and the tree after the cleanup commutations."""
     trail = [] if trail is None else trail
@@ -141,8 +139,7 @@ def reference_normalize_steps(d, system, *, t_strict_empty_beta=False, trail=Non
         raise FlavorUnsupported(
             "normalization is defined for the intuitionistic flavor only"
         )
-    t = t_strict_empty_beta
-    if not check(d, system, t_strict_empty_beta=t).ok:
+    if not check(d, system).ok:
         raise ValueError("normalize requires a derivation that checks")
     cur = freshen(d)
     ix = _preorder(cur)
@@ -158,13 +155,13 @@ def reference_normalize_steps(d, system, *, t_strict_empty_beta=False, trail=Non
             end = seg[-1]
             e = end[:-1]
             mslot = seg[-2][len(e) + 1]
-            cur = reference_contract_commutative(cur, e, system, t)
+            cur = reference_contract_commutative(cur, e, system)
             trail.append(cur)
             steps.append((rounds, "commutative", e, rank(cur)))
             old_prefix = e + (0, mslot)
             new_prefix = e + (mslot, 0)
             seg = [new_prefix + o[len(old_prefix):] for o in seg[:-1]]
-        cur = reference_contract_proper(cur, (seg[0],), system, t)
+        cur = reference_contract_proper(cur, (seg[0],), system)
         trail.append(cur)
         ix = _preorder(cur)
         cs = _cuts(ix)
@@ -183,7 +180,7 @@ def reference_normalize_steps(d, system, *, t_strict_empty_beta=False, trail=Non
         for kind, path in cleanup:
             rounds += 1
             steps.append((rounds, kind, path, (0, 0)))
-    rep = check(cur, system, t_strict_empty_beta=t)
+    rep = check(cur, system)
     if not rep.ok:
         raise NormalizerError(
             "normalization broke the derivation: "
@@ -369,7 +366,7 @@ def test_contraction_keeps_untouched_subtrees(monkeypatch):
                 continue
             occ = cut.segment.occurrences
             before = len(calls)
-            out = N._contract_proper(N._Kept(f, system, False), _redex_at(f, occ))
+            out = N._contract_proper(N._Kept(f, system), _redex_at(f, occ))
             if len(calls) > before:
                 continue
             kept += 1
@@ -458,5 +455,5 @@ def test_contract_proper_freshens_a_copied_witness():
     (cut,) = N.cuts(d)
     out = N.contract_proper(d, cut, S4I)
     assert K.check_position_condition(out) == ()
-    ref = reference_contract_proper(freshen(d), cut.segment.occurrences, S4I, False)
+    ref = reference_contract_proper(freshen(d), cut.segment.occurrences, S4I)
     assert reserved_canon(out) == reserved_canon(ref)
